@@ -5,9 +5,9 @@ use crate::counts::{LocationCounts, OutcomeCounts};
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    enumerate_targets, golden_run_opts, golden_run_with_coverage_opts,
-    run_injection_group_recorded, run_injection_recorded, DivergenceReport, EngineOpts, GoldenRun,
-    GroupMeta, InjectionRun, InjectionTarget, OutcomeClass, PropagationReport, RunMeta,
+    enumerate_targets, golden_run_opts, golden_run_with_coverage_opts, run_injection_recorded,
+    DivergenceReport, EngineOpts, GoldenRun, GroupMeta, GroupRunner, InjectionRun, InjectionTarget,
+    OutcomeClass, PropagationReport, RunMeta,
 };
 use fisec_os::Stop;
 use fisec_telemetry::{
@@ -652,7 +652,8 @@ impl<'a> WorkerTel<'a> {
         }
         self.shard.inc(metric::RUNS, runs.len() as u64);
         self.shard.inc(metric::GROUPS, 1);
-        self.shard.inc(metric::FRESH_BOOTS, 1);
+        self.shard
+            .inc(metric::FRESH_BOOTS, u64::from(gmeta.fresh_boot));
         self.shard.inc(metric::RESTORES, gmeta.restores);
         self.shard.observe(metric::GROUP_SIZE, runs.len() as u64);
         self.shard
@@ -1398,15 +1399,17 @@ where
 /// the golden run never executes are synthesized as NA wholesale — the
 /// injected run's pre-activation execution is identical to golden, so
 /// its breakpoint can never be hit and it must stop exactly as golden
-/// did. The remaining groups each boot once to the breakpoint and
+/// did. The remaining groups each run to the breakpoint once and
 /// replay per-bit suffixes from a snapshot; a shared work queue feeds
 /// groups to the worker threads (groups vary wildly in cost, so static
-/// chunking would straggle).
+/// chunking would straggle). Each worker serves its groups from one
+/// [`GroupRunner`], created on the first group it actually executes, so
+/// a client costs each worker at most one process load.
 #[allow(clippy::too_many_arguments)]
-fn run_targets_snapshot(
-    app: &AppSpec,
+fn run_targets_snapshot<'a>(
+    app: &'a AppSpec,
     spec: &fisec_apps::ClientSpec,
-    golden: &GoldenRun,
+    golden: &'a GoldenRun,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1459,13 +1462,18 @@ fn run_targets_snapshot(
         vec![(na, None, None); n]
     };
 
-    // One checkpoint group: run it, digest each report down to the
-    // per-run numbers the campaign keeps, drop the traces, and — with a
-    // cache attached — write the memoized entry back.
-    let run_group = |group: &[InjectionTarget], wt: &mut WorkerTel<'_>| -> Vec<DigestedRun> {
-        let (runs, gmeta, prof, fp) =
-            run_injection_group_recorded(&app.image, spec, golden, group, cfg.scheme, engine)
-                .expect("image loads");
+    // One checkpoint group on the worker's runner (booted here on the
+    // worker's first executed group): run it, digest each report down
+    // to the per-run numbers the campaign keeps, drop the traces, and —
+    // with a cache attached — write the memoized entry back.
+    let run_group = |runner: &mut Option<GroupRunner<'a>>,
+                     group: &[InjectionTarget],
+                     wt: &mut WorkerTel<'_>|
+     -> Vec<DigestedRun> {
+        let runner = runner.get_or_insert_with(|| {
+            GroupRunner::new(&app.image, spec, golden, engine).expect("image loads")
+        });
+        let (runs, gmeta, prof, fp) = runner.run(group, cfg.scheme);
         let runs: Vec<(
             InjectionRun,
             RunMeta,
@@ -1529,19 +1537,21 @@ fn run_targets_snapshot(
 
     let threads = cfg.threads.max(1).min(live.len().max(1));
     if threads <= 1 {
+        let mut runner = None;
         for &gi in &live {
             let (_, group) = groups[gi];
-            let runs = run_group(group, &mut wt0);
+            let runs = run_group(&mut runner, group, &mut wt0);
             slots[gi] = Some(runs);
         }
     } else {
         let slots_mx = Mutex::new(&mut slots);
         run_work_queue(threads, live.len(), |w, pull| {
             let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
+            let mut runner = None;
             while let Some(i) = pull() {
                 let gi = live[i];
                 let (_, group) = groups[gi];
-                let runs = run_group(group, &mut wt);
+                let runs = run_group(&mut runner, group, &mut wt);
                 let wait_start = Instant::now();
                 let mut guard = slots_mx.lock().expect("no worker panicked");
                 let wait = micros_since(wait_start);

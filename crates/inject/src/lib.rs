@@ -16,6 +16,7 @@
 pub mod classify;
 pub mod divergence;
 pub mod forensics;
+pub mod group;
 pub mod latent;
 pub mod location;
 pub mod persist;
@@ -25,6 +26,7 @@ pub mod target;
 pub use classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
 pub use divergence::{DivergenceReport, GoldenContinuation, RECORDER_EDGES};
 pub use forensics::{crash_forensics, CrashReport, PathSegment};
+pub use group::{GroupOutcome, GroupRun, GroupRunner};
 pub use latent::{LatentError, LatentRunner};
 pub use location::ErrorLocation;
 pub use propagation::{kind_label, PropagationReport};
@@ -112,8 +114,19 @@ impl EngineOpts {
     }
 
     fn apply(self, p: &mut Process) {
+        self.configure(p);
+        self.observe(p);
+    }
+
+    /// Select the execution engine.
+    fn configure(self, p: &mut Process) {
         p.machine.set_block_engine(self.block_cache);
         p.machine.set_trace_cache(self.trace_cache);
+    }
+
+    /// Start the requested per-process observers afresh: a new profile
+    /// and a new footprint.
+    fn observe(self, p: &mut Process) {
         if self.profiler {
             p.machine.enable_profiler();
         }
@@ -204,8 +217,12 @@ pub struct RunMeta {
     /// reports the shared prefix's icount (the work a from-scratch run
     /// would have retired).
     pub icount: u64,
-    /// Host microseconds executing the post-activation suffix (0 for
-    /// runs that never activated).
+    /// Host microseconds replaying the run (0 for runs that never
+    /// activated). On the single-run path this is the post-activation
+    /// suffix; a checkpoint-group replay also includes the checkpoint
+    /// restore and the fault planting before the suffix (its timer
+    /// starts before the restore); a latent-error run times the session
+    /// after the restore and the poke.
     pub run_micros: u64,
     /// Host microseconds classifying the outcome against golden.
     pub classify_micros: u64,
@@ -215,15 +232,24 @@ pub struct RunMeta {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupMeta {
     /// Host microseconds booting from `_start` to the breakpoint (or to
-    /// the natural stop when the breakpoint was never reached).
+    /// the natural stop when the breakpoint was never reached). For a
+    /// [`GroupRunner`] group this is the restore of its icount-0
+    /// checkpoint plus the prefix, plus the process load on the
+    /// runner's first group.
     pub boot_micros: u64,
     /// Host microseconds capturing the checkpoint (0 when no checkpoint
     /// was taken).
     pub snapshot_micros: u64,
-    /// Checkpoint restores performed.
+    /// Checkpoint restores performed for this group's replays (one per
+    /// activated target; a runner's restore to its icount-0 checkpoint
+    /// belongs to the boot, not counted here).
     pub restores: u64,
     /// Whether the breakpoint was reached (the error could activate).
     pub activated: bool,
+    /// Whether this call loaded a fresh process (`Process::load`): every
+    /// single-run and one-shot group call, only the first group of a
+    /// [`GroupRunner`].
+    pub fresh_boot: bool,
 }
 
 fn micros_since(t: Instant) -> u64 {
@@ -336,6 +362,7 @@ pub fn run_injection_recorded(
         };
         let group = GroupMeta {
             boot_micros,
+            fresh_boot: true,
             ..GroupMeta::default()
         };
         let profile = p.machine.take_exec_profile();
@@ -416,6 +443,7 @@ pub fn run_injection_recorded(
         snapshot_micros,
         restores: 0,
         activated: true,
+        fresh_boot: true,
     };
     let profile = p.machine.take_exec_profile();
     let footprint = p.machine.take_footprint();
@@ -441,18 +469,9 @@ fn golden_continuation(p: &mut Process, addr: u32) -> GoldenContinuation {
 }
 
 /// Execute every experiment in a group of targets sharing one
-/// instruction address, replaying the boot-to-breakpoint prefix only
-/// once.
-///
-/// The process boots with a breakpoint at the shared address exactly as
-/// [`run_injection`] does. If the breakpoint is never hit, every target
-/// in the group is NA with the same record the from-scratch path would
-/// produce (pre-activation execution is deterministic). Otherwise the
-/// process is checkpointed at the breakpoint and each target replays
-/// only the post-flip suffix from the restored checkpoint: peek the
-/// pristine byte, flip, disarm, run, classify — observably identical to
-/// a from-scratch run because [`fisec_os::Process::restore`] rewinds
-/// registers, memory, icount, breakpoints and the client channel.
+/// instruction address from one fresh process, replaying the
+/// boot-to-breakpoint prefix only once (see [`group`] for the
+/// procedure and [`GroupRunner`] to serve many groups from one boot).
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -540,12 +559,14 @@ pub fn run_injection_group_metered_opts(
 /// state, so the restore at the top of the next replay would drop it
 /// anyway; the explicit take seals it first.
 ///
+/// This is a one-shot [`GroupRunner`]: it loads a fresh process for the
+/// group, and an empty group loads nothing.
+///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
 ///
 /// # Panics
 /// If the targets do not all share one instruction address.
-#[allow(clippy::type_complexity)]
 pub fn run_injection_group_recorded(
     image: &Image,
     client: &ClientSpec,
@@ -553,143 +574,12 @@ pub fn run_injection_group_recorded(
     targets: &[InjectionTarget],
     scheme: EncodingScheme,
     engine: EngineOpts,
-) -> Result<
-    (
-        Vec<(
-            InjectionRun,
-            RunMeta,
-            Option<DivergenceReport>,
-            Option<PropagationReport>,
-        )>,
-        GroupMeta,
-        Option<ExecProfile>,
-        Option<Footprint>,
-    ),
-    fisec_os::LoadError,
-> {
-    let Some(addr) = targets.first().map(|t| t.addr) else {
+) -> Result<GroupOutcome, fisec_os::LoadError> {
+    if targets.is_empty() {
         return Ok((Vec::new(), GroupMeta::default(), None, None));
-    };
-    assert!(
-        targets.iter().all(|t| t.addr == addr),
-        "run_injection_group requires targets sharing one address"
-    );
-    let boot_start = Instant::now();
-    let mut p = Process::load(image, client.make())?;
-    engine.apply(&mut p);
-    let budget = (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR);
-    p.set_budget(budget);
-    p.machine.add_breakpoint(addr);
-
-    let first = p.run();
-    let boot_micros = micros_since(boot_start);
-    let Stop::Breakpoint(_) = first else {
-        // Instruction never executed: the whole group is not activated,
-        // and (determinism) every from-scratch run would stop the same
-        // way with the same client verdict. Each synthesized run is
-        // billed the shared prefix's icount — the work a from-scratch
-        // run would have retired.
-        let na = InjectionRun {
-            outcome: OutcomeClass::NotActivated,
-            activated: false,
-            stop: first,
-            client: p.client_status(),
-            crash_latency: None,
-            transient_deviation: false,
-            divergence: None,
-        };
-        let meta = RunMeta {
-            icount: p.icount(),
-            run_micros: 0,
-            classify_micros: 0,
-        };
-        let group = GroupMeta {
-            boot_micros,
-            ..GroupMeta::default()
-        };
-        let profile = p.machine.take_exec_profile();
-        let footprint = p.machine.take_footprint();
-        return Ok((
-            vec![(na, meta, None, None); targets.len()],
-            group,
-            profile,
-            footprint,
-        ));
-    };
-
-    let snapshot_start = Instant::now();
-    let checkpoint = p.snapshot();
-    let snapshot_micros = micros_since(snapshot_start);
-    let activation_icount = p.icount();
-    // One golden continuation serves the whole group; the restore at
-    // the top of every replay rewinds the detour.
-    let golden_ref = engine
-        .flight_recorder
-        .then(|| golden_continuation(&mut p, addr));
-    let mut runs = Vec::with_capacity(targets.len());
-    for target in targets {
-        let replay_start = Instant::now();
-        p.restore(&checkpoint);
-        let byte_addr = target.addr.wrapping_add(target.byte_index as u32);
-        let orig = p
-            .machine
-            .mem
-            .peek8(byte_addr)
-            .expect("target byte is mapped: it was decoded from the image");
-        let ctx = byte_ctx(target);
-        let corrupted = remap_flip(orig, target.bit, ctx, scheme);
-        p.machine
-            .mem
-            .poke8(byte_addr, corrupted)
-            .expect("target byte is mapped");
-        p.machine.remove_breakpoint(target.addr);
-        if engine.flight_recorder {
-            p.machine.enable_flight_recorder(RECORDER_EDGES);
-        }
-        if engine.propagation {
-            p.machine
-                .enable_taint(Some(target.addr), DEFAULT_TAINT_HORIZON);
-        }
-
-        let stop = p.run();
-        let run_micros = micros_since(replay_start);
-        let report = golden_ref.as_ref().map(|gc| {
-            let faulty = p
-                .machine
-                .take_flight_trace()
-                .expect("recorder was armed before the replay");
-            divergence::diff_run(gc, faulty, &p.machine.mem)
-        });
-        let prop = p.machine.take_propagation_log().map(|log| {
-            let mut rep = PropagationReport::new(log, activation_icount);
-            if decision_site(image, target.addr) {
-                rep.mark_corrupted_decision(target.addr);
-            }
-            rep
-        });
-        let final_trace = p.trace();
-        let crash_latency = match stop {
-            Stop::Crashed(_) => Some(p.icount() - activation_icount),
-            _ => None,
-        };
-        let classify_start = Instant::now();
-        let run = classify_run(golden, stop, p.client_status(), final_trace, crash_latency);
-        let meta = RunMeta {
-            icount: p.icount().saturating_sub(activation_icount),
-            run_micros,
-            classify_micros: micros_since(classify_start),
-        };
-        runs.push((run, meta, report, prop));
     }
-    let group = GroupMeta {
-        boot_micros,
-        snapshot_micros,
-        restores: p.restore_count(),
-        activated: true,
-    };
-    let profile = p.machine.take_exec_profile();
-    let footprint = p.machine.take_footprint();
-    Ok((runs, group, profile, footprint))
+    let mut runner = GroupRunner::one_shot(image, client, golden, engine)?;
+    Ok(runner.run(targets, scheme))
 }
 
 /// Determine the §6.2 mapping context for the corrupted byte.

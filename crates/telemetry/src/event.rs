@@ -128,9 +128,10 @@ pub struct CampaignEndEvent {
     pub runs: u64,
     /// Runs classified NA by the golden-coverage pre-filter.
     pub na_prefilter_runs: u64,
-    /// Checkpoint restores performed.
+    /// Checkpoint restores performed for replays.
     pub restores: u64,
-    /// Fresh process boots (golden runs, group boots, from-scratch runs).
+    /// Process loads (golden and coverage runs, from-scratch runs, one
+    /// per worker's group runner).
     pub fresh_boots: u64,
     /// Checkpoint groups folded in from the incremental campaign cache
     /// without executing. Absent from cache-off traces (older streams

@@ -19,9 +19,11 @@ pub mod metric {
     pub const GROUPS: &str = "groups";
     /// Counter: runs classified NA by the golden-coverage pre-filter.
     pub const NA_PREFILTER_RUNS: &str = "na_prefilter_runs";
-    /// Counter: fresh process boots (golden, group or from-scratch).
+    /// Counter: process loads (golden and coverage runs, one per
+    /// from-scratch run, one per worker's group runner).
     pub const FRESH_BOOTS: &str = "fresh_boots";
-    /// Counter: checkpoint restores.
+    /// Counter: checkpoint restores for replays (a group runner's
+    /// rewind to its boot checkpoint counts as boot work, not here).
     pub const RESTORES: &str = "restores";
     /// Counter: checkpoint groups folded in from the incremental
     /// campaign cache without executing.

@@ -21,6 +21,7 @@
 
 use crate::cpu::{handler_of, Handler};
 use crate::inst::{Cond, Inst, MemOperand, Op, OpSize, Operand, Reg8};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Number of sets in the block cache (power of two); same index scheme
@@ -38,6 +39,14 @@ const CACHE_WAYS: usize = 2;
 /// Longest block, in instructions. Bounds the work a single dispatch
 /// commits to before budget and breakpoints are re-checked.
 pub(crate) const MAX_BLOCK_INSTS: usize = 64;
+
+/// Bytes of guest address space per bucket of the entry index (log2).
+const BUCKET_SHIFT: u32 = 6;
+
+/// Buckets in the entry index (power of two). Entries more than
+/// `INDEX_BUCKETS << BUCKET_SHIFT` bytes apart may share a bucket,
+/// which costs a compare, never correctness.
+const INDEX_BUCKETS: usize = 1024;
 
 /// A decoded straight-line run of instructions starting at `entry`,
 /// terminated by a control transfer, a software interrupt, an invalid
@@ -60,6 +69,9 @@ pub struct Block {
     /// instrumentation-free fast executor: no per-instruction
     /// self-modification re-check is ever needed.
     pub writes: bool,
+    /// The footprint recording epoch this block was last marked under
+    /// (0: never) — see [`Footprint`](crate::Footprint).
+    pub(crate) marked: AtomicU64,
 }
 
 /// One instruction of a block: the decoded form (kept for the `Slow`
@@ -364,11 +376,17 @@ pub(crate) struct BlockCache {
     slots: Vec<Option<Arc<Block>>>,
     /// Per-set LRU: the way index to victimize next.
     lru: Vec<u8>,
-    /// Indices of occupied slots, unordered. Keeps journal-driven
-    /// invalidation proportional to the resident population instead of
-    /// the full slot array — restore-heavy campaigns flush the journal
-    /// several times per run.
-    occupied: Vec<u32>,
+    /// Entries of the resident blocks, bucketed by
+    /// `entry >> BUCKET_SHIFT`. A written byte can only lie inside a
+    /// block entered less than `max_span` bytes below it, so journal-
+    /// driven invalidation probes the few buckets in that window: its
+    /// cost follows the blocks near the written bytes, not the resident
+    /// population (restore-heavy campaigns invalidate twice per run).
+    index: Vec<Vec<u32>>,
+    /// Longest resident block in bytes (an upper bound since the last
+    /// clear).
+    max_span: u32,
+    resident: usize,
     built: u64,
     hits: u64,
     invalidated: u64,
@@ -379,6 +397,26 @@ impl BlockCache {
     #[inline]
     fn set_of(entry: u32) -> usize {
         (entry as usize ^ (entry as usize >> 12)) & (CACHE_SETS - 1)
+    }
+
+    #[inline]
+    fn bucket_of(entry: u32) -> usize {
+        (entry >> BUCKET_SHIFT) as usize & (INDEX_BUCKETS - 1)
+    }
+
+    /// Slot index of the resident block entered at `entry`.
+    fn slot_of(&self, entry: u32) -> Option<usize> {
+        let base = Self::set_of(entry) * CACHE_WAYS;
+        (base..base + CACHE_WAYS)
+            .find(|&i| self.slots[i].as_ref().is_some_and(|b| b.entry == entry))
+    }
+
+    /// Remove `entry` from the entry index.
+    fn unindex(&mut self, entry: u32) {
+        let bucket = &mut self.index[Self::bucket_of(entry)];
+        if let Some(k) = bucket.iter().position(|&e| e == entry) {
+            bucket.swap_remove(k);
+        }
     }
 
     /// Count a resident-loop re-execution: the dispatcher re-ran the
@@ -411,6 +449,7 @@ impl BlockCache {
         if self.slots.is_empty() {
             self.slots.resize(CACHE_SETS * CACHE_WAYS, None);
             self.lru.resize(CACHE_SETS, 0);
+            self.index.resize(INDEX_BUCKETS, Vec::new());
         }
         self.built += 1;
         let set = Self::set_of(block.entry);
@@ -422,9 +461,13 @@ impl BlockCache {
                 self.lru[set] as usize
             }
         };
-        if self.slots[base + way].is_none() {
-            self.occupied.push((base + way) as u32);
+        match self.slots[base + way].take() {
+            Some(victim) => self.unindex(victim.entry),
+            None => self.resident += 1,
         }
+        let span = (block.end - u64::from(block.entry)).max(1) as u32;
+        self.max_span = self.max_span.max(span);
+        self.index[Self::bucket_of(block.entry)].push(block.entry);
         self.slots[base + way] = Some(block);
         self.lru[set] = (way ^ 1) as u8;
     }
@@ -432,34 +475,37 @@ impl BlockCache {
     /// Drop every block whose byte range covers any of `addrs` (the
     /// executable bytes just written, straight from the memory journal).
     pub fn invalidate_writes(&mut self, addrs: &[u32]) {
-        if self.occupied.is_empty() || addrs.is_empty() {
+        if self.resident == 0 {
             return;
         }
-        let slots = &mut self.slots;
-        let invalidated = &mut self.invalidated;
-        self.occupied.retain(|&i| {
-            let slot = &mut slots[i as usize];
-            match slot {
-                Some(b) if addrs.iter().any(|&a| b.covers(a)) => {
-                    *invalidated += 1;
-                    *slot = None;
-                    false
+        for &a in addrs {
+            let first = a.saturating_sub(self.max_span - 1) >> BUCKET_SHIFT;
+            for bucket in first..=a >> BUCKET_SHIFT {
+                let b = bucket as usize & (INDEX_BUCKETS - 1);
+                let mut k = 0;
+                while let Some(&entry) = self.index[b].get(k) {
+                    let slot = self.slot_of(entry).expect("indexed entries are resident");
+                    if self.slots[slot].as_ref().is_some_and(|blk| blk.covers(a)) {
+                        self.slots[slot] = None;
+                        self.index[b].swap_remove(k);
+                        self.resident -= 1;
+                        self.invalidated += 1;
+                    } else {
+                        k += 1;
+                    }
                 }
-                other => other.is_some(),
             }
-        });
+        }
     }
 
     /// Drop everything (lineage breaks, decoder swaps, engine toggles).
     pub fn clear(&mut self) {
-        self.invalidated += self.resident() as u64;
+        self.invalidated += self.resident as u64;
         self.slots.clear();
         self.lru.clear();
-        self.occupied.clear();
-    }
-
-    fn resident(&self) -> usize {
-        self.occupied.len()
+        self.index.clear();
+        self.max_span = 0;
+        self.resident = 0;
     }
 
     pub fn stats(&self) -> BlockStats {
@@ -468,7 +514,7 @@ impl BlockCache {
             hits: self.hits,
             invalidated: self.invalidated,
             conflict_evictions: self.conflict_evictions,
-            cached: self.resident(),
+            cached: self.resident,
         }
     }
 }
@@ -486,6 +532,7 @@ mod tests {
             insts: vec![LInst::new(entry, entry.wrapping_add(1), inst)],
             reads_icount: false,
             writes: false,
+            marked: AtomicU64::new(0),
         })
     }
 
@@ -512,6 +559,29 @@ mod tests {
         // A write outside every block is free.
         c.invalidate_writes(&[0x9000]);
         assert_eq!(c.stats().cached, 1);
+    }
+
+    #[test]
+    fn invalidation_finds_long_blocks_across_buckets_and_evictions() {
+        let mut c = BlockCache::default();
+        // A block spanning several index buckets, hit at its last byte.
+        c.insert(block(0x1000, 300));
+        c.insert(block(0x1200, 4));
+        c.invalidate_writes(&[0x1000 + 299]);
+        assert!(c.get(0x1000).is_none());
+        assert!(c.get(0x1200).is_some());
+        // A conflict-evicted block leaves the index with it: writes
+        // under it drop nothing, and the survivors stay reachable.
+        let (a, b, d) = (0x0001u32, 0x1000u32, 0x2003u32);
+        let mut c = BlockCache::default();
+        c.insert(block(a, 4));
+        c.insert(block(b, 4));
+        c.insert(block(d, 4)); // evicts `a`
+        c.invalidate_writes(&[a + 1]);
+        assert_eq!(c.stats().invalidated, 0);
+        c.invalidate_writes(&[d + 3, b]);
+        let s = c.stats();
+        assert_eq!((s.cached, s.invalidated), (0, 2));
     }
 
     #[test]

@@ -15,12 +15,13 @@ use crate::flags;
 use crate::inst::{
     Cond, Fault, Inst, InvalidKind, MemOperand, Op, OpSize, Operand, Reg8, RepKind, StrOp,
 };
-use crate::mem::Memory;
+use crate::mem::{Memory, MemorySnapshot};
 use crate::profiler::ExecProfile;
 use crate::recorder::{edge_kind, Edge, EdgeKind, FlightRecorder, FlightTrace};
 use crate::taint::{PropagationLog, TaintTracer};
 use crate::trace::{SuperTrace, TraceCache, TraceRec, TraceStats, MAX_TRACE_BLOCKS};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Register file and flags.
@@ -134,6 +135,38 @@ struct ICacheEntry {
     inst: Inst,
 }
 
+/// Longest fetch window, in bytes: a decoded instruction at `x` read
+/// at most the bytes `x..x + FETCH_WINDOW`.
+const FETCH_WINDOW: u32 = 15;
+
+#[inline]
+fn icache_slot(eip: u32) -> usize {
+    (eip as usize ^ (eip as usize >> 12)) & (ICACHE_SIZE - 1)
+}
+
+/// Drop every decoded-instruction entry whose fetch window covers one
+/// of `addrs` (executable bytes written since the cache was last in
+/// sync): an entry at `x` is stale only if a written byte lies in
+/// `x..x + 15`. A journal long enough to probe most slots resets the
+/// whole cache instead.
+fn icache_drop_windows(icache: &mut [ICacheEntry], addrs: &[u32]) {
+    if icache.is_empty() || addrs.is_empty() {
+        return;
+    }
+    if addrs.len() * FETCH_WINDOW as usize >= ICACHE_SIZE {
+        icache.iter_mut().for_each(|e| e.addr = ICACHE_EMPTY);
+        return;
+    }
+    for &a in addrs {
+        for x in a.saturating_sub(FETCH_WINDOW - 1)..=a {
+            let e = &mut icache[icache_slot(x)];
+            if e.addr == x {
+                e.addr = ICACHE_EMPTY;
+            }
+        }
+    }
+}
+
 /// Retired-EIP coverage recorder: a dense bitmap — one bit per byte
 /// address — spanning the executable regions, plus a spill set for EIPs
 /// executed anywhere else (reachable only through rwx data regions or
@@ -194,11 +227,12 @@ impl Coverage {
 /// Executed-code footprint recorder: the byte ranges of the address
 /// space that were fetched for execution. Unlike [`Coverage`] (which
 /// marks every retired EIP and is rewound by [`Machine::restore`]), the
-/// footprint is marked at *block-build* granularity — one range-OR when
-/// a basic block is decoded into the cache (the build is the first
-/// dispatch; `enable_footprint` flushes both tiers so nothing escapes),
-/// one per instruction on the per-step engine — and deliberately
-/// survives restores, so one footprint accumulates the
+/// footprint is marked at *block-dispatch* granularity — one range-OR
+/// the first time a basic block is dispatched while this footprint
+/// records, in tier 1 or inside a tier-2 trace (each block carries the
+/// epoch it was last marked under, so later dispatches cost one
+/// compare), one per instruction on the per-step engine — and
+/// deliberately survives restores, so one footprint accumulates the
 /// union over every replay of a checkpoint group. The campaign cache
 /// keys a group's memoized results on the image bytes inside this
 /// footprint: anything a run fetched can affect its outcome, anything
@@ -381,6 +415,9 @@ pub struct Machine {
     /// [`Footprint`]). Not snapshot state: it survives restores so one
     /// footprint accumulates across every replay of a checkpoint group.
     footprint: Option<Box<Footprint>>,
+    /// Recording epoch of `footprint`: a block stamped with it has
+    /// already been marked there.
+    fp_epoch: FootprintEpoch,
     recorder: Option<FlightRecorder>,
     /// Propagation tracer (see [`crate::taint`]). Like the flight
     /// recorder it is per-run instrumentation: enabled by the injector
@@ -398,15 +435,15 @@ pub struct Machine {
 /// Holds everything needed to rewind a machine to an earlier point of
 /// the same execution: registers, the full address space, the retired
 /// instruction count, armed breakpoints, the EIP trace ring, and the
-/// coverage set when enabled. The decoded caches (instructions and
-/// basic blocks) are *not* part of the snapshot — they are pure
+/// coverage set when enabled. The decoded caches (instructions, basic
+/// blocks and traces) are *not* part of the snapshot — they are pure
 /// performance artifacts; [`Machine::restore`] uses the executable-write
 /// journal to drop exactly the entries covering bytes that changed
 /// since the snapshot was taken.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     cpu: Cpu,
-    mem: Memory,
+    mem: MemorySnapshot,
     icount: u64,
     breakpoints: Vec<u32>,
     trace_buf: Vec<u32>,
@@ -416,6 +453,30 @@ pub struct MachineSnapshot {
 }
 
 const ICACHE_EMPTY: u32 = u32::MAX; // _start never sits at 0xFFFFFFFF
+
+/// Source of footprint recording epochs, shared by every machine: a
+/// block may be dispatched by several machines (clones share blocks),
+/// so an epoch must name one recording, never a per-machine count.
+static NEXT_FOOTPRINT_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+/// A machine's footprint recording epoch (0 while none records).
+/// Cloning draws a fresh epoch: the clone's footprint copy must not
+/// trust stamps its twin keeps setting, so it re-marks (idempotently)
+/// each block once.
+#[derive(Debug, Default)]
+struct FootprintEpoch(u64);
+
+impl FootprintEpoch {
+    fn fresh() -> FootprintEpoch {
+        FootprintEpoch(NEXT_FOOTPRINT_EPOCH.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for FootprintEpoch {
+    fn clone(&self) -> FootprintEpoch {
+        FootprintEpoch::fresh()
+    }
+}
 
 impl Machine {
     /// New machine over the given memory, with a zeroed CPU.
@@ -439,6 +500,7 @@ impl Machine {
             trace_next: 0,
             coverage: None,
             footprint: None,
+            fp_epoch: FootprintEpoch::default(),
             recorder: None,
             taint: None,
             profile: None,
@@ -452,7 +514,7 @@ impl Machine {
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             cpu: self.cpu.clone(),
-            mem: self.mem.clone(),
+            mem: self.mem.snapshot(),
             icount: self.icount,
             breakpoints: self.breakpoints.clone(),
             trace_buf: self.trace_buf.clone(),
@@ -464,28 +526,31 @@ impl Machine {
 
     /// Rewind to a previously captured snapshot of *this* execution.
     ///
+    /// Memory is restored page-wise: only pages written since the
+    /// capture are copied back (see `Memory::restore`; a snapshot of
+    /// another machine, a clone say, costs a full copy instead).
+    ///
     /// The decoded caches survive the rewind wherever the executable-
     /// write journal can prove they are still exact. When the snapshot
     /// is an ancestor of the current state (the common case: checkpoint,
     /// poke one byte, run, restore, repeat), the journal names every
-    /// byte written since it — only blocks covering those bytes are
-    /// dropped, and the instruction cache is cleared only when at least
-    /// one such byte exists. A snapshot from an unrelated lineage drops
-    /// everything. The decoder function itself is not snapshot state and
-    /// is left untouched.
+    /// byte written since it, and each cache drops only the entries
+    /// covering those bytes: blocks and traces whose range holds one,
+    /// decoded instructions whose fetch window does. A snapshot from an
+    /// unrelated lineage drops everything. The decoder function itself
+    /// is not snapshot state and is left untouched.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
-        let snap_gen = snap.mem.exec_gen();
-        if self.mem.exec_log_extends(&snap.mem) {
-            // Invalidate from the oldest generation either cache could
-            // still reflect: blocks were last synced at `blocks_gen`, and
-            // the restore reverts every write after `snap_gen`.
-            let from = self.blocks_gen.min(snap_gen);
-            let dirty = self.mem.exec_writes_since(from);
-            if !dirty.is_empty() {
-                self.blocks.invalidate_writes(dirty);
-                self.traces.invalidate_writes(dirty);
-                self.icache.clear();
-            }
+        let snap_mem = snap.mem.memory();
+        let snap_gen = snap_mem.exec_gen();
+        if self.mem.exec_log_extends(snap_mem) {
+            // Invalidate from the oldest generation each cache could
+            // still reflect: it was last synced at its own generation,
+            // and the restore reverts every write after `snap_gen`.
+            let dirty = self.mem.exec_writes_since(self.blocks_gen.min(snap_gen));
+            self.blocks.invalidate_writes(dirty);
+            self.traces.invalidate_writes(dirty);
+            let dirty = self.mem.exec_writes_since(self.icache_gen.min(snap_gen));
+            icache_drop_windows(&mut self.icache, dirty);
         } else {
             // Restoring across lineages (or forward past unseen writes):
             // the byte diff cannot be attributed, drop everything.
@@ -494,20 +559,21 @@ impl Machine {
             self.icache.clear();
         }
         self.blocks_gen = snap_gen;
+        self.icache_gen = snap_gen;
         // A recording in progress would stitch pre-rewind blocks onto
         // whatever executes next; abort it. The branch-history signature
         // restarts too, so every replay of a checkpoint group sees the
         // same trace-key sequence.
         self.trace_rec = None;
         self.hist = 0;
-        self.cpu = snap.cpu.clone();
-        self.mem = snap.mem.clone();
+        self.cpu.clone_from(&snap.cpu);
+        self.mem.restore(&snap.mem);
         self.icount = snap.icount;
-        self.breakpoints = snap.breakpoints.clone();
-        self.trace_buf = snap.trace_buf.clone();
+        self.breakpoints.clone_from(&snap.breakpoints);
+        self.trace_buf.clone_from(&snap.trace_buf);
         self.trace_cap = snap.trace_cap;
         self.trace_next = snap.trace_next;
-        self.coverage = snap.coverage.clone();
+        self.coverage.clone_from(&snap.coverage);
         // The flight recorder is per-run instrumentation, not snapshot
         // state: rewinding drops any active recording. The injector
         // enables it after each restore, once the fault is planted.
@@ -547,14 +613,11 @@ impl Machine {
     /// not snapshot state: [`Machine::restore`] leaves it accumulating,
     /// so one footprint unions every replay of a checkpoint group.
     /// Enable it after the image is mapped (the bitmap spans the
-    /// executable regions mapped at this point).
+    /// executable regions mapped at this point). The decoded caches are
+    /// kept: a fresh recording epoch makes every resident block count
+    /// as unmarked until its next dispatch.
     pub fn enable_footprint(&mut self) {
-        // Marking happens when a block is *built* (see `build_block`):
-        // flush both tiers so everything dispatched from here on is
-        // (re)built — and therefore marked — while recording.
-        self.blocks.clear();
-        self.traces.clear();
-        self.trace_rec = None;
+        self.fp_epoch = FootprintEpoch::fresh();
         self.footprint = Some(Box::new(Footprint::new(&self.mem)));
     }
 
@@ -930,6 +993,9 @@ impl Machine {
                     }
                 },
             };
+            // Marked before the single-step fallback below, so the whole
+            // block counts even when it retires one instruction at a time.
+            self.mark_footprint(&block);
             if block.reads_icount
                 || (block.insts.len() as u64) > max_steps - steps
                 || self.breakpoint_inside(block.entry, block.end)
@@ -1029,6 +1095,10 @@ impl Machine {
             && self.trace_cap == 0
             && self.recorder.is_none()
             && self.profile.is_none();
+        // A trace whose every block was marked under this epoch skips
+        // the per-block footprint check.
+        let marking =
+            self.footprint.is_some() && t.marked.load(Ordering::Relaxed) != self.fp_epoch.0;
         let mut retired = 0u64;
         for (i, block) in t.blocks.iter().enumerate() {
             if i > 0 && self.cpu.eip != block.entry {
@@ -1037,6 +1107,12 @@ impl Machine {
                 // target, so re-dispatch sees a coherent key.
                 self.traces.note_side_exit();
                 return None;
+            }
+            if marking {
+                self.mark_footprint(block);
+                if i + 1 == t.blocks.len() {
+                    t.marked.store(self.fp_epoch.0, Ordering::Relaxed);
+                }
             }
             let gen = self.mem.exec_gen();
             let (executed, event) = if fast && !block.writes {
@@ -1179,18 +1255,28 @@ impl Machine {
             insts,
             reads_icount,
             writes,
+            marked: AtomicU64::new(0),
         });
-        if let Some(fp) = &mut self.footprint {
-            // One range-OR per block *build* covers every later dispatch
-            // of it: `enable_footprint` flushed both tiers, so anything
-            // dispatched while recording was built while recording
-            // (invalidation and LRU eviction only cause idempotent
-            // re-marks). The whole block is marked even when execution
-            // stops inside it — a valid superset.
-            fp.mark_range(block.entry, (block.end - u64::from(block.entry)) as u32);
-        }
         self.blocks.insert(Arc::clone(&block));
         Ok(block)
+    }
+
+    /// Mark `block`'s byte range in the footprint on its first dispatch
+    /// under the current recording epoch; later dispatches cost one
+    /// compare. The whole block is marked even when execution stops
+    /// inside it — a valid superset. Every dispatch point of an
+    /// execution (tier-1 lookup or a block replayed inside a trace)
+    /// passes through here, so the marks do not depend on how warm the
+    /// caches were when recording began.
+    #[inline]
+    fn mark_footprint(&mut self, block: &Block) {
+        if let Some(fp) = &mut self.footprint {
+            let epoch = self.fp_epoch.0;
+            if block.marked.load(Ordering::Relaxed) != epoch {
+                block.marked.store(epoch, Ordering::Relaxed);
+                fp.mark_range(block.entry, (block.end - u64::from(block.entry)) as u32);
+            }
+        }
     }
 
     /// Execute every instruction of `block`, batching the bookkeeping:
@@ -1408,22 +1494,17 @@ impl Machine {
         }
     }
 
-    /// Fetch+decode with a direct-mapped cache keyed on EIP, invalidated
-    /// whenever executable bytes change (the injector's pokes).
+    /// Fetch+decode with a direct-mapped cache keyed on EIP. When the
+    /// executable generation moves (the injector's pokes, writes into
+    /// rwx regions), only the entries whose 15-byte fetch window covers
+    /// a journaled byte are dropped (see [`Machine::restore`] for the
+    /// rewind side).
     fn fetch_decode(&mut self, eip: u32) -> Result<Inst, Fault> {
         let gen = self.mem.exec_gen();
         if self.icache_gen != gen || self.icache.is_empty() {
-            self.icache.clear();
-            self.icache.resize(
-                ICACHE_SIZE,
-                ICacheEntry {
-                    addr: ICACHE_EMPTY,
-                    inst: Inst::new(crate::inst::Op::Nop),
-                },
-            );
-            self.icache_gen = gen;
+            self.sync_icache(gen);
         }
-        let slot = (eip as usize ^ (eip as usize >> 12)) & (ICACHE_SIZE - 1);
+        let slot = icache_slot(eip);
         let e = &self.icache[slot];
         if e.addr == eip {
             return Ok(e.inst);
@@ -1432,6 +1513,30 @@ impl Machine {
         let inst = (self.decoder)(&window[..n]);
         self.icache[slot] = ICacheEntry { addr: eip, inst };
         Ok(inst)
+    }
+
+    /// Bring the decoded-instruction cache in line with executable
+    /// generation `gen` (allocating it on first use).
+    fn sync_icache(&mut self, gen: u64) {
+        if self.icache.is_empty() {
+            self.icache.resize(
+                ICACHE_SIZE,
+                ICacheEntry {
+                    addr: ICACHE_EMPTY,
+                    inst: Inst::new(crate::inst::Op::Nop),
+                },
+            );
+        } else if gen > self.icache_gen {
+            icache_drop_windows(
+                &mut self.icache,
+                self.mem.exec_writes_since(self.icache_gen),
+            );
+        } else {
+            // Generation moved backwards outside restore(): the diff
+            // cannot be attributed, drop everything.
+            self.icache.iter_mut().for_each(|e| e.addr = ICACHE_EMPTY);
+        }
+        self.icache_gen = gen;
     }
 
     /// Effective address of a memory operand.

@@ -7,7 +7,16 @@
 
 use crate::inst::Fault;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// Restore granularity: `Memory::restore` copies back whole pages of
+/// `1 << PAGE_SHIFT` bytes.
+const PAGE_SHIFT: u32 = 10;
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Source of [`Memory`] identities (a snapshot restores page-wise only
+/// into the memory it was captured from).
+static NEXT_MEMORY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Region permissions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,6 +75,10 @@ pub struct Region {
     start: u32,
     data: Vec<u8>,
     perms: Perms,
+    /// Per page, the owning memory's write clock at the last write or
+    /// restore that touched it (see `Memory::restore`). Bookkeeping,
+    /// not contents: a restore never copies stamps from a snapshot.
+    stamps: Vec<u64>,
 }
 
 impl Region {
@@ -92,6 +105,7 @@ impl Region {
         Region {
             name: name.to_string(),
             start,
+            stamps: vec![0; data.len().div_ceil(PAGE_SIZE)],
             data,
             perms,
         }
@@ -141,7 +155,13 @@ impl Region {
 }
 
 /// The process address space: a sorted set of disjoint regions.
-#[derive(Debug, Default)]
+///
+/// Every write and poke stamps its page with the memory's write clock,
+/// and every snapshot advances the clock. A restore into the memory a
+/// snapshot was captured from therefore knows which pages can differ —
+/// those stamped after the capture — and copies back only those (see
+/// [`Machine::restore`](crate::Machine::restore)).
+#[derive(Debug)]
 pub struct Memory {
     regions: Vec<Region>,
     /// Index of the most recently resolved region — a pure performance
@@ -161,6 +181,36 @@ pub struct Memory {
     /// cache, and lets snapshot restore prove lineage (see
     /// [`Memory::exec_log_extends`]).
     exec_log: Vec<u32>,
+    /// Identity checked by `Memory::restore`: clones get a fresh one.
+    id: u64,
+    /// Write clock: the stamp every write puts on its page. Each
+    /// snapshot takes the current value as its capture stamp and
+    /// advances it, so later writes stamp strictly above the capture.
+    /// Atomic only so `&self` can capture.
+    clock: AtomicU64,
+    /// Half-open ranges of capture stamps whose snapshots are no longer
+    /// ancestors of the current contents: restoring snapshot `s` kills
+    /// every capture taken after `s`, and a full-copy restore or a new
+    /// mapping kills every capture so far. Sorted, disjoint, and as
+    /// short as the chain of nested restore targets.
+    dead: Vec<(u64, u64)>,
+}
+
+/// A capture of a [`Memory`] for a later [`Memory::restore`]: the full
+/// contents plus the capture stamp and the identity of the memory it
+/// came from.
+#[derive(Debug, Clone)]
+pub(crate) struct MemorySnapshot {
+    mem: Memory,
+    origin: u64,
+    stamp: u64,
+}
+
+impl MemorySnapshot {
+    /// The captured address space.
+    pub(crate) fn memory(&self) -> &Memory {
+        &self.mem
+    }
 }
 
 /// Error mapping a region.
@@ -185,12 +235,31 @@ impl fmt::Display for MapError {
 impl std::error::Error for MapError {}
 
 impl Clone for Memory {
+    /// Same contents, new identity: snapshots of the original restore
+    /// into the clone by full copy.
     fn clone(&self) -> Memory {
         Memory {
             regions: self.regions.clone(),
             hint: AtomicU32::new(self.hint.load(Ordering::Relaxed)),
             exec_gen: self.exec_gen,
             exec_log: self.exec_log.clone(),
+            id: NEXT_MEMORY_ID.fetch_add(1, Ordering::Relaxed),
+            clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
+            dead: Vec::new(),
+        }
+    }
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            regions: Vec::new(),
+            hint: AtomicU32::new(0),
+            exec_gen: 0,
+            exec_log: Vec::new(),
+            id: NEXT_MEMORY_ID.fetch_add(1, Ordering::Relaxed),
+            clock: AtomicU64::new(0),
+            dead: Vec::new(),
         }
     }
 }
@@ -199,6 +268,84 @@ impl Memory {
     /// An empty address space.
     pub fn new() -> Memory {
         Memory::default()
+    }
+
+    /// Capture the whole address space for a later [`Memory::restore`].
+    pub(crate) fn snapshot(&self) -> MemorySnapshot {
+        MemorySnapshot {
+            mem: self.clone(),
+            origin: self.id,
+            stamp: self.clock.fetch_add(1, Ordering::Relaxed),
+        }
+    }
+
+    /// Rewind the contents, the executable generation and its journal
+    /// to `snap`.
+    ///
+    /// When `snap` was captured from this memory and no later restore
+    /// or mapping has superseded it, only the pages stamped after the
+    /// capture can differ, and only those are copied back. Any other
+    /// snapshot — one captured from a clone, say — falls back to copying
+    /// every region.
+    pub(crate) fn restore(&mut self, snap: &MemorySnapshot) {
+        let clock = *self.clock.get_mut();
+        if self.descends_from(snap) {
+            for (r, s) in self.regions.iter_mut().zip(&snap.mem.regions) {
+                for (page, stamp) in r.stamps.iter_mut().enumerate() {
+                    if *stamp > snap.stamp {
+                        let lo = page << PAGE_SHIFT;
+                        let hi = (lo + PAGE_SIZE).min(r.data.len());
+                        r.data[lo..hi].copy_from_slice(&s.data[lo..hi]);
+                        // The page now holds the capture's bytes: clean
+                        // for `snap`, conservatively dirty for every
+                        // earlier capture.
+                        *stamp = snap.stamp;
+                    }
+                }
+            }
+            debug_assert!(self.exec_log_extends(&snap.mem));
+            self.exec_log.truncate(snap.mem.exec_log.len());
+            // Captures taken after `snap` describe a future that no
+            // longer happened.
+            self.dead.retain(|&(lo, _)| lo <= snap.stamp);
+            self.kill_captures(snap.stamp + 1, clock);
+        } else {
+            self.regions.clone_from(&snap.mem.regions);
+            for r in &mut self.regions {
+                r.stamps.fill(0);
+            }
+            self.exec_log.clone_from(&snap.mem.exec_log);
+            self.dead.clear();
+            self.kill_captures(0, clock);
+        }
+        self.exec_gen = snap.mem.exec_gen;
+    }
+
+    /// Is `snap` a capture of this memory that still describes an
+    /// ancestor of its current contents?
+    fn descends_from(&self, snap: &MemorySnapshot) -> bool {
+        snap.origin == self.id
+            && !self
+                .dead
+                .iter()
+                .any(|&(lo, hi)| lo <= snap.stamp && snap.stamp < hi)
+    }
+
+    /// Record the capture stamps `[lo, hi)` as superseded.
+    fn kill_captures(&mut self, lo: u64, hi: u64) {
+        if lo < hi {
+            self.dead.push((lo, hi));
+        }
+    }
+
+    /// Stamp the pages holding `[off, off + len)` of region `i` as
+    /// written now.
+    #[inline]
+    fn stamp(&mut self, i: usize, off: usize, len: usize) {
+        let now = *self.clock.get_mut();
+        let stamps = &mut self.regions[i].stamps;
+        stamps[off >> PAGE_SHIFT] = now;
+        stamps[(off + len - 1) >> PAGE_SHIFT] = now;
     }
 
     /// Map a region.
@@ -217,6 +364,10 @@ impl Memory {
         }
         self.regions.push(region);
         self.regions.sort_by_key(|r| r.start);
+        // Earlier snapshots lack the new region: restore them by full copy.
+        let clock = *self.clock.get_mut();
+        self.dead.clear();
+        self.kill_captures(0, clock);
         Ok(())
     }
 
@@ -254,11 +405,6 @@ impl Memory {
     #[inline]
     pub fn region_at(&self, addr: u32) -> Option<&Region> {
         self.region_index(addr).map(|i| &self.regions[i])
-    }
-
-    #[inline]
-    fn region_at_mut(&mut self, addr: u32) -> Option<&mut Region> {
-        self.region_index(addr).map(|i| &mut self.regions[i])
     }
 
     /// Read one byte for data access.
@@ -353,13 +499,15 @@ impl Memory {
     /// # Errors
     /// [`Fault::MemAccess`] if unmapped or not writable.
     pub fn write8(&mut self, addr: u32, val: u8) -> Result<(), Fault> {
-        let r = self
-            .region_at_mut(addr)
-            .filter(|r| r.perms.write)
+        let i = self
+            .region_index(addr)
+            .filter(|&i| self.regions[i].perms.write)
             .ok_or(Fault::MemAccess { addr, write: true })?;
+        let r = &mut self.regions[i];
         let exec = r.perms.exec;
         let off = (addr - r.start) as usize;
         r.data[off] = val;
+        self.stamp(i, off, 1);
         if exec {
             self.note_exec_write(addr);
         }
@@ -410,7 +558,9 @@ impl Memory {
             return false;
         };
         dst.copy_from_slice(bytes);
-        if r.perms.exec {
+        let exec = r.perms.exec;
+        self.stamp(i, off, bytes.len());
+        if exec {
             // Same per-byte generation accounting as the byte-wise path.
             for k in 0..bytes.len() as u32 {
                 self.note_exec_write(addr.wrapping_add(k));
@@ -503,11 +653,13 @@ impl Memory {
     /// # Errors
     /// [`Fault::MemAccess`] if unmapped.
     pub fn poke8(&mut self, addr: u32, val: u8) -> Result<(), Fault> {
-        let r = self
-            .region_at_mut(addr)
+        let i = self
+            .region_index(addr)
             .ok_or(Fault::MemAccess { addr, write: true })?;
+        let r = &mut self.regions[i];
         let off = (addr - r.start) as usize;
         r.data[off] = val;
+        self.stamp(i, off, 1);
         self.note_exec_write(addr);
         Ok(())
     }

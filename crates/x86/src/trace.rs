@@ -28,6 +28,7 @@
 //! length bound, a fallback, or a fault ends the recording.
 
 use crate::block::Block;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Most blocks a single trace may link. Bounds the work one tier-2
@@ -59,6 +60,9 @@ pub struct SuperTrace {
     pub lo: u32,
     /// Highest `end` over all blocks (breakpoint pre-check).
     pub hi: u64,
+    /// The footprint recording epoch under which every block of this
+    /// trace has been marked (0: none yet).
+    pub(crate) marked: AtomicU64,
 }
 
 impl SuperTrace {
@@ -95,16 +99,25 @@ pub struct TraceStats {
     pub cached: usize,
 }
 
+/// An occupied trace slot with its trace's `[lo, hi)` byte bounds,
+/// kept inline so invalidation screens a trace without touching it.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    slot: u32,
+    lo: u32,
+    hi: u64,
+}
+
 /// Direct-mapped `(entry, history) → Arc<SuperTrace>` cache plus the
 /// promotion heat counters.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceCache {
     slots: Vec<Option<Arc<SuperTrace>>>,
     heat: Vec<u16>,
-    /// Indices of occupied slots, unordered — journal-driven
-    /// invalidation walks only the resident population (see the
-    /// matching index in [`crate::block`]'s cache).
-    occupied: Vec<u32>,
+    /// The occupied slots, unordered. Journal-driven invalidation scans
+    /// only these bounds and walks the blocks of just the traces whose
+    /// `[lo, hi)` overlaps a written byte.
+    occupied: Vec<Resident>,
     threshold: u16,
     built: u64,
     hits: u64,
@@ -177,13 +190,25 @@ impl TraceCache {
             total_insts: rec.total,
             lo,
             hi,
+            marked: AtomicU64::new(0),
         });
         self.built += 1;
         let slot = Self::slot_of(trace.entry, trace.hist);
+        let resident = Resident {
+            slot: slot as u32,
+            lo,
+            hi,
+        };
         if self.slots[slot].is_some() {
             self.invalidated += 1;
+            let r = self
+                .occupied
+                .iter_mut()
+                .find(|r| r.slot == slot as u32)
+                .expect("occupied slots are listed");
+            *r = resident;
         } else {
-            self.occupied.push(slot as u32);
+            self.occupied.push(resident);
         }
         self.slots[slot] = Some(trace);
     }
@@ -197,13 +222,16 @@ impl TraceCache {
     /// Drop every trace with a block covering any of `addrs` (the
     /// executable bytes just written, straight from the memory journal).
     pub fn invalidate_writes(&mut self, addrs: &[u32]) {
-        if self.occupied.is_empty() || addrs.is_empty() {
+        let (Some(&min), Some(&max)) = (addrs.iter().min(), addrs.iter().max()) else {
             return;
-        }
+        };
         let slots = &mut self.slots;
         let invalidated = &mut self.invalidated;
-        self.occupied.retain(|&i| {
-            let slot = &mut slots[i as usize];
+        self.occupied.retain(|r| {
+            if r.hi <= u64::from(min) || r.lo > max {
+                return true;
+            }
+            let slot = &mut slots[r.slot as usize];
             match slot {
                 Some(t) if addrs.iter().any(|&a| t.covers(a)) => {
                     *invalidated += 1;
@@ -246,6 +274,7 @@ mod tests {
     use super::*;
     use crate::block::LInst;
     use crate::inst::{Inst, Op};
+    use std::sync::atomic::AtomicU64;
 
     fn block(entry: u32, nbytes: u32) -> Arc<Block> {
         let inst = Inst::new(Op::Nop);
@@ -255,6 +284,7 @@ mod tests {
             insts: vec![LInst::new(entry, entry.wrapping_add(1), inst)],
             reads_icount: false,
             writes: false,
+            marked: AtomicU64::new(0),
         })
     }
 
@@ -301,5 +331,23 @@ mod tests {
         c.insert(rec(0x1000, 0, vec![block(0x1000, 4)]));
         c.invalidate_writes(&[0x9000]);
         assert!(c.get(0x1000, 0).is_some());
+    }
+
+    #[test]
+    fn invalidation_checks_blocks_inside_the_bounds_and_tracks_replacements() {
+        let mut c = TraceCache::default();
+        // A write inside [lo, hi) but in the gap between the linked
+        // blocks keeps the trace.
+        c.insert(rec(0x1000, 0, vec![block(0x1000, 4), block(0x3000, 4)]));
+        c.invalidate_writes(&[0x2000]);
+        assert!(c.get(0x1000, 0).is_some());
+        // Replacing the slot's trace replaces its bounds too: the old
+        // tail no longer drops it, the new one does.
+        c.insert(rec(0x1000, 0, vec![block(0x1000, 4), block(0x5000, 4)]));
+        c.invalidate_writes(&[0x3001]);
+        assert!(c.get(0x1000, 0).is_some());
+        c.invalidate_writes(&[0x9000, 0x5003]);
+        assert!(c.get(0x1000, 0).is_none());
+        assert_eq!(c.stats().cached, 0);
     }
 }

@@ -11,7 +11,9 @@
 //! checkpoint-based engine; `--no-block-cache` disables the
 //! interpreter's basic-block engine. Both switches produce identical
 //! results, only slower — see the "Campaign runtime" section of
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. Any other argument prints the usage and exits with
+//! status 2, so a mistyped switch can never quietly select the default
+//! engine.
 
 use fisec_apps::AppSpec;
 use fisec_core::{
@@ -19,9 +21,46 @@ use fisec_core::{
     ExecutionMode,
 };
 
+const USAGE: &str = "usage: campaign_report [--quick] [--from-scratch] [--no-block-cache]";
+
+/// The command-line switches.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Flags {
+    quick: bool,
+    from_scratch: bool,
+    no_block_cache: bool,
+}
+
+/// Parse the arguments after the program name. `Ok(None)` asks for the
+/// usage text; an unknown argument is an error naming it.
+fn parse_flags<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Flags>, String> {
+    let mut flags = Flags::default();
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => flags.quick = true,
+            "--from-scratch" => flags.from_scratch = true,
+            "--no-block-cache" => flags.no_block_cache = true,
+            "-h" | "--help" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    Ok(Some(flags))
+}
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mode = if std::env::args().any(|a| a == "--from-scratch") {
+    let flags = match parse_flags(std::env::args().skip(1)) {
+        Ok(Some(flags)) => flags,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("campaign_report: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let quick = flags.quick;
+    let mode = if flags.from_scratch {
         ExecutionMode::FromScratch
     } else {
         ExecutionMode::Snapshot
@@ -48,7 +87,7 @@ fn main() {
 
     let base_cfg = CampaignConfig {
         mode,
-        block_cache: !std::env::args().any(|a| a == "--no-block-cache"),
+        block_cache: !flags.no_block_cache,
         ..CampaignConfig::default()
     };
     let new_cfg = CampaignConfig {
@@ -116,5 +155,36 @@ fn main() {
     println!("== JSON summaries ==");
     for c in [&ftp_base, &ssh_base, &ftp_new, &ssh_new] {
         println!("{}", CampaignSummary::from(c).to_json());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Flags>, String> {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn known_switches_combine_in_any_order() {
+        assert_eq!(parse(&[]), Ok(Some(Flags::default())));
+        assert_eq!(
+            parse(&["--from-scratch", "--quick", "--no-block-cache"]),
+            Ok(Some(Flags {
+                quick: true,
+                from_scratch: true,
+                no_block_cache: true,
+            }))
+        );
+        assert_eq!(parse(&["--help"]), Ok(None));
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected_by_name() {
+        for typo in ["--fromscratch", "--quik", "quick", "-q"] {
+            let err = parse(&["--quick", typo]).unwrap_err();
+            assert!(err.contains(typo), "{err}");
+        }
     }
 }
