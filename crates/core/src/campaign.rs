@@ -451,7 +451,7 @@ fn outcome_index(outcome: OutcomeClass) -> usize {
         .expect("every OutcomeClass variant appears in OutcomeClass::ALL")
 }
 
-fn micros_since(t: Instant) -> u64 {
+pub(crate) fn micros_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 

@@ -30,7 +30,7 @@
 //!   ([`crate::stats`]), and [`RandomConfig::target_ci`] keeps sampling
 //!   until the Wilson interval is narrower than a requested width.
 
-use crate::campaign::{run_work_queue, ExecutionMode};
+use crate::campaign::{micros_since, run_work_queue, ExecutionMode};
 use crate::stats::{clopper_pearson95, wilson95, Ci};
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
@@ -39,8 +39,8 @@ use fisec_inject::{
     golden_run_opts, EngineOpts, GoldenRun, InjectionRun, LatentError, LatentRunner, OutcomeClass,
 };
 use fisec_telemetry::{
-    metric, MetricsShard, OutcomeHists, RandomBatchEvent, RandomCampaignEvent, RandomEndEvent,
-    Telemetry, TraceEvent,
+    metric, MetricsShard, OutcomeHists, Phase, RandomBatchEvent, RandomCampaignEvent,
+    RandomEndEvent, Telemetry, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -709,8 +709,21 @@ fn run_random_inner(
         return Ok(stats_of(init_tallies, init_hists));
     }
 
+    let boot_start = Instant::now();
     let golden = golden_run_opts(&app.image, client, cfg.engine)
         .map_err(|e| format!("golden run: {e:?}"))?;
+    if tel.enabled() {
+        let mut main = MetricsShard::new();
+        main.inc(metric::FRESH_BOOTS, 1);
+        main.phase_add(Phase::Boot, micros_since(boot_start));
+        tel.metrics.absorb(&main);
+    }
+    // The §6.2 byte contexts come from decoding every function body:
+    // once per campaign, not once per draw.
+    let contexts = match cfg.scheme {
+        EncodingScheme::Baseline => Vec::new(),
+        EncodingScheme::NewEncoding => opcode_contexts(&app.image),
+    };
     let total_batches = cfg.runs.div_ceil(batch);
     let committer = Committer {
         state: Mutex::new(CommitState {
@@ -746,12 +759,15 @@ fn run_random_inner(
     let worker_err: Mutex<Option<String>> = Mutex::new(None);
     run_work_queue(threads, total_batches - first_batch, |w, pull| {
         let mut shard = MetricsShard::new();
+        let boot_start = Instant::now();
         let mut runner = match cfg.mode {
             ExecutionMode::Snapshot => {
                 match LatentRunner::snapshot(&app.image, client, &golden, cfg.engine) {
                     Ok(r) => {
                         if tel.enabled() {
-                            shard.inc(metric::FRESH_BOOTS, 1);
+                            // The first-fetch pass's process and the
+                            // runner's own.
+                            shard.inc(metric::FRESH_BOOTS, 2);
                         }
                         r
                     }
@@ -766,6 +782,11 @@ fn run_random_inner(
                 LatentRunner::from_scratch(&app.image, client, &golden, cfg.engine)
             }
         };
+        if tel.enabled() {
+            shard.phase_add(Phase::Boot, micros_since(boot_start));
+        }
+        let boots_per_run = runner.boots_per_run();
+        let mut errs = Vec::with_capacity(batch);
         while let Some(i) = pull() {
             if committer.stop.load(Ordering::Relaxed) {
                 break;
@@ -773,21 +794,16 @@ fn run_random_inner(
             let b = first_batch + i;
             let lo = b * batch;
             let hi = ((b + 1) * batch).min(cfg.runs);
-            let mut partial = BatchPartial::default();
-            for idx in lo..hi {
+            errs.clear();
+            errs.extend((lo..hi).map(|idx| {
                 let (offset, bit) = draw(cfg.seed, idx as u64, text_len);
-                let err = LatentError {
+                LatentError {
                     offset,
-                    corrupted: corrupt_byte(&app.image, offset, bit, cfg.scheme),
-                };
-                let (run, meta) = match runner.run(&golden, err) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        *worker_err.lock().expect("no worker panicked") =
-                            Some(format!("run {idx}: {e}"));
-                        return;
-                    }
-                };
+                    corrupted: corrupt_byte(&app.image, &contexts, offset, bit, cfg.scheme),
+                }
+            }));
+            let mut partial = BatchPartial::default();
+            let served = runner.run_batch(&golden, &errs, |_, run, meta| {
                 partial.tallies.add(run.outcome);
                 let hist = match run.outcome {
                     OutcomeClass::Breakin => &mut partial.hists.brk,
@@ -798,10 +814,25 @@ fn run_random_inner(
                 hist.record(meta.icount);
                 if tel.enabled() {
                     shard.inc(metric::RUNS, 1);
-                    shard.inc(metric::FRESH_BOOTS, runner.boots_per_run());
+                    shard.inc(metric::FRESH_BOOTS, boots_per_run);
                     shard.observe(metric::REPLAY_MICROS, meta.run_micros);
                     shard.observe(metric::ICOUNT, meta.icount);
+                    shard.phase_add(Phase::Replay, meta.run_micros);
+                    shard.phase_add(Phase::Classify, meta.classify_micros);
                 }
+            });
+            let bmeta = match served {
+                Ok(m) => m,
+                Err(e) => {
+                    *worker_err.lock().expect("no worker panicked") =
+                        Some(format!("batch {b} (runs {lo}..{hi}): {e}"));
+                    return;
+                }
+            };
+            if tel.enabled() {
+                shard.inc(metric::NA_PREFILTER_RUNS, bmeta.unfetched);
+                shard.inc(metric::RESTORES, bmeta.restores);
+                shard.phase_add(Phase::Snapshot, bmeta.rung_micros);
             }
             committer.commit(b, partial);
         }
@@ -825,7 +856,7 @@ fn run_random_inner(
             sd: stats.result.sd as u64,
             fsv: stats.result.fsv as u64,
             brk: stats.result.brk as u64,
-            wall_micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+            wall_micros: micros_since(start),
             violation_rate: stats.violation_rate(),
             wilson_low: w.low,
             wilson_high: w.high,
@@ -839,14 +870,24 @@ fn run_random_inner(
 
 /// The corrupted value for flipping `bit` of the text byte at `offset`
 /// under `scheme` — a plain XOR for the baseline, the §6.2
-/// map→flip→map transform (keyed by the byte's decoded context) for the
-/// new encoding.
-fn corrupt_byte(image: &Image, offset: usize, bit: u8, scheme: EncodingScheme) -> u8 {
+/// map→flip→map transform (keyed by the byte's decoded context from
+/// `contexts`, the image's [`opcode_contexts`]) for the new encoding.
+/// `contexts` is only read under the new encoding.
+///
+/// # Panics
+/// If `offset` is outside the text segment, or outside `contexts` under
+/// the new encoding.
+pub fn corrupt_byte(
+    image: &Image,
+    contexts: &[fisec_encoding::ByteCtx],
+    offset: usize,
+    bit: u8,
+    scheme: EncodingScheme,
+) -> u8 {
     match scheme {
         EncodingScheme::Baseline => image.text[offset] ^ (1 << bit),
         EncodingScheme::NewEncoding => {
-            let ctx = opcode_contexts(image)[offset];
-            fisec_encoding::remap_flip(image.text[offset], bit, ctx, scheme)
+            fisec_encoding::remap_flip(image.text[offset], bit, contexts[offset], scheme)
         }
     }
 }
@@ -909,8 +950,9 @@ pub fn run_random_campaign_scheme(
 }
 
 /// Per-byte §6.2 mapping context, derived by linearly decoding every
-/// function body.
-fn opcode_contexts(image: &Image) -> Vec<fisec_encoding::ByteCtx> {
+/// function body. A campaign computes it once and hands it to every
+/// [`corrupt_byte`] call.
+pub fn opcode_contexts(image: &Image) -> Vec<fisec_encoding::ByteCtx> {
     use fisec_encoding::ByteCtx;
     let mut ctx = vec![ByteCtx::Other; image.text.len()];
     for f in &image.symbols.funcs {

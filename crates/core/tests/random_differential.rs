@@ -2,7 +2,8 @@
 //!
 //! The claims under test are exactly the guarantees the engine
 //! advertises: sharding is free (N worker shards produce the same
-//! campaign as one, bit for bit, in both execution engines), the draw
+//! campaign as one, bit for bit, in both execution engines, for both
+//! servers under both encodings), the draw
 //! stream is partition-invariant (any split of the index range yields
 //! the same multiset of (offset, bit) pairs), and a campaign killed
 //! mid-run resumes from its ledger to tallies identical to an
@@ -14,8 +15,9 @@ use fisec_core::random::{
     self, read_ledger, render_report, resume_random_streaming, run_random_streaming,
     truncate_torn_tail, RandomConfig,
 };
-use fisec_core::{trace, ExecutionMode};
-use fisec_telemetry::{JsonlSink, Telemetry};
+use fisec_core::{trace, EncodingScheme, ExecutionMode};
+use fisec_inject::{golden_run, EngineOpts, LatentRunner};
+use fisec_telemetry::{metric, JsonlSink, NullSink, Phase, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -40,33 +42,92 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// N shards and 1 shard must fold to the same campaign, bit for bit,
-/// and the snapshot engine must agree with booting every run from
-/// scratch.
+/// and the snapshot engine (first-fetch rungs, never-fetched draws
+/// served without running) must agree with booting every run from
+/// scratch — for both servers under both encodings.
 #[test]
 fn sharded_campaign_is_bit_identical_to_unsharded_in_both_modes() {
-    let app = AppSpec::ftpd();
-    let baseline = run_random_streaming(
-        &app,
-        &cfg(ExecutionMode::Snapshot, 1),
-        &Telemetry::disabled(),
-    )
-    .unwrap();
-    assert_eq!(baseline.result.runs, RUNS);
-    for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
-        for threads in [1, 2, 8] {
-            let sharded =
-                run_random_streaming(&app, &cfg(mode, threads), &Telemetry::disabled()).unwrap();
-            // Tallies and histograms are the experiment; the mode label
-            // is the only field allowed to differ across engines.
-            assert_eq!(
-                sharded.result, baseline.result,
-                "{mode:?} x{threads} tallies diverged from unsharded snapshot campaign"
-            );
-            assert_eq!(
-                sharded.hists, baseline.hists,
-                "{mode:?} x{threads} icount histograms diverged"
-            );
+    for app in [AppSpec::ftpd(), AppSpec::sshd()] {
+        for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
+            let at = |mode, threads| RandomConfig {
+                scheme,
+                ..cfg(mode, threads)
+            };
+            let baseline = run_random_streaming(
+                &app,
+                &at(ExecutionMode::Snapshot, 1),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
+            assert_eq!(baseline.result.runs, RUNS);
+            for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
+                for threads in [1, 2, 8] {
+                    let sharded =
+                        run_random_streaming(&app, &at(mode, threads), &Telemetry::disabled())
+                            .unwrap();
+                    // Tallies and histograms are the experiment; the mode
+                    // label is the only field allowed to differ across
+                    // engines.
+                    let what = format!("{} {scheme:?} {mode:?} x{threads}", app.name);
+                    assert_eq!(
+                        sharded.result, baseline.result,
+                        "{what}: tallies diverged from unsharded snapshot campaign"
+                    );
+                    assert_eq!(
+                        sharded.hists, baseline.hists,
+                        "{what}: icount histograms diverged"
+                    );
+                }
+            }
         }
+    }
+}
+
+/// The random tier's own telemetry shows where its time goes and what
+/// the first-fetch pass saved: never-fetched draws count as NA
+/// pre-filtered runs, every replay and walk step as a restore, and the
+/// phase table is no longer all zeros.
+#[test]
+fn random_campaign_reports_phases_and_shortcut_counts() {
+    let app = AppSpec::ftpd();
+    let cfg = cfg(ExecutionMode::Snapshot, 1);
+    let tel = Telemetry::new(Arc::new(NullSink), false);
+    let stats = run_random_streaming(&app, &cfg, &tel).unwrap();
+    assert_eq!(stats.result.runs, RUNS);
+
+    let golden = golden_run(&app.image, &app.clients[0]).unwrap();
+    let runner =
+        LatentRunner::snapshot(&app.image, &app.clients[0], &golden, EngineOpts::default())
+            .unwrap();
+    let rungs: Vec<Option<u64>> = (0..RUNS as u64)
+        .map(|i| runner.rung(random::draw(SEED, i, app.image.text.len()).0))
+        .collect();
+    let unfetched = rungs.iter().filter(|t| t.is_none()).count() as u64;
+    assert!(unfetched > 0 && unfetched < RUNS as u64, "{unfetched}");
+
+    let snap = tel.metrics.snapshot();
+    assert_eq!(snap.counter(metric::RUNS), RUNS as u64);
+    // Process loads: the golden run, the first-fetch pass, the runner.
+    assert_eq!(snap.counter(metric::FRESH_BOOTS), 3);
+    assert_eq!(snap.counter(metric::NA_PREFILTER_RUNS), unfetched);
+    // One restore per replayed draw plus one per walk step: a distinct
+    // rung above icount 0 within a batch.
+    let steps: usize = rungs
+        .chunks(cfg.batch)
+        .map(|b| {
+            let mut ts: Vec<u64> = b.iter().flatten().copied().filter(|&t| t > 0).collect();
+            ts.sort_unstable();
+            ts.dedup();
+            ts.len()
+        })
+        .sum();
+    assert_eq!(
+        snap.counter(metric::RESTORES),
+        RUNS as u64 - unfetched + steps as u64
+    );
+    let phases = snap.phases();
+    for phase in [Phase::Boot, Phase::Snapshot, Phase::Replay] {
+        assert!(phases.get(phase) > 0, "{phase:?} was never charged");
     }
 }
 

@@ -27,7 +27,7 @@ pub use classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
 pub use divergence::{DivergenceReport, GoldenContinuation, RECORDER_EDGES};
 pub use forensics::{crash_forensics, CrashReport, PathSegment};
 pub use group::{GroupOutcome, GroupRun, GroupRunner};
-pub use latent::{LatentError, LatentRunner};
+pub use latent::{BatchMeta, LatentError, LatentRunner};
 pub use location::ErrorLocation;
 pub use propagation::{kind_label, PropagationReport};
 pub use target::{enumerate_targets, InjectionTarget, TargetSet};
@@ -215,14 +215,18 @@ pub struct RunMeta {
     /// for a snapshot replay, since boot for a fresh run. For a group
     /// whose breakpoint was never reached, every synthesized NA run
     /// reports the shared prefix's icount (the work a from-scratch run
-    /// would have retired).
+    /// would have retired). A latent-error run reports the whole
+    /// session's icount however much of it was replayed.
     pub icount: u64,
     /// Host microseconds replaying the run (0 for runs that never
     /// activated). On the single-run path this is the post-activation
     /// suffix; a checkpoint-group replay also includes the checkpoint
     /// restore and the fault planting before the suffix (its timer
-    /// starts before the restore); a latent-error run times the session
-    /// after the restore and the poke.
+    /// starts before the restore). A latent-error run times what it
+    /// executed after the restore and the poke: the whole session from
+    /// [`LatentRunner::run`], only the suffix from its rung inside
+    /// [`LatentRunner::run_batch`], and 0 for a draw on a byte the
+    /// golden session never fetches (served without executing).
     pub run_micros: u64,
     /// Host microseconds classifying the outcome against golden.
     pub classify_micros: u64,

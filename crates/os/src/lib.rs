@@ -182,6 +182,17 @@ impl Process {
         }
     }
 
+    /// Overwrite `snap` with a checkpoint of the current world — what
+    /// [`Process::snapshot`] returns — reusing its buffers. Moving a
+    /// checkpoint forward along one execution (restore it, run a little,
+    /// re-capture) copies only the memory pages the run wrote.
+    pub fn snapshot_into(&self, snap: &mut ProcessSnapshot) {
+        self.machine.snapshot_into(&mut snap.machine);
+        snap.channel.clone_from(&self.channel);
+        snap.exit_code = self.exit_code;
+        snap.budget = self.budget;
+    }
+
     /// Rewind to a previously captured [`ProcessSnapshot`] of this
     /// process. Execution after the restore is observably identical to
     /// execution from the original capture point.

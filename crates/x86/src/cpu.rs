@@ -20,7 +20,7 @@ use crate::profiler::ExecProfile;
 use crate::recorder::{edge_kind, Edge, EdgeKind, FlightRecorder, FlightTrace};
 use crate::taint::{PropagationLog, TaintTracer};
 use crate::trace::{SuperTrace, TraceCache, TraceRec, TraceStats, MAX_TRACE_BLOCKS};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -167,20 +167,23 @@ fn icache_drop_windows(icache: &mut [ICacheEntry], addrs: &[u32]) {
     }
 }
 
-/// Retired-EIP coverage recorder: a dense bitmap — one bit per byte
-/// address — spanning the executable regions, plus a spill set for EIPs
-/// executed anywhere else (reachable only through rwx data regions or
-/// wild jumps, both rare). The bitmap makes the per-instruction mark a
-/// shift and an OR instead of a hash insert.
+/// Retired-EIP coverage recorder: for every byte address spanning the
+/// executable regions, the icount of the first instruction retired
+/// there (0 for never), plus a spill map for EIPs executed anywhere
+/// else (reachable only through rwx data regions or wild jumps, both
+/// rare). The dense table makes the per-instruction mark an index, a
+/// compare and a store instead of a hash insert. Retirement counts are
+/// 1-based (the icount *of* the instruction), so 0 is free to mean
+/// "never retired".
 #[derive(Debug, Clone)]
 struct Coverage {
     base: u32,
-    bits: Vec<u64>,
-    spill: HashSet<u32>,
+    first: Vec<u64>,
+    spill: HashMap<u32, u64>,
 }
 
 impl Coverage {
-    /// Size the bitmap over the span of `mem`'s executable regions as
+    /// Size the table over the span of `mem`'s executable regions as
     /// mapped right now (regions never move; later rwx byte writes don't
     /// change the map).
     fn new(mem: &Memory) -> Coverage {
@@ -193,34 +196,46 @@ impl Coverage {
         let span = hi.saturating_sub(lo) as usize;
         Coverage {
             base: if span == 0 { 0 } else { lo as u32 },
-            bits: vec![0u64; span.div_ceil(64)],
-            spill: HashSet::new(),
+            first: vec![0u64; span],
+            spill: HashMap::new(),
         }
     }
 
+    /// Note the instruction at `eip` retiring as instruction number
+    /// `icount`; only the first retirement per address is kept.
     #[inline]
-    fn insert(&mut self, eip: u32) {
+    fn insert(&mut self, eip: u32, icount: u64) {
         if let Some(off) = eip.checked_sub(self.base).map(|o| o as usize) {
-            if let Some(word) = self.bits.get_mut(off / 64) {
-                *word |= 1u64 << (off % 64);
+            if let Some(slot) = self.first.get_mut(off) {
+                if *slot == 0 {
+                    *slot = icount;
+                }
                 return;
             }
         }
-        self.spill.insert(eip);
+        self.spill.entry(eip).or_insert(icount);
+    }
+
+    /// The icount of the first retirement at `eip`, if any.
+    fn first_retire(&self, eip: u32) -> Option<u64> {
+        let dense = eip
+            .checked_sub(self.base)
+            .and_then(|off| self.first.get(off as usize));
+        match dense {
+            Some(&c) => (c != 0).then_some(c),
+            None => self.spill.get(&eip).copied(),
+        }
     }
 
     /// Materialize as the address set the public coverage API exposes.
     fn to_set(&self) -> HashSet<u32> {
-        let mut set = self.spill.clone();
-        for (w, &bits) in self.bits.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                set.insert(self.base + (w * 64 + b) as u32);
-                bits &= bits - 1;
-            }
-        }
-        set
+        self.first
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(off, _)| self.base + off as u32)
+            .chain(self.spill.keys().copied())
+            .collect()
     }
 }
 
@@ -524,6 +539,22 @@ impl Machine {
         }
     }
 
+    /// Overwrite `snap` with a capture of the current state — what
+    /// [`Machine::snapshot`] returns — reusing its buffers. Re-capturing
+    /// a snapshot of this execution after a restore to it and a short
+    /// run copies only the memory pages written since (see
+    /// [`Machine::restore`]); any other snapshot gets a full copy.
+    pub fn snapshot_into(&self, snap: &mut MachineSnapshot) {
+        snap.cpu.clone_from(&self.cpu);
+        self.mem.snapshot_into(&mut snap.mem);
+        snap.icount = self.icount;
+        snap.breakpoints.clone_from(&self.breakpoints);
+        snap.trace_buf.clone_from(&self.trace_buf);
+        snap.trace_cap = self.trace_cap;
+        snap.trace_next = self.trace_next;
+        snap.coverage.clone_from(&self.coverage);
+    }
+
     /// Rewind to a previously captured snapshot of *this* execution.
     ///
     /// Memory is restored page-wise: only pages written since the
@@ -593,19 +624,32 @@ impl Machine {
         self.restores
     }
 
-    /// Record the set of distinct EIPs executed from now on. The
-    /// campaign engine uses the golden run's coverage to skip injection
-    /// targets at never-executed addresses. Internally a dense bitmap
-    /// over the executable regions (with a spill set for EIPs outside
-    /// them), so enable it after the image is mapped.
+    /// Record the distinct EIPs executed from now on, each with the
+    /// icount of its first retirement. The campaign engine uses the
+    /// golden run's coverage to skip injection targets at never-executed
+    /// addresses; the latent-error runner uses the first-retire icounts
+    /// to start each replay where the golden run first fetches the
+    /// corrupted byte. Internally a dense table over the executable
+    /// regions (with a spill map for EIPs outside them), so enable it
+    /// after the image is mapped.
     pub fn enable_coverage(&mut self) {
         self.coverage = Some(Coverage::new(&self.mem));
     }
 
     /// Distinct executed EIPs since [`Machine::enable_coverage`], if
-    /// recording is on (materialized from the internal bitmap).
+    /// recording is on (materialized from the internal table).
     pub fn coverage(&self) -> Option<HashSet<u32>> {
         self.coverage.as_ref().map(Coverage::to_set)
+    }
+
+    /// The icount of the first retirement of the instruction at `eip`
+    /// since [`Machine::enable_coverage`]; `None` when it never retired
+    /// or coverage is off. The count is 1-based — the icount *of* that
+    /// instruction — so the machine's icount just before it first
+    /// executed is one less. Block, trace and per-step engines record
+    /// identical values.
+    pub fn first_retire(&self, eip: u32) -> Option<u64> {
+        self.coverage.as_ref().and_then(|c| c.first_retire(eip))
     }
 
     /// Record the byte ranges fetched for execution from now on, at
@@ -1234,13 +1278,7 @@ impl Machine {
             insts.push(LInst::new(addr, next, inst));
             end = addr as u64 + u64::from(inst.len.max(1));
             reads_icount |= matches!(inst.op, Op::Rdtsc);
-            // Control transfers, software interrupts and invalid
-            // instructions all end a block: they are the only ops whose
-            // exec can leave EIP somewhere other than the next address.
-            if inst.is_control_transfer()
-                || matches!(inst.op, Op::Int(_) | Op::Int3 | Op::Into | Op::Invalid(_))
-                || insts.len() >= MAX_BLOCK_INSTS
-            {
+            if inst.ends_block() || insts.len() >= MAX_BLOCK_INSTS {
                 break;
             }
             if next <= addr {
@@ -1304,7 +1342,7 @@ impl Machine {
         let mut executed = 0u64;
         for li in &block.insts {
             if marking {
-                self.mark_retired(li.addr);
+                self.mark_retired(li.addr, self.icount + executed + 1);
             }
             if profiling && matches!(li.uop, UOp::Slow) {
                 if let Some(p) = &mut self.profile {
@@ -1368,7 +1406,7 @@ impl Machine {
     }
 
     /// Instrumentation-free block executor. The dispatch loop selects it
-    /// when no coverage bitmap, EIP trace ring, flight recorder or
+    /// when no coverage table, EIP trace ring, flight recorder or
     /// profiler is attached *and* the block contains no memory writes
     /// (so no self-modification re-check is needed either). With every
     /// observation channel absent, the only architecturally visible EIP
@@ -1419,11 +1457,12 @@ impl Machine {
         base.wrapping_add(ea.disp)
     }
 
-    /// Per-retired-instruction coverage and trace bookkeeping.
+    /// Per-retired-instruction coverage and trace bookkeeping for the
+    /// instruction at `eip` retiring as instruction number `icount`.
     #[inline]
-    fn mark_retired(&mut self, eip: u32) {
+    fn mark_retired(&mut self, eip: u32, icount: u64) {
         if let Some(cov) = &mut self.coverage {
-            cov.insert(eip);
+            cov.insert(eip, icount);
         }
         if self.trace_cap > 0 {
             if self.trace_buf.len() < self.trace_cap {
@@ -1450,7 +1489,7 @@ impl Machine {
             }
         };
         self.icount += 1;
-        self.mark_retired(eip);
+        self.mark_retired(eip, self.icount);
         if let Some(fp) = &mut self.footprint {
             fp.mark_range(eip, u32::from(inst.len.max(1)));
         }

@@ -188,6 +188,17 @@ pub struct Memory {
     /// advances it, so later writes stamp strictly above the capture.
     /// Atomic only so `&self` can capture.
     clock: AtomicU64,
+    /// Data reads that resolved to an executable region: every
+    /// successful [`Memory::read8`] and every single-region fast-path
+    /// read behind the wider reads, whether the CPU or the OS made it.
+    /// Instruction fetches ([`Memory::fetch_window`]) and debugger peeks
+    /// ([`Memory::peek8`]) do not count. Monotonic — not snapshot state,
+    /// [`Memory::restore`] leaves it alone. A run that leaves it unmoved
+    /// depended on its code bytes only by executing them, which is what
+    /// lets the latent-error runner replay a flip from the golden run's
+    /// first fetch of the flipped byte. Relaxed atomic so `&self` reads
+    /// can count.
+    exec_reads: AtomicU64,
     /// Half-open ranges of capture stamps whose snapshots are no longer
     /// ancestors of the current contents: restoring snapshot `s` kills
     /// every capture taken after `s`, and a full-copy restore or a new
@@ -245,6 +256,7 @@ impl Clone for Memory {
             exec_log: self.exec_log.clone(),
             id: NEXT_MEMORY_ID.fetch_add(1, Ordering::Relaxed),
             clock: AtomicU64::new(self.clock.load(Ordering::Relaxed)),
+            exec_reads: AtomicU64::new(self.exec_reads.load(Ordering::Relaxed)),
             dead: Vec::new(),
         }
     }
@@ -259,6 +271,7 @@ impl Default for Memory {
             exec_log: Vec::new(),
             id: NEXT_MEMORY_ID.fetch_add(1, Ordering::Relaxed),
             clock: AtomicU64::new(0),
+            exec_reads: AtomicU64::new(0),
             dead: Vec::new(),
         }
     }
@@ -277,6 +290,41 @@ impl Memory {
             origin: self.id,
             stamp: self.clock.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Overwrite `snap` with a capture of this memory — what
+    /// [`Memory::snapshot`] returns — reusing its buffers. When `snap`
+    /// is a live capture of this memory (its contents are an ancestor of
+    /// the current ones), only the pages stamped after it are copied;
+    /// otherwise every page is, into the old buffers when the region
+    /// layout still matches.
+    pub(crate) fn snapshot_into(&self, snap: &mut MemorySnapshot) {
+        if self.descends_from(snap) {
+            for (r, s) in self.regions.iter().zip(&mut snap.mem.regions) {
+                for (page, &stamp) in r.stamps.iter().enumerate() {
+                    if stamp > snap.stamp {
+                        let lo = page << PAGE_SHIFT;
+                        let hi = (lo + PAGE_SIZE).min(r.data.len());
+                        s.data[lo..hi].copy_from_slice(&r.data[lo..hi]);
+                    }
+                }
+            }
+        } else if self.regions.len() == snap.mem.regions.len()
+            && self.regions.iter().zip(&snap.mem.regions).all(|(r, s)| {
+                (r.start, r.data.len(), r.perms, &r.name)
+                    == (s.start, s.data.len(), s.perms, &s.name)
+            })
+        {
+            for (r, s) in self.regions.iter().zip(&mut snap.mem.regions) {
+                s.data.copy_from_slice(&r.data);
+            }
+        } else {
+            snap.mem = self.clone();
+        }
+        snap.mem.exec_gen = self.exec_gen;
+        snap.mem.exec_log.clone_from(&self.exec_log);
+        snap.origin = self.id;
+        snap.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Rewind the contents, the executable generation and its journal
@@ -416,6 +464,9 @@ impl Memory {
             .region_at(addr)
             .filter(|r| r.perms.read)
             .ok_or(Fault::MemAccess { addr, write: false })?;
+        if r.perms.exec {
+            self.note_exec_read();
+        }
         Ok(r.data[(addr - r.start) as usize])
     }
 
@@ -458,7 +509,27 @@ impl Memory {
     fn read_slice(&self, addr: u32, len: usize) -> Option<&[u8]> {
         let r = self.region_at(addr).filter(|r| r.perms.read)?;
         let off = (addr - r.start) as usize;
-        r.data.get(off..off + len)
+        let bytes = r.data.get(off..off + len)?;
+        if r.perms.exec {
+            self.note_exec_read();
+        }
+        Some(bytes)
+    }
+
+    /// Count one data read of executable bytes (see
+    /// [`Memory::exec_data_reads`]). Cold: guest code rarely reads its
+    /// own text.
+    #[cold]
+    fn note_exec_read(&self) {
+        let n = self.exec_reads.load(Ordering::Relaxed);
+        self.exec_reads.store(n + 1, Ordering::Relaxed);
+    }
+
+    /// Data reads of executable bytes since this memory was created
+    /// (see the `exec_reads` field): a run that leaves the count
+    /// unmoved never read its code as data.
+    pub fn exec_data_reads(&self) -> u64 {
+        self.exec_reads.load(Ordering::Relaxed)
     }
 
     /// Current generation of executable bytes (see [`Memory::poke8`]).
@@ -707,6 +778,29 @@ mod tests {
         assert_eq!(m.read32(0x2000).unwrap(), 0xDEAD_BEEF);
         assert_eq!(m.read8(0x2000).unwrap(), 0xEF);
         assert_eq!(m.read16(0x2002).unwrap(), 0xDEAD);
+    }
+
+    #[test]
+    fn data_reads_of_executable_bytes_are_counted() {
+        let mut m = two_region_mem();
+        m.write32(0x2000, 7).unwrap();
+        m.read32(0x2000).unwrap();
+        m.read_bytes(0x2000, 8).unwrap();
+        m.fetch_window(0x1000).unwrap();
+        m.peek8(0x1000).unwrap();
+        assert_eq!(m.exec_data_reads(), 0, "data, fetch and peek do not count");
+        m.read8(0x1000).unwrap();
+        m.read32(0x1004).unwrap();
+        m.read_bytes(0x1008, 4).unwrap();
+        assert_eq!(m.exec_data_reads(), 3);
+        // A read straddling the end of text counts its in-text byte.
+        assert!(m.read16(0x100F).is_err());
+        assert_eq!(m.exec_data_reads(), 4);
+        // Monotonic: a restore does not rewind it.
+        let snap = m.snapshot();
+        m.read8(0x1000).unwrap();
+        m.restore(&snap);
+        assert_eq!(m.exec_data_reads(), 5);
     }
 
     #[test]

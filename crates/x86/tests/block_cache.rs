@@ -201,6 +201,13 @@ fn coverage_and_trace_identical_across_engines() {
     assert_eq!(blk.run_until_event(200), stp.run_until_event(200));
     assert_eq!(blk.coverage(), stp.coverage());
     assert_eq!(blk.eip_trace(), stp.eip_trace());
+    // Each address keeps the 1-based icount of its first retirement:
+    // mov ecx,5 (1); inc/dec/jnz (2..4) loop five times; jmp $ (17).
+    let first: Vec<_> = (TEXT..TEXT + 11)
+        .map(|a| (blk.first_retire(a), stp.first_retire(a)))
+        .collect();
+    let want = [1, 0, 0, 0, 0, 2, 3, 4, 0, 17, 0].map(|c| (c > 0).then_some(c));
+    assert_eq!(first, want.map(|c| (c, c)));
     // Out-of-bitmap EIPs (no exec region below TEXT) spill correctly:
     // the coverage set is exactly the executed addresses.
     let cov = blk.coverage().unwrap();

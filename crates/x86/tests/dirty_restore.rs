@@ -45,13 +45,14 @@ fn assert_same_memory(mem: &Memory, oracle: &Memory) -> Result<(), TestCaseError
 proptest! {
     /// Random interleavings of guest writes (data, stack, rwx — some
     /// straddling page and region boundaries), injector pokes, nested
-    /// snapshots (some taken from a cloned machine) and restores to any
-    /// snapshot taken so far, superseded ones included. After every
-    /// restore the memory must equal a plain clone taken at the
-    /// snapshot: today's full-copy restore is the oracle.
+    /// snapshots (some taken from a cloned machine), re-captures into any
+    /// earlier snapshot, and restores to any snapshot taken so far,
+    /// superseded ones included. After every restore the memory must
+    /// equal a plain clone taken at the (re-)capture: today's full-copy
+    /// restore is the oracle.
     #[test]
     fn page_restore_matches_full_copy(
-        ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u8>()), 1..160),
+        ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u8>()), 1..160),
     ) {
         let mut m = machine();
         let mut snaps: Vec<(fisec_x86::MachineSnapshot, Memory)> = Vec::new();
@@ -79,6 +80,15 @@ proptest! {
                     // another memory.
                     let twin = m.clone();
                     snaps.push((twin.snapshot(), twin.mem.clone()));
+                }
+                6 => {
+                    // Move an earlier snapshot (live, superseded or a
+                    // twin's) forward to now, reusing its buffers.
+                    let k = x as usize % snaps.len().max(1);
+                    if let Some((snap, oracle)) = snaps.get_mut(k) {
+                        m.snapshot_into(snap);
+                        *oracle = m.mem.clone();
+                    }
                 }
                 _ => {
                     if let Some((snap, oracle)) = snaps.get(x as usize % snaps.len().max(1)) {

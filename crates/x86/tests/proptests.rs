@@ -89,6 +89,9 @@ proptest! {
         prop_assert_eq!(blk.icount, stp.icount);
         prop_assert_eq!(&blk.cpu, &stp.cpu);
         prop_assert_eq!(blk.coverage(), stp.coverage());
+        for a in 0x1000..0x1000 + text.len() as u32 {
+            prop_assert_eq!(blk.first_retire(a), stp.first_retire(a));
+        }
         prop_assert_eq!(blk.eip_trace(), stp.eip_trace());
     }
 
@@ -140,6 +143,7 @@ proptest! {
             let mut m = Machine::new(mem);
             m.cpu.eip = 0x1000;
             m.cpu.regs[Reg32::Esp as usize] = 0x9FF0;
+            m.enable_coverage();
             m
         };
         let mut hot = build(&text);
@@ -151,6 +155,9 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert_eq!(hot.icount, stp.icount);
         prop_assert_eq!(&hot.cpu, &stp.cpu);
+        for a in 0x1000..0x1000 + text.len() as u32 {
+            prop_assert_eq!(hot.first_retire(a), stp.first_retire(a));
+        }
         if iters >= 16 && budget >= 2000 {
             let s = hot.trace_stats();
             prop_assert!(s.built >= 1, "hot loop never promoted: {:?}", s);
