@@ -763,14 +763,7 @@ fn run_random_inner(
         let mut runner = match cfg.mode {
             ExecutionMode::Snapshot => {
                 match LatentRunner::snapshot(&app.image, client, &golden, cfg.engine) {
-                    Ok(r) => {
-                        if tel.enabled() {
-                            // The first-fetch pass's process and the
-                            // runner's own.
-                            shard.inc(metric::FRESH_BOOTS, 2);
-                        }
-                        r
-                    }
+                    Ok(r) => r,
                     Err(e) => {
                         *worker_err.lock().expect("no worker panicked") =
                             Some(format!("worker {w}: image load: {e:?}"));
@@ -783,6 +776,7 @@ fn run_random_inner(
             }
         };
         if tel.enabled() {
+            shard.inc(metric::FRESH_BOOTS, runner.construction_boots());
             shard.phase_add(Phase::Boot, micros_since(boot_start));
         }
         let boots_per_run = runner.boots_per_run();

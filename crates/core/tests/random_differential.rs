@@ -107,8 +107,11 @@ fn random_campaign_reports_phases_and_shortcut_counts() {
 
     let snap = tel.metrics.snapshot();
     assert_eq!(snap.counter(metric::RUNS), RUNS as u64);
-    // Process loads: the golden run, the first-fetch pass, the runner.
-    assert_eq!(snap.counter(metric::FRESH_BOOTS), 3);
+    // Process loads: the golden run, then the runner's own.
+    assert_eq!(
+        snap.counter(metric::FRESH_BOOTS),
+        1 + runner.construction_boots()
+    );
     assert_eq!(snap.counter(metric::NA_PREFILTER_RUNS), unfetched);
     // One restore per replayed draw plus one per walk step: a distinct
     // rung above icount 0 within a batch.

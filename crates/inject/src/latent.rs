@@ -16,13 +16,13 @@
 //! 2403.13989: reuse the work an error provably cannot reach). At
 //! construction a *first-fetch pass* runs the golden session once with
 //! coverage on ([`fisec_x86::Machine::first_retire`]) and gives every
-//! text byte a *rung*: the icount at which the straight-line run of
-//! instructions that first fetches the byte begins. A draw on a byte
-//! golden never fetches reproduces golden without executing; any other
-//! draw can replay from its byte's rung. The pass counts only if it
-//! matches golden, ends by exit or deadlock, writes no executable byte
-//! and reads none as data ([`fisec_x86::Memory::exec_data_reads`]);
-//! otherwise every byte's rung is icount 0, i.e. full sessions.
+//! text byte a *rung*: the icount at which golden first fetches it. A
+//! draw on a byte golden never fetches reproduces golden without
+//! executing; any other draw can replay from its byte's rung. The pass
+//! counts only if it matches golden, ends by exit or deadlock, writes no
+//! executable byte and reads none as data
+//! ([`fisec_x86::Memory::exec_data_reads`]); otherwise every byte's rung
+//! is icount 0, i.e. full sessions.
 //!
 //! [`LatentRunner`] is the per-worker executor the random tier drives
 //! millions of times. It comes in the campaign engine's two execution
@@ -171,6 +171,16 @@ impl<'a> LatentRunner<'a> {
         }
     }
 
+    /// Processes this runner loaded when it was built (2 in snapshot
+    /// mode: the first-fetch pass and the runner's own; 0 from scratch)
+    /// — for the engine's boot accounting.
+    pub fn construction_boots(&self) -> u64 {
+        match self.inner {
+            Inner::Snapshot { .. } => 2,
+            Inner::FromScratch { .. } => 0,
+        }
+    }
+
     /// Fresh boots this runner performs per run (1 from scratch, 0 from
     /// a snapshot restore) — for the engine's boot/restore accounting.
     pub fn boots_per_run(&self) -> u64 {
@@ -181,10 +191,10 @@ impl<'a> LatentRunner<'a> {
     }
 
     /// The rung of text byte `offset`: the golden icount a batch replays
-    /// a draw on it from, at or before golden's first fetch of the byte.
-    /// `None` for a byte golden never fetches; `Some(0)` for every byte
-    /// when the first-fetch pass failed its guard, and in from-scratch
-    /// mode, which takes no shortcut.
+    /// a draw on it from, golden's first fetch of the byte. `None` for a
+    /// byte golden never fetches; `Some(0)` for every byte when the
+    /// first-fetch pass failed its guard, and in from-scratch mode,
+    /// which takes no shortcut.
     pub fn rung(&self, offset: usize) -> Option<u64> {
         match &self.inner {
             Inner::Snapshot { rungs, .. } => rungs.get(offset).copied().filter(|&t| t != NEVER),
@@ -400,39 +410,22 @@ fn first_fetch_pass(
 }
 
 /// Give each text byte golden fetches (entries of `rungs` start at
-/// [`NEVER`]) the icount at which the straight-line run of instructions
-/// holding its first fetch begins, from the first-retire icounts
-/// `machine` recorded.
+/// [`NEVER`]) the icount of its first fetch, from the first-retire
+/// icounts `machine` recorded.
 ///
 /// An instruction fetches exactly the bytes its decode consumes (the
 /// decoder reads nothing past them), so a byte's first fetch is the
 /// icount just before the first retirement of an instruction covering
-/// it. Walking back from there along instructions that first retired
-/// one icount apart, without a block-ending instruction between them,
-/// reaches where control entered that run, where the block engine
-/// dispatches a block in the golden session too. Any icount up to the
-/// first fetch is an exact rung; this one lets the bytes of one block
-/// share a rung, and replays resume on a block entry instead of
-/// building blocks that start mid-block.
+/// it: the minimum of first retirement − 1 over those instructions.
 fn derive_rungs(rungs: &mut [u64], image: &Image, machine: &Machine) {
     let text = &image.text;
-    let retired_at = |off: usize| machine.first_retire(image.text_base.wrapping_add(off as u32));
-    let decode_at = |off: usize| fisec_x86::decode(&text[off..(off + 15).min(text.len())]);
-    // Per executed instruction, the first retirement of its run; filled
-    // in address order, which is the order runs extend in.
-    let mut entry = vec![0u64; text.len()];
     for off in 0..text.len() {
-        let Some(retired) = retired_at(off) else {
+        let Some(retired) = machine.first_retire(image.text_base.wrapping_add(off as u32)) else {
             continue;
         };
-        let pred = (off.saturating_sub(15)..off).find(|&p| retired_at(p) == Some(retired - 1));
-        entry[off] = match pred {
-            Some(p) if !decode_at(p).ends_block() => entry[p],
-            _ => retired,
-        };
-        let len = usize::from(decode_at(off).len);
+        let len = usize::from(fisec_x86::decode(&text[off..(off + 15).min(text.len())]).len);
         for t in &mut rungs[off..(off + len).min(text.len())] {
-            *t = (*t).min(entry[off] - 1);
+            *t = (*t).min(retired - 1);
         }
     }
 }
@@ -536,6 +529,8 @@ mod tests {
         }
         assert_eq!(snap.boots_per_run(), 0);
         assert_eq!(fresh.boots_per_run(), 1);
+        assert_eq!(snap.construction_boots(), 2);
+        assert_eq!(fresh.construction_boots(), 0);
     }
 
     #[test]
@@ -562,10 +557,11 @@ mod tests {
         assert_eq!(fm.icount, am.icount);
     }
 
-    /// Rungs start each byte's straight-line run at its first
-    /// execution; bytes golden never executes have none.
+    /// Every byte of an executed instruction has the icount just before
+    /// that instruction first retires as its rung; bytes golden never
+    /// executes have none.
     #[test]
-    fn rungs_start_the_run_that_first_fetches_each_byte() {
+    fn rungs_are_first_fetches() {
         // _start: nop; nop; jmp +1; [dead byte]; mov ebx, 0; mov eax, 1;
         // int 0x80 (exit 0).
         let code = [
@@ -582,11 +578,13 @@ mod tests {
         assert_eq!((golden.stop.clone(), golden.icount), (Stop::Exited(0), 6));
         let runner = LatentRunner::snapshot(&image, spec, &golden, EngineOpts::default()).unwrap();
         let rungs: Vec<_> = (0..code.len()).map(|o| runner.rung(o)).collect();
-        // nop, nop, jmp run from icount 0; the dead byte is never
-        // fetched; the jump target starts a run at icount 3.
-        let mut want = vec![Some(0); 4];
-        want.push(None);
-        want.extend([Some(3); 12]);
+        // nop, nop and the 2-byte jmp are fetched at icounts 0, 1, 2;
+        // the dead byte never is; mov ebx (5 bytes), mov eax (5) and
+        // int (2) at 3, 4, 5.
+        let mut want = vec![Some(0), Some(1), Some(2), Some(2), None];
+        want.extend([Some(3); 5]);
+        want.extend([Some(4); 5]);
+        want.extend([Some(5); 2]);
         assert_eq!(rungs, want);
     }
 

@@ -1278,7 +1278,13 @@ impl Machine {
             insts.push(LInst::new(addr, next, inst));
             end = addr as u64 + u64::from(inst.len.max(1));
             reads_icount |= matches!(inst.op, Op::Rdtsc);
-            if inst.ends_block() || insts.len() >= MAX_BLOCK_INSTS {
+            // Control transfers, software interrupts and invalid
+            // instructions all end a block: they are the only ops whose
+            // exec can leave EIP somewhere other than the next address.
+            if inst.is_control_transfer()
+                || matches!(inst.op, Op::Int(_) | Op::Int3 | Op::Into | Op::Invalid(_))
+                || insts.len() >= MAX_BLOCK_INSTS
+            {
                 break;
             }
             if next <= addr {

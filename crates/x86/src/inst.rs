@@ -760,15 +760,6 @@ impl Inst {
         )
     }
 
-    /// True if this instruction ends a basic block: control transfers,
-    /// software interrupts and invalid instructions are the only ops
-    /// whose execution can leave EIP somewhere other than the next
-    /// address.
-    pub fn ends_block(&self) -> bool {
-        self.is_control_transfer()
-            || matches!(self.op, Op::Int(_) | Op::Int3 | Op::Into | Op::Invalid(_))
-    }
-
     /// True if this is a conditional branch.
     pub fn is_cond_branch(&self) -> bool {
         matches!(self.op, Op::Jcc(_))

@@ -293,11 +293,10 @@ impl Memory {
     }
 
     /// Overwrite `snap` with a capture of this memory — what
-    /// [`Memory::snapshot`] returns — reusing its buffers. When `snap`
-    /// is a live capture of this memory (its contents are an ancestor of
-    /// the current ones), only the pages stamped after it are copied;
-    /// otherwise every page is, into the old buffers when the region
-    /// layout still matches.
+    /// [`Memory::snapshot`] returns. When `snap` is a live capture of
+    /// this memory (its contents are an ancestor of the current ones),
+    /// only the pages stamped after it are copied, into its buffers;
+    /// otherwise the whole memory is cloned.
     pub(crate) fn snapshot_into(&self, snap: &mut MemorySnapshot) {
         if self.descends_from(snap) {
             for (r, s) in self.regions.iter().zip(&mut snap.mem.regions) {
@@ -308,15 +307,6 @@ impl Memory {
                         s.data[lo..hi].copy_from_slice(&r.data[lo..hi]);
                     }
                 }
-            }
-        } else if self.regions.len() == snap.mem.regions.len()
-            && self.regions.iter().zip(&snap.mem.regions).all(|(r, s)| {
-                (r.start, r.data.len(), r.perms, &r.name)
-                    == (s.start, s.data.len(), s.perms, &s.name)
-            })
-        {
-            for (r, s) in self.regions.iter().zip(&mut snap.mem.regions) {
-                s.data.copy_from_slice(&r.data);
             }
         } else {
             snap.mem = self.clone();

@@ -99,7 +99,11 @@ proptest! {
     /// linked across the loop's taken branches) retires bit-identically
     /// to the per-step reference on generated counted loops whose
     /// bodies draw from the lowered µop set (inc/dec/alu-imm, imul,
-    /// cdq). Arbitrary budgets land side-exits at every offset.
+    /// cdq). Arbitrary budgets land side-exits at every offset. Checked
+    /// with no observer attached, where register-only blocks take the
+    /// uninstrumented fast executor, and with coverage on, where the
+    /// instrumented executor must also record the reference's
+    /// first-retire icounts.
     #[test]
     fn trace_engine_matches_stepwise_on_generated_loops(
         iters in 1u32..40,
@@ -136,19 +140,35 @@ proptest! {
         let disp = -((text.len() + 2 - l1) as i8 as i32) as u8;
         text.extend([0x75, disp, 0xEB, 0xFE]);
 
-        let build = |text: &[u8]| {
+        let build = |text: &[u8], coverage: bool| {
             let mut mem = Memory::new();
             mem.map(Region::with_data("text", 0x1000, text.to_vec(), Perms::RX)).unwrap();
             mem.map(Region::zeroed("stack", 0x8000, 0x2000, Perms::RW)).unwrap();
             let mut m = Machine::new(mem);
             m.cpu.eip = 0x1000;
             m.cpu.regs[Reg32::Esp as usize] = 0x9FF0;
-            m.enable_coverage();
+            if coverage {
+                m.enable_coverage();
+            }
             m
         };
-        let mut hot = build(&text);
+        let mut hot = build(&text, false);
         hot.set_trace_threshold(1);
-        let mut stp = build(&text);
+        let mut stp = build(&text, false);
+        stp.set_block_engine(false);
+        let a = hot.run_until_event(budget);
+        let b = stp.run_until_event(budget);
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(hot.icount, stp.icount);
+        prop_assert_eq!(&hot.cpu, &stp.cpu);
+        if iters >= 16 && budget >= 2000 {
+            let s = hot.trace_stats();
+            prop_assert!(s.built >= 1, "hot loop never promoted: {:?}", s);
+        }
+
+        let mut hot = build(&text, true);
+        hot.set_trace_threshold(1);
+        let mut stp = build(&text, true);
         stp.set_block_engine(false);
         let a = hot.run_until_event(budget);
         let b = stp.run_until_event(budget);
@@ -157,10 +177,6 @@ proptest! {
         prop_assert_eq!(&hot.cpu, &stp.cpu);
         for a in 0x1000..0x1000 + text.len() as u32 {
             prop_assert_eq!(hot.first_retire(a), stp.first_retire(a));
-        }
-        if iters >= 16 && budget >= 2000 {
-            let s = hot.trace_stats();
-            prop_assert!(s.built >= 1, "hot loop never promoted: {:?}", s);
         }
     }
 
