@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     // And the profile itself is non-trivial: the campaign retires real
     // work inside cached blocks.
     let tel = Telemetry::collecting();
-    fisec_core::run_campaign_traced(&ftpd, &on, &tel);
+    fisec_core::run_campaign_cached(&ftpd, &on, &tel, None);
     let snap = tel.metrics.snapshot();
     let data = snap.profile();
     assert!(!data.is_empty(), "profiled campaign produced no profile");

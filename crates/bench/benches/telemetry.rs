@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fisec_apps::AppSpec;
-use fisec_core::{run_campaign_traced, CampaignConfig};
+use fisec_core::{run_campaign_cached, CampaignConfig};
 use fisec_telemetry::{render_phase_table, MemorySink, Telemetry};
 use std::sync::Arc;
 
@@ -18,17 +18,17 @@ fn bench(c: &mut Criterion) {
     let cfg = CampaignConfig::default();
 
     c.bench_function("campaign/ftpd_client1/telemetry_disabled", |b| {
-        b.iter(|| run_campaign_traced(&ftpd, &cfg, &Telemetry::disabled()))
+        b.iter(|| run_campaign_cached(&ftpd, &cfg, &Telemetry::disabled(), None))
     });
 
     c.bench_function("campaign/ftpd_client1/metrics_only", |b| {
-        b.iter(|| run_campaign_traced(&ftpd, &cfg, &Telemetry::collecting()))
+        b.iter(|| run_campaign_cached(&ftpd, &cfg, &Telemetry::collecting(), None))
     });
 
     c.bench_function("campaign/ftpd_client1/memory_events", |b| {
         b.iter(|| {
             let tel = Telemetry::new(Arc::new(MemorySink::new()), false);
-            run_campaign_traced(&ftpd, &cfg, &tel)
+            run_campaign_cached(&ftpd, &cfg, &tel, None)
         })
     });
 
@@ -37,7 +37,7 @@ fn bench(c: &mut Criterion) {
     let full = AppSpec::ftpd();
     let tel = Telemetry::collecting();
     let wall_start = std::time::Instant::now();
-    run_campaign_traced(&full, &cfg, &tel);
+    run_campaign_cached(&full, &cfg, &tel, None);
     let wall = u64::try_from(wall_start.elapsed().as_micros()).unwrap_or(u64::MAX);
     let snap = tel.metrics.snapshot();
     println!("\n== Phase profile: full ftpd campaign (baseline encoding) ==");

@@ -20,7 +20,7 @@
 //! development box keeps the tight default.
 
 use crate::cache::CampaignCache;
-use crate::campaign::{run_campaign_cached, run_campaign_traced, CampaignConfig};
+use crate::campaign::{run_campaign_cached, CampaignConfig};
 use fisec_apps::AppSpec;
 use fisec_telemetry::{metric, Telemetry};
 use serde::Value;
@@ -181,7 +181,7 @@ pub fn measure() -> Measured {
     let run_ms = |cfg: &CampaignConfig| -> (f64, f64) {
         let tel = Telemetry::collecting();
         let start = Instant::now();
-        run_campaign_traced(&app, cfg, &tel);
+        run_campaign_cached(&app, cfg, &tel, None);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let snap = tel.metrics.snapshot();
         let mean = snap

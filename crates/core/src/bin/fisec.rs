@@ -38,8 +38,8 @@
 
 use fisec_apps::AppSpec;
 use fisec_core::{
-    cache, figure4, load, random, run_campaign, run_campaign_cached, run_campaign_traced, tables,
-    trace, CampaignCache, CampaignConfig, CampaignSummary, EncodingScheme,
+    cache, figure4, load, random, run_campaign, run_campaign_cached, tables, trace, CampaignCache,
+    CampaignConfig, CampaignSummary, EncodingScheme, ExecutionMode,
 };
 use fisec_inject::{crash_forensics, enumerate_targets, golden_run, run_injection, OutcomeClass};
 use fisec_telemetry::{JsonlSink, MemorySink, NullSink, Telemetry};
@@ -241,6 +241,7 @@ fn usage() -> String {
      report renders a saved trace as one self-contained HTML file: fisec report run.jsonl --out report.html\n\
      bench-diff measures a fresh campaign against the recorded baseline: fisec bench-diff BENCH_campaign.json\n\
      campaign commands accept --profile (hot-spot profiler) and --chrome-trace OUT.json (Perfetto span export)\n\
+     campaign commands and random accept --from-scratch: boot every run afresh (the reference oracle)\n\
      campaign commands memoize checkpoint groups in ~/.fisec-cache (override: --cache DIR, disable: --no-cache)\n\
      cache ls|verify|gc inspects the store: ls lists entries, verify re-executes a sampled group per store\n\
      and diffs it against the memoized runs (nonzero exit on drift), gc evicts by --max-size / --max-age"
@@ -300,6 +301,7 @@ fn apps_for(name: &str) -> Result<Vec<AppSpec>, String> {
 fn cfg_of(a: &Args, scheme: EncodingScheme) -> CampaignConfig {
     let mut cfg = CampaignConfig {
         scheme,
+        mode: mode_of(a),
         block_cache: !a.no_block_cache,
         trace_cache: !a.no_trace_cache,
         flight_recorder: a.recorder || a.from_trace,
@@ -312,6 +314,15 @@ fn cfg_of(a: &Args, scheme: EncodingScheme) -> CampaignConfig {
         cfg.threads = t;
     }
     cfg
+}
+
+/// The execution mode `--from-scratch` selects.
+fn mode_of(a: &Args) -> ExecutionMode {
+    if a.from_scratch {
+        ExecutionMode::FromScratch
+    } else {
+        ExecutionMode::Snapshot
+    }
 }
 
 /// Build the telemetry bundle the campaign commands run under:
@@ -647,11 +658,7 @@ fn run(args: &Args) -> Result<(), String> {
                     } else {
                         EncodingScheme::Baseline
                     },
-                    mode: if args.from_scratch {
-                        fisec_core::ExecutionMode::FromScratch
-                    } else {
-                        fisec_core::ExecutionMode::Snapshot
-                    },
+                    mode: mode_of(args),
                     client: args.client - 1,
                     threads,
                     batch: args.batch,
@@ -768,7 +775,7 @@ fn run(args: &Args) -> Result<(), String> {
                     let mut cfg = cfg_of(args, scheme);
                     cfg.profiler = true;
                     let tel = Telemetry::new(Arc::new(NullSink), args.progress);
-                    run_campaign_traced(app, &cfg, &tel);
+                    run_campaign_cached(app, &cfg, &tel, None);
                     let snap = tel.metrics.snapshot();
                     if args.json {
                         let ev = fisec_telemetry::ProfileEvent {
@@ -925,7 +932,8 @@ fn run(args: &Args) -> Result<(), String> {
                         let off = (t.addr - app.image.text_base) as usize;
                         let before = fisec_x86::decode(&app.image.text[off..off + 8]);
                         let mut bytes = app.image.text[off..off + 8].to_vec();
-                        bytes[t.byte_index as usize] ^= 1 << t.bit;
+                        let i = t.byte_index as usize;
+                        bytes[i] = t.flip(bytes[i], EncodingScheme::Baseline);
                         let after = fisec_x86::decode(&bytes);
                         println!(
                             "  {:08x}: {}  ->  {}  (bit {} of byte {})",
@@ -965,6 +973,7 @@ fn run(args: &Args) -> Result<(), String> {
             })?;
             let app = &apps[0];
             let client = &app.clients[0];
+            let golden = golden_run(&app.image, client).map_err(|e| e.to_string())?;
             let set = enumerate_targets(&app.image, &app.auth_funcs, false);
             // Collect crash reports and show the longest transient
             // windows, sampling every `--stride`th bit for speed
@@ -974,8 +983,9 @@ fn run(args: &Args) -> Result<(), String> {
                 if !(t.bit as usize).is_multiple_of(args.stride) {
                     continue;
                 }
-                if let Some(r) = crash_forensics(&app.image, client, t, EncodingScheme::Baseline)
-                    .map_err(|e| e.to_string())?
+                if let Some(r) =
+                    crash_forensics(&app.image, client, &golden, t, EncodingScheme::Baseline)
+                        .map_err(|e| e.to_string())?
                 {
                     reports.push((t.addr, r));
                 }
@@ -1543,11 +1553,25 @@ mod tests {
             cond_branches_only: true,
             ..fisec_core::CampaignConfig::default()
         };
-        run_campaign_traced(&AppSpec::ftpd(), &cfg, &tel);
+        run_campaign_cached(&AppSpec::ftpd(), &cfg, &tel, None);
         let a = parse(&["profile", path.to_str().unwrap()]).unwrap();
         let e = run(&a).unwrap_err();
         assert!(e.contains("no profile events"), "{e}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn from_scratch_selects_the_campaign_mode() {
+        let a = parse(&["table1"]).unwrap();
+        assert_eq!(
+            cfg_of(&a, EncodingScheme::Baseline).mode,
+            ExecutionMode::Snapshot
+        );
+        let a = parse(&["table1", "--from-scratch"]).unwrap();
+        assert_eq!(
+            cfg_of(&a, EncodingScheme::Baseline).mode,
+            ExecutionMode::FromScratch
+        );
     }
 
     #[test]

@@ -207,6 +207,14 @@ struct RunPropagation {
 /// What the engine hands back per run once traces are digested away.
 type DigestedRun = (InjectionRun, Option<RunDivergence>, Option<RunPropagation>);
 
+/// A digested run with the execution metadata telemetry folds.
+type MeteredRun = (
+    InjectionRun,
+    RunMeta,
+    Option<RunDivergence>,
+    Option<RunPropagation>,
+);
+
 /// Digested runs in the campaign cache's wire shape. The store memoizes
 /// only the (run, divergence) pair — propagation campaigns bypass it
 /// entirely, so a taint digest never needs to survive a round-trip.
@@ -636,17 +644,7 @@ impl<'a> WorkerTel<'a> {
     }
 
     /// One executed checkpoint group (activated or not).
-    fn note_group(
-        &mut self,
-        targets: &[InjectionTarget],
-        runs: &[(
-            InjectionRun,
-            RunMeta,
-            Option<RunDivergence>,
-            Option<RunPropagation>,
-        )],
-        gmeta: GroupMeta,
-    ) {
+    fn note_group(&mut self, targets: &[InjectionTarget], runs: &[MeteredRun], gmeta: GroupMeta) {
         if !self.tel.enabled() {
             return;
         }
@@ -697,12 +695,7 @@ impl<'a> WorkerTel<'a> {
     fn push_group_spans(
         &mut self,
         targets: &[InjectionTarget],
-        runs: &[(
-            InjectionRun,
-            RunMeta,
-            Option<RunDivergence>,
-            Option<RunPropagation>,
-        )],
+        runs: &[MeteredRun],
         gmeta: GroupMeta,
         epoch: Instant,
     ) {
@@ -847,35 +840,28 @@ impl<'a> WorkerTel<'a> {
 }
 
 /// Run the full selective-exhaustive campaign for `app` without
-/// telemetry (the instrumentation reduces to one branch per site).
+/// telemetry (the instrumentation reduces to one branch per site) and
+/// without a cache.
 ///
 /// # Panics
 /// Panics if the image cannot be loaded (a programming error: the same
 /// image already ran its golden sessions).
 pub fn run_campaign(app: &AppSpec, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_traced(app, cfg, &Telemetry::disabled())
+    run_campaign_cached(app, cfg, &Telemetry::disabled(), None)
 }
 
-/// [`run_campaign`] with observability: emits a campaign header, one
-/// [`RunEvent`] per injection run and a closing [`CampaignEndEvent`]
-/// into `tel`'s sink, accumulates counters/histograms/phase timings in
-/// its metrics registry, and drives its progress meter. Results are
-/// bit-identical to the untraced path.
+/// [`run_campaign`] with observability and an optional incremental
+/// campaign cache.
 ///
-/// # Panics
-/// Panics if the image cannot be loaded (a programming error: the same
-/// image already ran its golden sessions).
-pub fn run_campaign_traced(app: &AppSpec, cfg: &CampaignConfig, tel: &Telemetry) -> CampaignResult {
-    run_campaign_cached(app, cfg, tel, None)
-}
-
-/// [`run_campaign_traced`] with an incremental campaign cache: each
-/// client's checkpoint groups are looked up in the persistent store
-/// first — a hit folds the memoized runs without booting a process, a
-/// miss executes the group with footprint recording on and writes the
-/// entry back. Results are bit-identical to the uncached path in both
-/// execution modes (pinned by the differential tests); only the
-/// wall-clock and the telemetry cache counters change.
+/// `tel` receives a campaign header, one [`RunEvent`] per injection run
+/// and a closing [`CampaignEndEvent`] in its sink, counters, histograms
+/// and phase timings in its metrics registry, and progress on its
+/// meter. With `cache`, each client's checkpoint groups are looked up
+/// in the persistent store first — a hit folds the memoized runs
+/// without booting a process, a miss executes the group with footprint
+/// recording on and writes the entry back. Results are bit-identical to
+/// the untraced, uncached path in both execution modes (pinned by the
+/// differential tests); only the wall-clock and the telemetry change.
 ///
 /// # Panics
 /// Panics if the image cannot be loaded (a programming error: the same
@@ -1120,14 +1106,34 @@ pub fn run_campaign_cached(
     result
 }
 
-/// Execute all targets for one client, dispatching on the configured
-/// [`ExecutionMode`], optionally sharded over threads. Results are in
-/// target order regardless of mode or thread count.
+/// Execute all targets for one client, in either execution mode and
+/// with or without a cache store, on up to `cfg.threads` workers.
+/// Results are in target order regardless of mode or thread count.
+///
+/// 1. Group the targets by instruction address. Enumeration emits them
+///    address-major, so each checkpoint group (also the cache's
+///    memoization unit) is a contiguous slice.
+/// 2. Snapshot mode only: groups at addresses the golden run never
+///    executes are synthesized as NA wholesale. The injected run's
+///    pre-activation execution is identical to golden, so its
+///    breakpoint can never be hit and it must stop exactly as golden
+///    did.
+/// 3. With a store only: look each remaining group up; a hit folds the
+///    memoized runs without booting a process.
+/// 4. Run the remaining groups from a shared work queue (groups vary
+///    wildly in cost, so static chunking would straggle). In snapshot
+///    mode each worker serves its groups from one [`GroupRunner`],
+///    created on the first group it executes, so a client costs each
+///    worker at most one process load. In from-scratch mode, the
+///    paper's §4 procedure and the reference oracle, every target boots
+///    afresh through [`run_injection_recorded`].
+/// 5. With a store only: record each executed group and its footprint.
+/// 6. Reassemble the runs in target order.
 #[allow(clippy::too_many_arguments)]
-fn run_targets(
-    app: &AppSpec,
+fn run_targets<'a>(
+    app: &'a AppSpec,
     spec: &fisec_apps::ClientSpec,
-    golden: &GoldenRun,
+    golden: &'a GoldenRun,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1135,95 +1141,169 @@ fn run_targets(
     span_epoch: Option<Instant>,
     store: Option<&ClientStore>,
 ) -> Vec<DigestedRun> {
-    match (cfg.mode, store) {
-        (ExecutionMode::FromScratch, None) => {
-            run_targets_from_scratch(app, spec, golden, targets, cfg, tel, client_idx, span_epoch)
-        }
-        (ExecutionMode::FromScratch, Some(store)) => run_targets_from_scratch_cached(
-            app, spec, golden, targets, cfg, tel, client_idx, span_epoch, store,
-        ),
-        (ExecutionMode::Snapshot, store) => run_targets_snapshot(
-            app, spec, golden, targets, cfg, tel, client_idx, span_epoch, store,
-        ),
-    }
-}
+    let groups: Vec<&[InjectionTarget]> = targets.chunk_by(|a, b| a.addr == b.addr).collect();
+    // With a cache attached every process records its execution
+    // footprint (a pure observer; results stay bit-identical) so the
+    // written entries carry their invalidation ranges.
+    let engine = match store {
+        Some(_) => cfg.engine().with_footprint(),
+        None => cfg.engine(),
+    };
 
-/// Contiguous same-address slices of an address-major target list, each
-/// with its offset into `targets` (checkpoint groups; also the cache's
-/// memoization unit).
-fn group_targets(targets: &[InjectionTarget]) -> Vec<(usize, &[InjectionTarget])> {
-    let mut groups: Vec<(usize, &[InjectionTarget])> = Vec::new();
-    let mut start = 0;
-    for i in 1..=targets.len() {
-        if i == targets.len() || targets[i].addr != targets[start].addr {
-            groups.push((start, &targets[start..i]));
-            start = i;
-        }
-    }
-    groups
-}
+    // Worker 0 is the campaign thread: it owns the coverage boot, the
+    // pre-filter, the cache lookups, the sequential path and the final
+    // reassembly.
+    let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
 
-/// The reference oracle: one full boot per experiment (paper §4).
-#[allow(clippy::too_many_arguments)]
-fn run_targets_from_scratch(
-    app: &AppSpec,
-    spec: &fisec_apps::ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    cfg: &CampaignConfig,
-    tel: &Telemetry,
-    client_idx: usize,
-    span_epoch: Option<Instant>,
-) -> Vec<DigestedRun> {
-    let engine = cfg.engine();
-    let threads = cfg.threads.max(1);
-    if threads == 1 || targets.len() < 64 {
-        let mut wt = WorkerTel::new(tel, client_idx, 0, span_epoch);
-        let out = targets
-            .iter()
-            .map(|t| {
-                let (run, meta, gmeta, rep, prof, _fp, preport) =
-                    run_injection_recorded(&app.image, spec, golden, t, cfg.scheme, engine)
-                        .expect("image loads");
-                let div = digest(&run, rep.as_ref());
-                let prop = digest_prop(preport.as_ref());
-                wt.note_fresh(t, &run, div, prop, meta, gmeta);
+    // The NA pre-filter is sound only when the golden run's stop proves
+    // the replayed prefix cannot reach the breakpoint: an Exited or
+    // Deadlock golden run stops at the same point under the (larger)
+    // injection budget, while a Budget golden would keep running and a
+    // fetch-faulted golden stops *before* its final address enters the
+    // coverage set. Outside the safe cases every group runs for real.
+    let coverage = if cfg.mode == ExecutionMode::Snapshot
+        && matches!(golden.stop, Stop::Exited(_) | Stop::Deadlock)
+    {
+        let cov_start = Instant::now();
+        let (gold2, cov) =
+            golden_run_with_coverage_opts(&app.image, spec, cfg.engine()).expect("image loads");
+        debug_assert_eq!(gold2.icount, golden.icount);
+        if tel.enabled() {
+            wt0.shard.inc(metric::FRESH_BOOTS, 1);
+            wt0.shard.phase_add(Phase::Boot, micros_since(cov_start));
+        }
+        Some(cov)
+    } else {
+        None
+    };
+
+    // One group on a worker: execute it, digest each report down to the
+    // per-run numbers the campaign keeps, drop the traces, and — with a
+    // cache attached — write the memoized entry back.
+    let run_group = |runner: &mut Option<GroupRunner<'a>>,
+                     group: &[InjectionTarget],
+                     wt: &mut WorkerTel<'_>|
+     -> Vec<DigestedRun> {
+        let (runs, foot): (Vec<DigestedRun>, _) = match cfg.mode {
+            ExecutionMode::Snapshot => {
+                let runner = runner.get_or_insert_with(|| {
+                    GroupRunner::new(&app.image, spec, golden, engine).expect("image loads")
+                });
+                let (runs, gmeta, prof, fp) = runner.run(group, cfg.scheme);
+                let runs: Vec<MeteredRun> = runs
+                    .into_iter()
+                    .map(|(run, meta, rep, preport)| {
+                        let div = digest(&run, rep.as_ref());
+                        (run, meta, div, digest_prop(preport.as_ref()))
+                    })
+                    .collect();
+                wt.note_group(group, &runs, gmeta);
                 wt.note_exec_profile(prof.as_ref());
-                (run, div, prop)
-            })
-            .collect();
-        wt.finish();
-        return out;
-    }
-    let chunk = targets.len().div_ceil(threads);
-    let mut out: Vec<Vec<DigestedRun>> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (w, shard) in targets.chunks(chunk).enumerate() {
-            handles.push(s.spawn(move || {
-                let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
-                let runs = shard
+                let runs = runs
+                    .into_iter()
+                    .map(|(run, _, div, prop)| (run, div, prop))
+                    .collect();
+                (runs, fp.map(|f| f.ranges()).unwrap_or_default())
+            }
+            ExecutionMode::FromScratch => {
+                let mut foot = Vec::new();
+                let runs = group
                     .iter()
                     .map(|t| {
-                        let (run, meta, gmeta, rep, prof, _fp, preport) =
+                        let (runs, gmeta, prof, fp) =
                             run_injection_recorded(&app.image, spec, golden, t, cfg.scheme, engine)
                                 .expect("image loads");
+                        let (run, meta, rep, preport) = runs
+                            .into_iter()
+                            .next()
+                            .expect("a single run yields one run");
                         let div = digest(&run, rep.as_ref());
                         let prop = digest_prop(preport.as_ref());
                         wt.note_fresh(t, &run, div, prop, meta, gmeta);
                         wt.note_exec_profile(prof.as_ref());
+                        if let Some(fp) = fp {
+                            foot.extend(fp.ranges());
+                        }
                         (run, div, prop)
                     })
-                    .collect::<Vec<_>>();
-                wt.finish();
-                runs
-            }));
+                    .collect();
+                (runs, crate::cache::merge_ranges(foot))
+            }
+        };
+        if let Some(store) = store {
+            store.record(&app.image, group, &to_cached(&runs), foot);
+            wt.note_cache(
+                app.name,
+                &spec.name,
+                "store",
+                Some(group[0].addr),
+                group.len() as u64,
+            );
         }
-        for h in handles {
-            out.push(h.join().expect("worker panicked"));
+        runs
+    };
+
+    // Prefilter first, cache second: a group the golden coverage proves
+    // NA is synthesized for free and never touches (or populates) the
+    // store; the survivors consult the cache before executing.
+    let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
+    let live: Vec<usize> = groups
+        .iter()
+        .enumerate()
+        .filter_map(|(gi, group)| {
+            if coverage
+                .as_ref()
+                .is_some_and(|cov| !cov.contains(&group[0].addr))
+            {
+                let na = InjectionRun::not_activated(golden.stop.clone(), golden.client);
+                slots[gi] = Some(vec![(na, None, None); group.len()]);
+                wt0.note_prefilter(group);
+                return None;
+            }
+            if let Some(runs) = store.and_then(|s| consult(s, app, spec, group, &mut wt0)) {
+                slots[gi] = Some(runs);
+                return None;
+            }
+            Some(gi)
+        })
+        .collect();
+
+    let threads = cfg.threads.max(1).min(live.len().max(1));
+    if threads <= 1 {
+        let mut runner = None;
+        for &gi in &live {
+            slots[gi] = Some(run_group(&mut runner, groups[gi], &mut wt0));
         }
-    });
-    out.into_iter().flatten().collect()
+    } else {
+        let slots_mx = Mutex::new(&mut slots);
+        run_work_queue(threads, live.len(), |w, pull| {
+            let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
+            let mut runner = None;
+            while let Some(i) = pull() {
+                let gi = live[i];
+                let runs = run_group(&mut runner, groups[gi], &mut wt);
+                let wait_start = Instant::now();
+                let mut guard = slots_mx.lock().expect("no worker panicked");
+                let wait = micros_since(wait_start);
+                guard[gi] = Some(runs);
+                drop(guard);
+                wt.observe_queue_wait(wait);
+            }
+            wt.finish();
+        });
+    }
+
+    let reassemble_start = Instant::now();
+    let mut out = Vec::with_capacity(targets.len());
+    for done in slots {
+        out.extend(done.expect("every group ran, was synthesized or was folded from the cache"));
+    }
+    if tel.enabled() {
+        wt0.shard
+            .phase_add(Phase::Reassemble, micros_since(reassemble_start));
+    }
+    wt0.finish();
+    out
 }
 
 /// Consult the cache for one checkpoint group: `Some(runs)` on a hit
@@ -1256,113 +1336,6 @@ fn consult(
     }
 }
 
-/// The reference oracle with the campaign cache attached: targets are
-/// grouped by address (the cache's memoization unit is the checkpoint
-/// group in either mode), hits fold without booting a process, misses
-/// run one full boot per experiment with footprint recording on and
-/// write the group's entry back. Outcomes are bit-identical to the
-/// uncached oracle, and the entries interoperate with snapshot-mode
-/// campaigns — each entry self-describes the footprint it was recorded
-/// under.
-#[allow(clippy::too_many_arguments)]
-fn run_targets_from_scratch_cached(
-    app: &AppSpec,
-    spec: &fisec_apps::ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    cfg: &CampaignConfig,
-    tel: &Telemetry,
-    client_idx: usize,
-    span_epoch: Option<Instant>,
-    store: &ClientStore,
-) -> Vec<DigestedRun> {
-    let groups = group_targets(targets);
-    let engine = cfg.engine().with_footprint();
-    let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
-
-    let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
-    let live: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter_map(
-            |(gi, (_, group))| match consult(store, app, spec, group, &mut wt0) {
-                Some(runs) => {
-                    slots[gi] = Some(runs);
-                    None
-                }
-                None => Some(gi),
-            },
-        )
-        .collect();
-
-    let run_group = |group: &[InjectionTarget], wt: &mut WorkerTel<'_>| -> Vec<DigestedRun> {
-        let mut foot: Vec<(u32, u32)> = Vec::new();
-        let runs: Vec<DigestedRun> = group
-            .iter()
-            .map(|t| {
-                let (run, meta, gmeta, rep, prof, fp, preport) =
-                    run_injection_recorded(&app.image, spec, golden, t, cfg.scheme, engine)
-                        .expect("image loads");
-                let div = digest(&run, rep.as_ref());
-                let prop = digest_prop(preport.as_ref());
-                wt.note_fresh(t, &run, div, prop, meta, gmeta);
-                wt.note_exec_profile(prof.as_ref());
-                if let Some(fp) = fp {
-                    foot.extend(fp.ranges());
-                }
-                (run, div, prop)
-            })
-            .collect();
-        store.record(
-            &app.image,
-            group,
-            &to_cached(&runs),
-            crate::cache::merge_ranges(foot),
-        );
-        wt.note_cache(
-            app.name,
-            &spec.name,
-            "store",
-            group.first().map(|t| t.addr),
-            group.len() as u64,
-        );
-        runs
-    };
-
-    let threads = cfg.threads.max(1).min(live.len().max(1));
-    if threads <= 1 {
-        for &gi in &live {
-            let (_, group) = groups[gi];
-            let runs = run_group(group, &mut wt0);
-            slots[gi] = Some(runs);
-        }
-    } else {
-        let slots_mx = Mutex::new(&mut slots);
-        run_work_queue(threads, live.len(), |w, pull| {
-            let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
-            while let Some(i) = pull() {
-                let gi = live[i];
-                let (_, group) = groups[gi];
-                let runs = run_group(group, &mut wt);
-                let wait_start = Instant::now();
-                let mut guard = slots_mx.lock().expect("no worker panicked");
-                let wait = micros_since(wait_start);
-                guard[gi] = Some(runs);
-                drop(guard);
-                wt.observe_queue_wait(wait);
-            }
-            wt.finish();
-        });
-    }
-
-    let mut out = Vec::with_capacity(targets.len());
-    for done in slots {
-        out.extend(done.expect("every group ran or was folded from cache"));
-    }
-    wt0.finish();
-    out
-}
-
 /// Shared work-queue threading: spawn `threads` scoped workers, each
 /// pulling item indices `0..items` from one atomic counter until the
 /// queue drains. The campaign engine feeds it checkpoint groups and the
@@ -1390,190 +1363,6 @@ where
             });
         }
     });
-}
-
-/// The checkpointed fast path.
-///
-/// Targets are grouped by instruction address (enumeration emits them
-/// address-major, so groups are contiguous slices). Groups at addresses
-/// the golden run never executes are synthesized as NA wholesale — the
-/// injected run's pre-activation execution is identical to golden, so
-/// its breakpoint can never be hit and it must stop exactly as golden
-/// did. The remaining groups each run to the breakpoint once and
-/// replay per-bit suffixes from a snapshot; a shared work queue feeds
-/// groups to the worker threads (groups vary wildly in cost, so static
-/// chunking would straggle). Each worker serves its groups from one
-/// [`GroupRunner`], created on the first group it actually executes, so
-/// a client costs each worker at most one process load.
-#[allow(clippy::too_many_arguments)]
-fn run_targets_snapshot<'a>(
-    app: &'a AppSpec,
-    spec: &fisec_apps::ClientSpec,
-    golden: &'a GoldenRun,
-    targets: &[InjectionTarget],
-    cfg: &CampaignConfig,
-    tel: &Telemetry,
-    client_idx: usize,
-    span_epoch: Option<Instant>,
-    store: Option<&ClientStore>,
-) -> Vec<DigestedRun> {
-    let groups = group_targets(targets);
-    // With a cache attached the group processes record their execution
-    // footprint (a pure observer; results stay bit-identical) so the
-    // written entries carry their invalidation ranges.
-    let engine = match store {
-        Some(_) => cfg.engine().with_footprint(),
-        None => cfg.engine(),
-    };
-
-    // Worker 0 is the campaign thread: it owns the coverage boot, the
-    // pre-filter, the sequential path and the final reassembly.
-    let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
-
-    // The NA pre-filter is sound only when the golden run's stop proves
-    // the replayed prefix cannot reach the breakpoint: an Exited or
-    // Deadlock golden run stops at the same point under the (larger)
-    // injection budget, while a Budget golden would keep running and a
-    // fetch-faulted golden stops *before* its final address enters the
-    // coverage set. Outside the safe cases every group runs for real.
-    let coverage = if matches!(golden.stop, Stop::Exited(_) | Stop::Deadlock) {
-        let cov_start = Instant::now();
-        let (gold2, cov) =
-            golden_run_with_coverage_opts(&app.image, spec, cfg.engine()).expect("image loads");
-        debug_assert_eq!(gold2.icount, golden.icount);
-        if tel.enabled() {
-            wt0.shard.inc(metric::FRESH_BOOTS, 1);
-            wt0.shard.phase_add(Phase::Boot, micros_since(cov_start));
-        }
-        Some(cov)
-    } else {
-        None
-    };
-    let synth_na = |n: usize| -> Vec<DigestedRun> {
-        let na = InjectionRun {
-            outcome: OutcomeClass::NotActivated,
-            activated: false,
-            stop: golden.stop.clone(),
-            client: golden.client,
-            crash_latency: None,
-            transient_deviation: false,
-            divergence: None,
-        };
-        vec![(na, None, None); n]
-    };
-
-    // One checkpoint group on the worker's runner (booted here on the
-    // worker's first executed group): run it, digest each report down
-    // to the per-run numbers the campaign keeps, drop the traces, and —
-    // with a cache attached — write the memoized entry back.
-    let run_group = |runner: &mut Option<GroupRunner<'a>>,
-                     group: &[InjectionTarget],
-                     wt: &mut WorkerTel<'_>|
-     -> Vec<DigestedRun> {
-        let runner = runner.get_or_insert_with(|| {
-            GroupRunner::new(&app.image, spec, golden, engine).expect("image loads")
-        });
-        let (runs, gmeta, prof, fp) = runner.run(group, cfg.scheme);
-        let runs: Vec<(
-            InjectionRun,
-            RunMeta,
-            Option<RunDivergence>,
-            Option<RunPropagation>,
-        )> = runs
-            .into_iter()
-            .map(|(run, meta, rep, preport)| {
-                let div = digest(&run, rep.as_ref());
-                let prop = digest_prop(preport.as_ref());
-                (run, meta, div, prop)
-            })
-            .collect();
-        wt.note_group(group, &runs, gmeta);
-        wt.note_exec_profile(prof.as_ref());
-        let digested: Vec<DigestedRun> = runs
-            .into_iter()
-            .map(|(run, _, div, prop)| (run, div, prop))
-            .collect();
-        if let Some(store) = store {
-            let foot = fp.map(|f| f.ranges()).unwrap_or_default();
-            store.record(&app.image, group, &to_cached(&digested), foot);
-            wt.note_cache(
-                app.name,
-                &spec.name,
-                "store",
-                group.first().map(|t| t.addr),
-                group.len() as u64,
-            );
-        }
-        digested
-    };
-
-    // Prefilter first, cache second: a group the golden coverage proves
-    // NA is synthesized for free and never touches (or populates) the
-    // store; the survivors consult the cache before executing.
-    let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
-    let live: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter_map(|(gi, (_, group))| {
-            if let Some(cov) = &coverage {
-                if !cov.contains(&group[0].addr) {
-                    slots[gi] = Some(synth_na(group.len()));
-                    wt0.note_prefilter(group);
-                    return None;
-                }
-            }
-            if let Some(store) = store {
-                match consult(store, app, spec, group, &mut wt0) {
-                    Some(runs) => {
-                        slots[gi] = Some(runs);
-                        return None;
-                    }
-                    None => return Some(gi),
-                }
-            }
-            Some(gi)
-        })
-        .collect();
-
-    let threads = cfg.threads.max(1).min(live.len().max(1));
-    if threads <= 1 {
-        let mut runner = None;
-        for &gi in &live {
-            let (_, group) = groups[gi];
-            let runs = run_group(&mut runner, group, &mut wt0);
-            slots[gi] = Some(runs);
-        }
-    } else {
-        let slots_mx = Mutex::new(&mut slots);
-        run_work_queue(threads, live.len(), |w, pull| {
-            let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
-            let mut runner = None;
-            while let Some(i) = pull() {
-                let gi = live[i];
-                let (_, group) = groups[gi];
-                let runs = run_group(&mut runner, group, &mut wt);
-                let wait_start = Instant::now();
-                let mut guard = slots_mx.lock().expect("no worker panicked");
-                let wait = micros_since(wait_start);
-                guard[gi] = Some(runs);
-                drop(guard);
-                wt.observe_queue_wait(wait);
-            }
-            wt.finish();
-        });
-    }
-
-    let reassemble_start = Instant::now();
-    let mut out = Vec::with_capacity(targets.len());
-    for done in slots {
-        out.extend(done.expect("every group ran or was synthesized"));
-    }
-    if tel.enabled() {
-        wt0.shard
-            .phase_add(Phase::Reassemble, micros_since(reassemble_start));
-    }
-    wt0.finish();
-    out
 }
 
 #[cfg(test)]
@@ -1654,7 +1443,7 @@ mod tests {
             cond_branches_only: true,
             ..CampaignConfig::default()
         };
-        let result = run_campaign_traced(&app, &cfg, &tel);
+        let result = run_campaign_cached(&app, &cfg, &tel, None);
         let events = sink.events();
         let runs = events
             .iter()
@@ -1677,7 +1466,7 @@ mod tests {
             profiler: true,
             ..CampaignConfig::default()
         };
-        run_campaign_traced(&app, &cfg, &tel);
+        run_campaign_cached(&app, &cfg, &tel, None);
         let events = sink.events();
         // The profile event sits immediately before the trailer, so
         // `fisec profile trace.jsonl` can attribute it to the campaign.
@@ -1717,7 +1506,7 @@ mod tests {
         // Byte-compat: a span-free campaign emits zero span events.
         let sink = std::sync::Arc::new(fisec_telemetry::MemorySink::new());
         let tel = Telemetry::new(sink.clone(), false);
-        run_campaign_traced(&app, &cfg, &tel);
+        run_campaign_cached(&app, &cfg, &tel, None);
         assert!(
             !sink
                 .events()
@@ -1731,7 +1520,7 @@ mod tests {
         let sink = std::sync::Arc::new(fisec_telemetry::MemorySink::new());
         let tel = Telemetry::new(sink.clone(), false);
         let cfg = CampaignConfig { spans: true, ..cfg };
-        run_campaign_traced(&app, &cfg, &tel);
+        run_campaign_cached(&app, &cfg, &tel, None);
         let events = sink.events();
         let cats: std::collections::HashSet<&str> = events
             .iter()
@@ -1836,7 +1625,7 @@ mod tests {
             propagation: true,
             ..CampaignConfig::default()
         };
-        let result = run_campaign_traced(&app, &cfg, &tel);
+        let result = run_campaign_cached(&app, &cfg, &tel, None);
         let totals = result
             .propagation_totals()
             .expect("propagation campaign aggregates stats");
@@ -1932,7 +1721,7 @@ mod tests {
             flight_recorder: true,
             ..CampaignConfig::default()
         };
-        let result = run_campaign_traced(&app, &cfg, &tel);
+        let result = run_campaign_cached(&app, &cfg, &tel, None);
         // The trace-derived latencies must reproduce the live Figure 4
         // input exactly, element for element.
         for cc in &result.clients {

@@ -6,12 +6,12 @@
 //! divergent control-flow edge — the per-run narrative behind the
 //! paper's §5.4 crash-latency and fail-silence discussion.
 
-use fisec_apps::AppSpec;
+use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
-use fisec_encoding::{remap_flip, ByteCtx, EncodingScheme};
+use fisec_encoding::EncodingScheme;
 use fisec_inject::{
     enumerate_targets, golden_run_opts, run_injection_recorded, DivergenceReport, EngineOpts,
-    InjectionTarget,
+    GroupRun, InjectionTarget,
 };
 use fisec_os::sysno;
 use fisec_x86::recorder::Edge;
@@ -36,31 +36,12 @@ pub fn explain(
     bit: u8,
     scheme: EncodingScheme,
 ) -> Result<String, String> {
-    let spec = app.clients.get(client.wrapping_sub(1)).ok_or_else(|| {
-        format!(
-            "--client {client} out of range (valid: 1..={})",
-            app.clients.len()
-        )
-    })?;
-    let set = enumerate_targets(&app.image, &app.auth_funcs, false);
-    let target = *set
-        .targets
-        .iter()
-        .find(|t| t.addr == addr && t.byte_index == byte_index && t.bit == bit)
-        .ok_or_else(|| {
-            format!(
-                "no injection target at {addr:#010x} byte {byte_index} bit {bit} \
-                 (see `fisec targets` / `fisec disasm` for the enumerated set)"
-            )
-        })?;
     let engine = EngineOpts {
         flight_recorder: true,
         ..EngineOpts::default()
     };
-    let golden = golden_run_opts(&app.image, spec, engine).map_err(|e| e.to_string())?;
-    let (run, _, _, rep, _, _, _) =
-        run_injection_recorded(&app.image, spec, &golden, &target, scheme, engine)
-            .map_err(|e| e.to_string())?;
+    let (spec, target, (run, _, rep, _)) =
+        rerun(app, client, addr, byte_index, bit, scheme, engine)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -95,6 +76,47 @@ pub fn explain(
     render_timeline(&mut out, &app.image, &target, scheme, &rep);
     let _ = write!(out, "{rep}");
     Ok(out)
+}
+
+/// Run the enumerated target at `(addr, byte_index, bit)` once from a
+/// fresh boot with `engine`'s observers, against a golden run booted
+/// with the same options: the experiment `fisec explain` and
+/// `fisec propagate` narrate. `client` is 1-based (the CLI's
+/// `--client`).
+pub(crate) fn rerun(
+    app: &AppSpec,
+    client: usize,
+    addr: u32,
+    byte_index: u8,
+    bit: u8,
+    scheme: EncodingScheme,
+    engine: EngineOpts,
+) -> Result<(&ClientSpec, InjectionTarget, GroupRun), String> {
+    let spec = app.clients.get(client.wrapping_sub(1)).ok_or_else(|| {
+        format!(
+            "--client {client} out of range (valid: 1..={})",
+            app.clients.len()
+        )
+    })?;
+    let set = enumerate_targets(&app.image, &app.auth_funcs, false);
+    let target = *set
+        .targets
+        .iter()
+        .find(|t| t.addr == addr && t.byte_index == byte_index && t.bit == bit)
+        .ok_or_else(|| {
+            format!(
+                "no injection target at {addr:#010x} byte {byte_index} bit {bit} \
+                 (see `fisec targets` / `fisec disasm` for the enumerated set)"
+            )
+        })?;
+    let golden = golden_run_opts(&app.image, spec, engine).map_err(|e| e.to_string())?;
+    let (runs, ..) = run_injection_recorded(&app.image, spec, &golden, &target, scheme, engine)
+        .map_err(|e| e.to_string())?;
+    let run = runs
+        .into_iter()
+        .next()
+        .expect("a single run yields one run");
+    Ok((spec, target, run))
 }
 
 /// The annotated edge window around the first divergence.
@@ -174,7 +196,7 @@ fn render_timeline(
 }
 
 /// `func+0xoff` for a text address, or the raw hex outside any symbol.
-fn sym(image: &Image, addr: u32) -> String {
+pub(crate) fn sym(image: &Image, addr: u32) -> String {
     image
         .symbols
         .funcs
@@ -223,15 +245,8 @@ fn disasm(
     let end = (off + 16).min(image.text.len());
     let mut bytes = image.text[off..end].to_vec();
     if flipped && addr == target.addr && (target.byte_index as usize) < bytes.len() {
-        let ctx = if target.byte_index == 0 {
-            ByteCtx::OneByteOpcode
-        } else if target.byte_index == 1 && target.first_byte == 0x0F {
-            ByteCtx::SecondOpcodeByte
-        } else {
-            ByteCtx::Other
-        };
         let i = target.byte_index as usize;
-        bytes[i] = remap_flip(bytes[i], target.bit, ctx, scheme);
+        bytes[i] = target.flip(bytes[i], scheme);
     }
     let inst = fisec_x86::decode(&bytes);
     fisec_x86::fmt_att(&inst, addr)

@@ -47,8 +47,8 @@ pub mod trace;
 
 pub use cache::CampaignCache;
 pub use campaign::{
-    run_campaign, run_campaign_cached, run_campaign_traced, CampaignConfig, CampaignResult,
-    ClientCampaign, ExecutionMode, PropagationStats, RunRecord,
+    run_campaign, run_campaign_cached, CampaignConfig, CampaignResult, ClientCampaign,
+    ExecutionMode, PropagationStats, RunRecord,
 };
 pub use counts::{LocationCounts, OutcomeCounts};
 pub use fisec_encoding::EncodingScheme;

@@ -8,13 +8,11 @@
 //! flags and memory until it reaches a compare/branch decision, dies,
 //! or the run stops.
 
+use crate::explain::{rerun, sym};
 use fisec_apps::AppSpec;
 use fisec_asm::Image;
 use fisec_encoding::EncodingScheme;
-use fisec_inject::{
-    enumerate_targets, golden_run_opts, kind_label, run_injection_recorded, EngineOpts,
-    PropagationReport,
-};
+use fisec_inject::{kind_label, EngineOpts, PropagationReport};
 use fisec_x86::taint::PropKind;
 use std::fmt::Write as _;
 
@@ -38,32 +36,13 @@ pub fn propagate(
     bit: u8,
     scheme: EncodingScheme,
 ) -> Result<String, String> {
-    let spec = app.clients.get(client.wrapping_sub(1)).ok_or_else(|| {
-        format!(
-            "--client {client} out of range (valid: 1..={})",
-            app.clients.len()
-        )
-    })?;
-    let set = enumerate_targets(&app.image, &app.auth_funcs, false);
-    let target = *set
-        .targets
-        .iter()
-        .find(|t| t.addr == addr && t.byte_index == byte_index && t.bit == bit)
-        .ok_or_else(|| {
-            format!(
-                "no injection target at {addr:#010x} byte {byte_index} bit {bit} \
-                 (see `fisec targets` / `fisec disasm` for the enumerated set)"
-            )
-        })?;
     let engine = EngineOpts {
         flight_recorder: true,
         propagation: true,
         ..EngineOpts::default()
     };
-    let golden = golden_run_opts(&app.image, spec, engine).map_err(|e| e.to_string())?;
-    let (run, _, _, rep, _, _, preport) =
-        run_injection_recorded(&app.image, spec, &golden, &target, scheme, engine)
-            .map_err(|e| e.to_string())?;
+    let (spec, _, (run, _, rep, preport)) =
+        rerun(app, client, addr, byte_index, bit, scheme, engine)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -158,19 +137,6 @@ fn render_event(
     );
 }
 
-/// `func+0xoff` for a text address, or the raw hex outside any symbol.
-fn sym(image: &Image, addr: u32) -> String {
-    image
-        .symbols
-        .funcs
-        .iter()
-        .find(|f| (f.start..f.end).contains(&addr))
-        .map_or_else(
-            || format!("{addr:#010x}"),
-            |f| format!("{}+{:#x}", f.name, addr - f.start),
-        )
-}
-
 /// Disassemble the (uncorrupted) instruction at `addr`.
 fn disasm(image: &Image, addr: u32) -> String {
     let Some(off) = addr
@@ -188,7 +154,9 @@ fn disasm(image: &Image, addr: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fisec_inject::{golden_run, run_injection, InjectionTarget, OutcomeClass};
+    use fisec_inject::{
+        enumerate_targets, golden_run, run_injection, InjectionTarget, OutcomeClass,
+    };
 
     /// First opcode-byte flip with the wanted outcome on ftpd Client1.
     fn find_target(outcome: OutcomeClass) -> InjectionTarget {

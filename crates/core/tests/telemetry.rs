@@ -6,7 +6,7 @@
 
 use fisec_apps::AppSpec;
 use fisec_core::{
-    run_campaign, run_campaign_traced, tables, trace, CampaignConfig, CampaignResult,
+    run_campaign, run_campaign_cached, tables, trace, CampaignConfig, CampaignResult,
     EncodingScheme, ExecutionMode,
 };
 use fisec_inject::OutcomeClass;
@@ -76,7 +76,7 @@ fn traced_ftpd_campaign_matches_result_in_both_modes() {
     for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
         let sink = Arc::new(MemorySink::new());
         let tel = Telemetry::new(sink.clone(), false);
-        let result = run_campaign_traced(&app, &cfg(mode), &tel);
+        let result = run_campaign_cached(&app, &cfg(mode), &tel, None);
         assert_stream_matches(&sink.events(), &result);
         // Telemetry must not perturb the experiment.
         for (t, u) in result.clients.iter().zip(&untraced.clients) {
@@ -106,7 +106,7 @@ fn jsonl_trace_round_trips_to_identical_table1() {
 
     let sink = Arc::new(JsonlSink::create(&path).unwrap());
     let tel = Telemetry::new(sink, false);
-    let live = run_campaign_traced(&app, &cfg(ExecutionMode::Snapshot), &tel);
+    let live = run_campaign_cached(&app, &cfg(ExecutionMode::Snapshot), &tel, None);
     tel.sink.flush();
 
     let replay = trace::read_trace(&path).unwrap();

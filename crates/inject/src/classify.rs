@@ -90,6 +90,23 @@ pub struct InjectionRun {
     pub divergence: Option<String>,
 }
 
+impl InjectionRun {
+    /// The run of an error whose instruction never executed: the server
+    /// stopped with `stop` and the client's verdict was `client`, both
+    /// exactly as the error-free prefix left them.
+    pub fn not_activated(stop: Stop, client: ClientStatus) -> InjectionRun {
+        InjectionRun {
+            outcome: OutcomeClass::NotActivated,
+            activated: false,
+            stop,
+            client,
+            crash_latency: None,
+            transient_deviation: false,
+            divergence: None,
+        }
+    }
+}
+
 /// Is `t` a truncated prefix of `golden`? The final server→client message
 /// of a crashed run may be cut short, so the last compared message only
 /// needs to be a byte-prefix.

@@ -37,7 +37,7 @@ pub struct GoldenContinuation {
 }
 
 /// How one faulty run diverged from the golden continuation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceReport {
     /// The golden continuation's recorded control flow.
     pub golden: Arc<FlightTrace>,

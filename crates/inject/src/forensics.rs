@@ -14,10 +14,12 @@
 //! wherever per-edge detail matters; the function-granular path here
 //! remains the compact summary `fisec forensics` prints.
 
+use crate::classify::GoldenRun;
 use crate::target::InjectionTarget;
+use crate::{plant, run_budget};
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
-use fisec_encoding::{remap_flip, ByteCtx, EncodingScheme};
+use fisec_encoding::EncodingScheme;
 use fisec_os::{Process, Stop};
 use std::fmt;
 
@@ -61,7 +63,10 @@ impl fmt::Display for CrashReport {
 /// Size of the EIP ring buffer used for path reconstruction.
 pub const TRACE_WINDOW: usize = 65_536;
 
-/// Re-run an injection with tracing and produce a [`CrashReport`].
+/// Re-run an injection with tracing and produce a [`CrashReport`]. The
+/// experiment is the campaign's own: the same breakpoint, the same flip
+/// and the same budget against `golden`, so a report exists exactly when
+/// [`run_injection`](crate::run_injection) crashes, with its latency.
 /// Returns `None` when the target does not activate or the run does not
 /// crash.
 ///
@@ -70,31 +75,19 @@ pub const TRACE_WINDOW: usize = 65_536;
 pub fn crash_forensics(
     image: &Image,
     client: &ClientSpec,
+    golden: &GoldenRun,
     target: &InjectionTarget,
     scheme: EncodingScheme,
 ) -> Result<Option<CrashReport>, fisec_os::LoadError> {
     let mut p = Process::load(image, client.make())?;
-    p.set_budget(5_000_000);
+    p.set_budget(run_budget(golden));
     p.machine.add_breakpoint(target.addr);
     let Stop::Breakpoint(_) = p.run() else {
         return Ok(None);
     };
-    let byte_addr = target.addr.wrapping_add(target.byte_index as u32);
-    let orig = p.machine.mem.peek8(byte_addr).expect("mapped");
-    let ctx = if target.byte_index == 0 {
-        ByteCtx::OneByteOpcode
-    } else if target.byte_index == 1 && target.first_byte == 0x0F {
-        ByteCtx::SecondOpcodeByte
-    } else {
-        ByteCtx::Other
-    };
-    p.machine
-        .mem
-        .poke8(byte_addr, remap_flip(orig, target.bit, ctx, scheme))
-        .expect("mapped");
-    p.machine.remove_breakpoint(target.addr);
-    p.machine.enable_eip_trace(TRACE_WINDOW);
     let activation_icount = p.icount();
+    plant(&mut p, target, scheme);
+    p.machine.enable_eip_trace(TRACE_WINDOW);
     let bytes_before: usize = traffic_bytes(&p);
 
     let stop = p.run();
@@ -149,18 +142,20 @@ pub fn merge_path<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<PathSegme
 mod tests {
     use super::*;
     use crate::target::enumerate_targets;
+    use crate::{golden_run, run_injection};
     use fisec_apps::AppSpec;
 
     #[test]
     fn forensics_reconstructs_crash_paths() {
         let app = AppSpec::ftpd();
         let client = &app.clients[0];
+        let golden = golden_run(&app.image, client).unwrap();
         let set = enumerate_targets(&app.image, &["pass"], true);
         // Find a crashing target among offset-byte flips.
         let mut found = false;
         for t in set.targets.iter().filter(|t| t.byte_index == 1).take(64) {
             if let Some(report) =
-                crash_forensics(&app.image, client, t, EncodingScheme::Baseline).unwrap()
+                crash_forensics(&app.image, client, &golden, t, EncodingScheme::Baseline).unwrap()
             {
                 assert!(report.latency >= 1);
                 assert!(!report.path.is_empty());
@@ -175,6 +170,35 @@ mod tests {
             }
         }
         assert!(found, "no crashing offset flip found in pass()");
+    }
+
+    /// Forensics re-runs the campaign's experiment: over every target of
+    /// both servers' Client1 it reports exactly the runs that crash, with
+    /// the campaign's crash latency.
+    #[test]
+    fn forensics_reports_exactly_the_campaign_crashes() {
+        for app in [AppSpec::ftpd(), AppSpec::sshd()] {
+            let client = &app.clients[0];
+            let golden = golden_run(&app.image, client).unwrap();
+            let set = enumerate_targets(&app.image, &app.auth_funcs, false);
+            let mut crashes = 0;
+            for t in &set.targets {
+                let scheme = EncodingScheme::Baseline;
+                let run = run_injection(&app.image, client, &golden, t, scheme).unwrap();
+                let report = crash_forensics(&app.image, client, &golden, t, scheme).unwrap();
+                assert_eq!(
+                    report.map(|r| r.latency),
+                    run.crash_latency,
+                    "{} {:#010x} byte {} bit {}",
+                    app.name,
+                    t.addr,
+                    t.byte_index,
+                    t.bit
+                );
+                crashes += usize::from(run.crash_latency.is_some());
+            }
+            assert!(crashes > 0, "{}: no target crashed", app.name);
+        }
     }
 
     #[test]
@@ -228,10 +252,12 @@ mod tests {
     fn non_activating_target_yields_none() {
         let app = AppSpec::ftpd();
         let client = &app.clients[0]; // denied: never reaches retr()'s body
+        let golden = golden_run(&app.image, client).unwrap();
         let set = enumerate_targets(&app.image, &["retr"], true);
         let r = crash_forensics(
             &app.image,
             client,
+            &golden,
             &set.targets[0],
             EncodingScheme::Baseline,
         )

@@ -45,7 +45,7 @@
 //!   checked against. It takes no shortcut.
 
 use crate::classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
-use crate::{micros_since, EngineOpts, RunMeta, BUDGET_FLOOR, BUDGET_MULTIPLIER};
+use crate::{micros_since, run_budget, EngineOpts, RunMeta};
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
 use fisec_net::{ClientStatus, Trace};
@@ -129,7 +129,7 @@ impl<'a> LatentRunner<'a> {
         golden: &GoldenRun,
         engine: EngineOpts,
     ) -> Result<LatentRunner<'a>, fisec_os::LoadError> {
-        let budget = (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR);
+        let budget = run_budget(golden);
         let (rungs, pass) = first_fetch_pass(image, client, golden, engine, budget)?;
         let mut p = Process::load(image, client.make())?;
         engine.apply(&mut p);
@@ -162,7 +162,7 @@ impl<'a> LatentRunner<'a> {
         LatentRunner {
             client,
             engine,
-            budget: (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR),
+            budget: run_budget(golden),
             text_base: image.text_base,
             text_len: image.text.len(),
             inner: Inner::FromScratch {

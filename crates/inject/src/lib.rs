@@ -34,10 +34,11 @@ pub use target::{enumerate_targets, InjectionTarget, TargetSet};
 
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
-use fisec_encoding::{remap_flip, ByteCtx, EncodingScheme};
+use fisec_encoding::EncodingScheme;
 use fisec_net::Trace;
 use fisec_os::{Process, Stop};
-use fisec_x86::{ExecProfile, Footprint, DEFAULT_TAINT_HORIZON};
+use fisec_x86::DEFAULT_TAINT_HORIZON;
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Default multiplier on the golden run's instruction count used as the
@@ -72,15 +73,15 @@ pub struct EngineOpts {
     /// Collect the hot-spot execution profile (per-block dispatch and
     /// retire counters, slow-path sites, block-cache traffic) for every
     /// process the entry points boot. Off by default; outcomes are
-    /// bit-identical either way (pinned by differential tests) — the
-    /// recorded-entry-point returns gain an [`ExecProfile`], nothing
-    /// else changes.
+    /// bit-identical either way (pinned by differential tests) — each
+    /// [`GroupOutcome`] gains an [`ExecProfile`](fisec_x86::ExecProfile),
+    /// nothing else changes.
     pub profiler: bool,
-    /// Record the executed-code [`Footprint`] of every process the
-    /// entry points boot (dispatch-granularity byte ranges fetched for
-    /// execution, accumulated across checkpoint restores). Off by
-    /// default; outcomes are bit-identical either way — the flag only
-    /// adds the [`Footprint`] to the recorded-entry-point returns. The
+    /// Record the executed-code [`Footprint`](fisec_x86::Footprint) of
+    /// every process the entry points boot (dispatch-granularity byte
+    /// ranges fetched for execution, accumulated across checkpoint
+    /// restores). Off by default; outcomes are bit-identical either way
+    /// — the flag only adds the footprint to each [`GroupOutcome`]. The
     /// campaign cache uses it to key a group's memoized results on the
     /// image bytes the group actually executed.
     pub footprint: bool,
@@ -88,7 +89,7 @@ pub struct EngineOpts {
     /// activated run, seeded at the injected instruction. Off by
     /// default; outcomes are bit-identical either way (pinned by
     /// differential tests) — the flag only adds a [`PropagationReport`]
-    /// per activated run to the recorded-entry-point returns.
+    /// to each activated run.
     pub propagation: bool,
 }
 
@@ -153,34 +154,14 @@ pub fn golden_run_opts(
     client: &ClientSpec,
     engine: EngineOpts,
 ) -> Result<GoldenRun, fisec_os::LoadError> {
-    let mut p = Process::load(image, client.make())?;
-    engine.apply(&mut p);
-    p.set_budget(50_000_000);
-    let stop = p.run();
-    Ok(GoldenRun {
-        stop,
-        client: p.client_status(),
-        trace: p.trace(),
-        icount: p.icount(),
-    })
+    golden_session(image, client, engine, false).map(|(golden, _)| golden)
 }
 
-/// Record the golden run *and* the set of instruction addresses it
-/// executes. The campaign engine uses the coverage set to classify
-/// targets at never-executed addresses as NA without spawning a run:
-/// execution before activation is identical to golden, so a breakpoint
-/// at an uncovered address can never be hit.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-pub fn golden_run_with_coverage(
-    image: &Image,
-    client: &ClientSpec,
-) -> Result<(GoldenRun, std::collections::HashSet<u32>), fisec_os::LoadError> {
-    golden_run_with_coverage_opts(image, client, EngineOpts::default())
-}
-
-/// [`golden_run_with_coverage`] with explicit engine options.
+/// [`golden_run_opts`] that also records the set of instruction
+/// addresses the golden run executes. The campaign engine uses the
+/// coverage set to classify targets at never-executed addresses as NA
+/// without spawning a run: execution before activation is identical to
+/// golden, so a breakpoint at an uncovered address can never be hit.
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -188,11 +169,26 @@ pub fn golden_run_with_coverage_opts(
     image: &Image,
     client: &ClientSpec,
     engine: EngineOpts,
-) -> Result<(GoldenRun, std::collections::HashSet<u32>), fisec_os::LoadError> {
+) -> Result<(GoldenRun, HashSet<u32>), fisec_os::LoadError> {
+    golden_session(image, client, engine, true).map(|(golden, coverage)| {
+        let coverage = coverage.expect("coverage was enabled before the run");
+        (golden, coverage)
+    })
+}
+
+/// One golden session, recording coverage when asked.
+fn golden_session(
+    image: &Image,
+    client: &ClientSpec,
+    engine: EngineOpts,
+    coverage: bool,
+) -> Result<(GoldenRun, Option<HashSet<u32>>), fisec_os::LoadError> {
     let mut p = Process::load(image, client.make())?;
     engine.apply(&mut p);
     p.set_budget(50_000_000);
-    p.machine.enable_coverage();
+    if coverage {
+        p.machine.enable_coverage();
+    }
     let stop = p.run();
     let golden = GoldenRun {
         stop,
@@ -200,30 +196,32 @@ pub fn golden_run_with_coverage_opts(
         trace: p.trace(),
         icount: p.icount(),
     };
-    let coverage = p
-        .machine
-        .coverage()
-        .expect("coverage was enabled before the run");
-    Ok((golden, coverage))
+    Ok((golden, p.machine.coverage()))
 }
 
-/// Per-run execution metadata reported by the metered entry points, for
-/// the telemetry layer: what the run cost, not what it concluded.
+/// The instruction budget of every injected run against `golden`
+/// (runaway/hang detection).
+fn run_budget(golden: &GoldenRun) -> u64 {
+    (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR)
+}
+
+/// Per-run execution metadata, for the telemetry layer: what the run
+/// cost, not what it concluded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Guest instructions retired for this run: since the restore point
-    /// for a snapshot replay, since boot for a fresh run. For a group
-    /// whose breakpoint was never reached, every synthesized NA run
-    /// reports the shared prefix's icount (the work a from-scratch run
-    /// would have retired). A latent-error run reports the whole
-    /// session's icount however much of it was replayed.
+    /// Guest instructions retired for this run: since boot for
+    /// [`run_injection_recorded`], since activation (the checkpoint the
+    /// replay restores) for a checkpoint group's replay. When the
+    /// breakpoint was never reached, every not-activated run reports
+    /// the prefix's icount (the work a from-scratch run would have
+    /// retired). A latent-error run reports the whole session's icount
+    /// however much of it was replayed.
     pub icount: u64,
     /// Host microseconds replaying the run (0 for runs that never
-    /// activated). On the single-run path this is the post-activation
-    /// suffix; a checkpoint-group replay also includes the checkpoint
-    /// restore and the fault planting before the suffix (its timer
-    /// starts before the restore). A latent-error run times what it
-    /// executed after the restore and the poke: the whole session from
+    /// activated): planting the flip and running the post-activation
+    /// suffix, plus, for a checkpoint group's replay, the checkpoint
+    /// restore before them. A latent-error run times what it executed
+    /// after the restore and the poke: the whole session from
     /// [`LatentRunner::run`], only the suffix from its rung inside
     /// [`LatentRunner::run_batch`], and 0 for a draw on a byte the
     /// golden session never fetches (served without executing).
@@ -232,7 +230,8 @@ pub struct RunMeta {
     pub classify_micros: u64,
 }
 
-/// Per-boot metadata shared by every run of a metered call.
+/// Per-boot metadata shared by the runs of one [`GroupOutcome`]: a
+/// checkpoint group's, or the single run of [`run_injection_recorded`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupMeta {
     /// Host microseconds booting from `_start` to the breakpoint (or to
@@ -241,17 +240,19 @@ pub struct GroupMeta {
     /// checkpoint plus the prefix, plus the process load on the
     /// runner's first group.
     pub boot_micros: u64,
-    /// Host microseconds capturing the checkpoint (0 when no checkpoint
-    /// was taken).
+    /// Host microseconds capturing the checkpoint at the breakpoint (0
+    /// when none was taken: the breakpoint was never reached, or a
+    /// single run went without the flight recorder).
     pub snapshot_micros: u64,
-    /// Checkpoint restores performed for this group's replays (one per
-    /// activated target; a runner's restore to its icount-0 checkpoint
-    /// belongs to the boot, not counted here).
+    /// Checkpoint restores performed for this group's replays: one per
+    /// activated target of a checkpoint group, 0 for a single run
+    /// (which replays nothing). A runner's restore to its icount-0
+    /// checkpoint belongs to the boot, not counted here.
     pub restores: u64,
     /// Whether the breakpoint was reached (the error could activate).
     pub activated: bool,
     /// Whether this call loaded a fresh process (`Process::load`): every
-    /// single-run and one-shot group call, only the first group of a
+    /// single run and one-shot group call, only the first group of a
     /// [`GroupRunner`].
     pub fresh_boot: bool,
 }
@@ -271,55 +272,30 @@ pub fn run_injection(
     target: &InjectionTarget,
     scheme: EncodingScheme,
 ) -> Result<InjectionRun, fisec_os::LoadError> {
-    run_injection_metered(image, client, golden, target, scheme).map(|(run, _, _)| run)
+    let (runs, ..) =
+        run_injection_recorded(image, client, golden, target, scheme, EngineOpts::default())?;
+    let (run, ..) = runs
+        .into_iter()
+        .next()
+        .expect("a single run yields one run");
+    Ok(run)
 }
 
-/// [`run_injection`] plus the run's execution metadata (icount, host
-/// time split by phase). The extra cost over the unmetered path is a
-/// handful of monotonic-clock reads.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-pub fn run_injection_metered(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    target: &InjectionTarget,
-    scheme: EncodingScheme,
-) -> Result<(InjectionRun, RunMeta, GroupMeta), fisec_os::LoadError> {
-    run_injection_metered_opts(image, client, golden, target, scheme, EngineOpts::default())
-}
-
-/// [`run_injection_metered`] with explicit engine options.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-pub fn run_injection_metered_opts(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    target: &InjectionTarget,
-    scheme: EncodingScheme,
-    engine: EngineOpts,
-) -> Result<(InjectionRun, RunMeta, GroupMeta), fisec_os::LoadError> {
-    run_injection_recorded(image, client, golden, target, scheme, engine)
-        .map(|(run, meta, group, _, _, _, _)| (run, meta, group))
-}
-
-/// [`run_injection_metered_opts`] plus the [`DivergenceReport`] of the
-/// run when `engine.flight_recorder` is on and the error activated,
-/// plus the run's [`ExecProfile`] when `engine.profiler` is on, plus
-/// the run's executed-code [`Footprint`] when `engine.footprint` is on,
-/// plus the run's [`PropagationReport`] when `engine.propagation` is on
-/// and the error activated. With the recorder on, the process is
+/// Execute one injection experiment exactly as the paper's §4 procedure
+/// does: boot a fresh process, stop at the breakpoint, flip, continue.
+/// This is the reference oracle the checkpoint engine is diffed against,
+/// so nothing is restored before the flip. The outcome holds the one
+/// run, plus its [`DivergenceReport`] when `engine.flight_recorder` is
+/// on and its [`PropagationReport`] when `engine.propagation` is on (both
+/// only when the error activated), the run's execution profile when
+/// `engine.profiler` is on, and its executed-code footprint when
+/// `engine.footprint` is on. With the recorder on, the process is
 /// checkpointed at the breakpoint and resumed once *without* the flip
-/// (recorder armed) to capture the golden continuation, then restored
-/// and injected as usual — the injected run's outcome is bit-identical
-/// to the recorder-off path.
+/// (recorder armed) to capture the golden continuation, then rewound;
+/// the injected run's outcome is bit-identical to the recorder-off path.
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-#[allow(clippy::type_complexity)]
 pub fn run_injection_recorded(
     image: &Image,
     client: &ClientSpec,
@@ -327,85 +303,102 @@ pub fn run_injection_recorded(
     target: &InjectionTarget,
     scheme: EncodingScheme,
     engine: EngineOpts,
-) -> Result<
-    (
-        InjectionRun,
-        RunMeta,
-        GroupMeta,
-        Option<DivergenceReport>,
-        Option<ExecProfile>,
-        Option<Footprint>,
-        Option<PropagationReport>,
-    ),
-    fisec_os::LoadError,
-> {
+) -> Result<GroupOutcome, fisec_os::LoadError> {
     let boot_start = Instant::now();
     let mut p = Process::load(image, client.make())?;
     engine.apply(&mut p);
-    let budget = (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR);
-    p.set_budget(budget);
+    p.set_budget(run_budget(golden));
     p.machine.add_breakpoint(target.addr);
 
     let first = p.run();
-    let boot_micros = micros_since(boot_start);
-    let Stop::Breakpoint(_) = first else {
-        // Instruction never executed: error not activated.
-        let run = InjectionRun {
-            outcome: OutcomeClass::NotActivated,
-            activated: false,
-            stop: first,
-            client: p.client_status(),
-            crash_latency: None,
-            transient_deviation: false,
-            divergence: None,
-        };
-        let meta = RunMeta {
-            icount: p.icount(),
-            run_micros: 0,
-            classify_micros: 0,
-        };
-        let group = GroupMeta {
-            boot_micros,
-            fresh_boot: true,
-            ..GroupMeta::default()
-        };
-        let profile = p.machine.take_exec_profile();
-        let footprint = p.machine.take_footprint();
-        return Ok((run, meta, group, None, profile, footprint, None));
+    let mut group = GroupMeta {
+        boot_micros: micros_since(boot_start),
+        fresh_boot: true,
+        ..GroupMeta::default()
     };
-
-    // With the recorder on, capture the golden continuation first: the
-    // checkpoint makes the detour invisible to the injected run (the
-    // restore rewinds registers, memory, icount, breakpoints and the
-    // client channel — the same machinery the group engine relies on).
-    let mut snapshot_micros = 0;
-    let golden_ref = if engine.flight_recorder {
-        let snapshot_start = Instant::now();
-        let checkpoint = p.snapshot();
-        snapshot_micros = micros_since(snapshot_start);
-        let gc = golden_continuation(&mut p, target.addr);
-        p.restore(&checkpoint);
-        Some(gc)
+    let run = if let Stop::Breakpoint(_) = first {
+        // With the recorder on, capture the golden continuation first:
+        // the checkpoint makes the detour invisible to the injected run
+        // (the restore rewinds registers, memory, icount, breakpoints
+        // and the client channel).
+        let golden_ref = engine.flight_recorder.then(|| {
+            let snapshot_start = Instant::now();
+            let checkpoint = p.snapshot();
+            group.snapshot_micros = micros_since(snapshot_start);
+            let gc = golden_continuation(&mut p, target.addr);
+            p.restore(&checkpoint);
+            gc
+        });
+        group.activated = true;
+        let (run, mut meta, report, prop) = flip_and_run(
+            &mut p,
+            image,
+            golden,
+            target,
+            scheme,
+            engine,
+            golden_ref.as_ref(),
+        );
+        // A single run counts its instructions from boot.
+        meta.icount = p.icount();
+        (run, meta, report, prop)
     } else {
-        None
+        not_activated(&p, first)
     };
+    let profile = p.machine.take_exec_profile();
+    let footprint = p.machine.take_footprint();
+    Ok((vec![run], group, profile, footprint))
+}
 
-    // Activated: corrupt the byte and continue.
-    let byte_addr = target.addr.wrapping_add(target.byte_index as u32);
+/// The run of a target whose breakpoint `p` never reached: not
+/// activated, stopped as the error-free prefix stopped, billed the
+/// prefix's icount.
+fn not_activated(p: &Process, stop: Stop) -> GroupRun {
+    let run = InjectionRun::not_activated(stop, p.client_status());
+    let meta = RunMeta {
+        icount: p.icount(),
+        ..RunMeta::default()
+    };
+    (run, meta, None, None)
+}
+
+/// Flip `target`'s bit in the memory of `p`, stopped at the target's
+/// breakpoint, and disarm the breakpoint so execution continues through
+/// the corrupted instruction.
+fn plant(p: &mut Process, target: &InjectionTarget, scheme: EncodingScheme) {
+    let byte_addr = target.addr.wrapping_add(u32::from(target.byte_index));
     let orig = p
         .machine
         .mem
         .peek8(byte_addr)
         .expect("target byte is mapped: it was decoded from the image");
-    let ctx = byte_ctx(target);
-    let corrupted = remap_flip(orig, target.bit, ctx, scheme);
     p.machine
         .mem
-        .poke8(byte_addr, corrupted)
+        .poke8(byte_addr, target.flip(orig, scheme))
         .expect("target byte is mapped");
     p.machine.remove_breakpoint(target.addr);
+}
+
+/// The experiment after activation, shared by the single run and every
+/// checkpoint-group replay. `p` is stopped at `target`'s armed
+/// breakpoint: plant the flip, arm the per-run flight recorder (when a
+/// golden continuation is given) and taint tracer (`engine.propagation`),
+/// run to the stop, take both reports and classify against golden. The
+/// run's icount counts from activation; its timer covers the flip and
+/// the run.
+fn flip_and_run(
+    p: &mut Process,
+    image: &Image,
+    golden: &GoldenRun,
+    target: &InjectionTarget,
+    scheme: EncodingScheme,
+    engine: EngineOpts,
+    golden_ref: Option<&GoldenContinuation>,
+) -> GroupRun {
+    let run_start = Instant::now();
     let activation_icount = p.icount();
-    if engine.flight_recorder {
+    plant(p, target, scheme);
+    if golden_ref.is_some() {
         p.machine.enable_flight_recorder(RECORDER_EDGES);
     }
     if engine.propagation {
@@ -413,7 +406,6 @@ pub fn run_injection_recorded(
             .enable_taint(Some(target.addr), DEFAULT_TAINT_HORIZON);
     }
 
-    let run_start = Instant::now();
     let stop = p.run();
     let run_micros = micros_since(run_start);
     let report = golden_ref.map(|gc| {
@@ -421,7 +413,7 @@ pub fn run_injection_recorded(
             .machine
             .take_flight_trace()
             .expect("recorder was armed before the run");
-        divergence::diff_run(&gc, faulty, &p.machine.mem)
+        divergence::diff_run(gc, faulty, &p.machine.mem)
     });
     let prop = p.machine.take_propagation_log().map(|log| {
         let mut rep = PropagationReport::new(log, activation_icount);
@@ -431,27 +423,15 @@ pub fn run_injection_recorded(
         rep
     });
     let final_trace = p.trace();
-    let crash_latency = match stop {
-        Stop::Crashed(_) => Some(p.icount() - activation_icount),
-        _ => None,
-    };
+    let crash_latency = stop.is_crash().then(|| p.icount() - activation_icount);
     let classify_start = Instant::now();
     let run = classify_run(golden, stop, p.client_status(), final_trace, crash_latency);
     let meta = RunMeta {
-        icount: p.icount(),
+        icount: p.icount().saturating_sub(activation_icount),
         run_micros,
         classify_micros: micros_since(classify_start),
     };
-    let group = GroupMeta {
-        boot_micros,
-        snapshot_micros,
-        restores: 0,
-        activated: true,
-        fresh_boot: true,
-    };
-    let profile = p.machine.take_exec_profile();
-    let footprint = p.machine.take_footprint();
-    Ok((run, meta, group, report, profile, footprint, prop))
+    (run, meta, report, prop)
 }
 
 /// Resume a process checkpointed at its (disarmed) breakpoint with the
@@ -474,97 +454,9 @@ fn golden_continuation(p: &mut Process, addr: u32) -> GoldenContinuation {
 
 /// Execute every experiment in a group of targets sharing one
 /// instruction address from one fresh process, replaying the
-/// boot-to-breakpoint prefix only once (see [`group`] for the
-/// procedure and [`GroupRunner`] to serve many groups from one boot).
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-///
-/// # Panics
-/// If the targets do not all share one instruction address.
-pub fn run_injection_group(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    scheme: EncodingScheme,
-) -> Result<Vec<InjectionRun>, fisec_os::LoadError> {
-    run_injection_group_metered(image, client, golden, targets, scheme)
-        .map(|(runs, _)| runs.into_iter().map(|(run, _)| run).collect())
-}
-
-/// [`run_injection_group`] plus per-run and per-boot execution metadata
-/// for the telemetry layer. Results are bit-identical to the unmetered
-/// path; the only extra work is monotonic-clock reads around each phase.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-///
-/// # Panics
-/// If the targets do not all share one instruction address.
-pub fn run_injection_group_metered(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    scheme: EncodingScheme,
-) -> Result<(Vec<(InjectionRun, RunMeta)>, GroupMeta), fisec_os::LoadError> {
-    run_injection_group_metered_opts(
-        image,
-        client,
-        golden,
-        targets,
-        scheme,
-        EngineOpts::default(),
-    )
-}
-
-/// [`run_injection_group_metered`] with explicit engine options.
-///
-/// # Errors
-/// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
-///
-/// # Panics
-/// If the targets do not all share one instruction address.
-pub fn run_injection_group_metered_opts(
-    image: &Image,
-    client: &ClientSpec,
-    golden: &GoldenRun,
-    targets: &[InjectionTarget],
-    scheme: EncodingScheme,
-    engine: EngineOpts,
-) -> Result<(Vec<(InjectionRun, RunMeta)>, GroupMeta), fisec_os::LoadError> {
-    run_injection_group_recorded(image, client, golden, targets, scheme, engine).map(
-        |(runs, group, _, _)| {
-            (
-                runs.into_iter()
-                    .map(|(run, meta, _, _)| (run, meta))
-                    .collect(),
-                group,
-            )
-        },
-    )
-}
-
-/// [`run_injection_group_metered_opts`] plus a [`DivergenceReport`] per
-/// activated run when `engine.flight_recorder` is on: the checkpoint is
-/// resumed once without the flip (recorder armed) as the group's golden
-/// continuation, then every target's replay records its own trace and
-/// is diffed against it. Outcomes are bit-identical to the recorder-off
-/// path. When `engine.profiler` is on, one [`ExecProfile`] covering the
-/// boot and every replay of the group is returned as well (the profile
-/// deliberately survives checkpoint restores, so it accounts for all
-/// instructions the group retired). When `engine.footprint` is on, one
-/// [`Footprint`] unioning the boot and every replay is returned — the
-/// byte ranges whose contents the campaign cache must key the group's
-/// memoized results on. When `engine.propagation` is on, each replay
-/// arms the taint tracer seeded at the group's address and its sealed
-/// [`PropagationReport`] rides along per run — the tracer is per-run
-/// state, so the restore at the top of the next replay would drop it
-/// anyway; the explicit take seals it first.
-///
-/// This is a one-shot [`GroupRunner`]: it loads a fresh process for the
-/// group, and an empty group loads nothing.
+/// boot-to-breakpoint prefix only once: a one-shot [`GroupRunner`] (see
+/// [`group`] for the procedure and [`GroupRunner::run`] for what the
+/// outcome holds). An empty group loads nothing.
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -584,17 +476,6 @@ pub fn run_injection_group_recorded(
     }
     let mut runner = GroupRunner::one_shot(image, client, golden, engine)?;
     Ok(runner.run(targets, scheme))
-}
-
-/// Determine the §6.2 mapping context for the corrupted byte.
-fn byte_ctx(target: &InjectionTarget) -> ByteCtx {
-    if target.byte_index == 0 {
-        ByteCtx::OneByteOpcode
-    } else if target.byte_index == 1 && target.first_byte == 0x0F {
-        ByteCtx::SecondOpcodeByte
-    } else {
-        ByteCtx::Other
-    }
 }
 
 /// Whether the *original* instruction at `addr` is a control transfer.
@@ -622,6 +503,7 @@ pub fn is_trace_prefix(trace: &Trace, golden: &Trace) -> bool {
 mod tests {
     use super::*;
     use fisec_apps::AppSpec;
+    use fisec_encoding::ByteCtx;
 
     #[test]
     fn byte_ctx_selection() {
@@ -634,10 +516,10 @@ mod tests {
             location: ErrorLocation::SixByteCond2,
             is_cond_branch: true,
         };
-        assert_eq!(byte_ctx(&mk(0x74, 0)), ByteCtx::OneByteOpcode);
-        assert_eq!(byte_ctx(&mk(0x0F, 1)), ByteCtx::SecondOpcodeByte);
-        assert_eq!(byte_ctx(&mk(0x74, 1)), ByteCtx::Other);
-        assert_eq!(byte_ctx(&mk(0x0F, 3)), ByteCtx::Other);
+        assert_eq!(mk(0x74, 0).byte_ctx(), ByteCtx::OneByteOpcode);
+        assert_eq!(mk(0x0F, 1).byte_ctx(), ByteCtx::SecondOpcodeByte);
+        assert_eq!(mk(0x74, 1).byte_ctx(), ByteCtx::Other);
+        assert_eq!(mk(0x0F, 3).byte_ctx(), ByteCtx::Other);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use crate::location::ErrorLocation;
 use fisec_asm::Image;
+use fisec_encoding::{remap_flip, ByteCtx, EncodingScheme};
 
 /// One (instruction, byte, bit) injection coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +24,28 @@ pub struct InjectionTarget {
     pub location: ErrorLocation,
     /// True when the instruction is a conditional branch.
     pub is_cond_branch: bool,
+}
+
+impl InjectionTarget {
+    /// The §6.2 mapping context of the corrupted byte: the opcode byte,
+    /// the second opcode byte after a `0x0F` escape, or any other byte.
+    pub(crate) fn byte_ctx(&self) -> ByteCtx {
+        if self.byte_index == 0 {
+            ByteCtx::OneByteOpcode
+        } else if self.byte_index == 1 && self.first_byte == 0x0F {
+            ByteCtx::SecondOpcodeByte
+        } else {
+            ByteCtx::Other
+        }
+    }
+
+    /// `orig`, the pristine byte `byte_index` bytes into the targeted
+    /// instruction, with this target's bit flipped under `scheme`
+    /// (through the §6.2 old→new→flip→new→old mapping for the new
+    /// encoding).
+    pub fn flip(&self, orig: u8, scheme: EncodingScheme) -> u8 {
+        remap_flip(orig, self.bit, self.byte_ctx(), scheme)
+    }
 }
 
 /// The target set for one application: all bits of all control-transfer

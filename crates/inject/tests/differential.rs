@@ -1,19 +1,22 @@
 //! Differential tests: the checkpointed group runner must be observably
 //! indistinguishable from booting every experiment from scratch.
 //!
-//! `run_injection_group` replays a snapshot taken at the breakpoint for
-//! every byte×bit of an instruction; these tests re-run the same pinned
-//! target slices through the one-boot-per-experiment `run_injection`
-//! oracle and require the full `InjectionRun` records — outcome class,
-//! activation, stop reason, client verdict, crash latency, transient
-//! deviation flag and divergence text — to agree field for field, for
-//! both servers and both encodings.
+//! `run_injection_group_recorded` replays a snapshot taken at the
+//! breakpoint for every byte×bit of an instruction; these tests re-run
+//! the same pinned target slices through the one-boot-per-experiment
+//! `run_injection_recorded` oracle and require the full `InjectionRun`
+//! records — outcome class, activation, stop reason, client verdict,
+//! crash latency, transient deviation flag and divergence text — to
+//! agree field for field, for both servers and both encodings. With the
+//! flight recorder and the taint tracer on, every run's divergence and
+//! propagation reports must agree as well.
 
-use fisec_apps::AppSpec;
+use fisec_apps::{AppSpec, ClientSpec};
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    enumerate_targets, golden_run, golden_run_opts, run_injection, run_injection_group,
-    run_injection_group_metered_opts, EngineOpts, InjectionTarget, OutcomeClass,
+    enumerate_targets, golden_run, golden_run_opts, run_injection, run_injection_group_recorded,
+    run_injection_recorded, EngineOpts, GoldenRun, GroupRun, InjectionRun, InjectionTarget,
+    OutcomeClass,
 };
 
 /// Group a target slice into contiguous same-address runs.
@@ -29,22 +32,72 @@ fn by_addr(targets: &[InjectionTarget]) -> Vec<&[InjectionTarget]> {
     groups
 }
 
-/// Run every target in `slice` through both engines and compare records.
+/// The classified runs of one checkpoint group.
+fn group_runs(
+    app: &AppSpec,
+    spec: &ClientSpec,
+    golden: &GoldenRun,
+    group: &[InjectionTarget],
+    scheme: EncodingScheme,
+    engine: EngineOpts,
+) -> Vec<InjectionRun> {
+    let (runs, ..) =
+        run_injection_group_recorded(&app.image, spec, golden, group, scheme, engine).unwrap();
+    runs.into_iter().map(|(run, ..)| run).collect()
+}
+
+/// Run every target in `slice` through both engines and compare records,
+/// once with every observer off and once with the flight recorder and
+/// the taint tracer on, where each run's reports must agree too.
 fn assert_paths_agree(app: &AppSpec, client_idx: usize, slice: &[InjectionTarget]) {
     let spec = &app.clients[client_idx];
     let golden = golden_run(&app.image, spec).unwrap();
-    for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
-        for group in by_addr(slice) {
-            let fast = run_injection_group(&app.image, spec, &golden, group, scheme).unwrap();
-            let slow: Vec<_> = group
-                .iter()
-                .map(|t| run_injection(&app.image, spec, &golden, t, scheme).unwrap())
-                .collect();
-            assert_eq!(
-                fast, slow,
-                "{} {} {:?} group at {:#010x} diverged between engines",
-                app.name, spec.name, scheme, group[0].addr
-            );
+    let observed = EngineOpts {
+        flight_recorder: true,
+        propagation: true,
+        ..EngineOpts::default()
+    };
+    for engine in [EngineOpts::default(), observed] {
+        for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
+            for group in by_addr(slice) {
+                let (fast, ..) =
+                    run_injection_group_recorded(&app.image, spec, &golden, group, scheme, engine)
+                        .unwrap();
+                let slow: Vec<GroupRun> = group
+                    .iter()
+                    .flat_map(|t| {
+                        run_injection_recorded(&app.image, spec, &golden, t, scheme, engine)
+                            .unwrap()
+                            .0
+                    })
+                    .collect();
+                let runs = |r: &[GroupRun]| -> Vec<InjectionRun> {
+                    r.iter().map(|(run, ..)| run.clone()).collect()
+                };
+                assert_eq!(
+                    runs(&fast),
+                    runs(&slow),
+                    "{} {} {:?} group at {:#010x} diverged between engines",
+                    app.name,
+                    spec.name,
+                    scheme,
+                    group[0].addr
+                );
+                for (t, ((run, _, fdiv, fprop), (_, _, sdiv, sprop))) in
+                    group.iter().zip(fast.iter().zip(&slow))
+                {
+                    let what = format!(
+                        "{} {} {:?} {:#010x} byte {} bit {}",
+                        app.name, spec.name, scheme, t.addr, t.byte_index, t.bit
+                    );
+                    assert_eq!(fdiv, sdiv, "{what}: divergence reports differ");
+                    assert_eq!(fprop, sprop, "{what}: propagation reports differ");
+                    if engine == observed {
+                        assert_eq!(fdiv.is_some(), run.activated, "{what}: report missing");
+                        assert_eq!(fprop.is_some(), run.activated, "{what}: report missing");
+                    }
+                }
+            }
         }
     }
 }
@@ -101,14 +154,8 @@ fn assert_block_modes_agree(app: &AppSpec, client_idx: usize, slice: &[Injection
     );
     for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
         for group in by_addr(slice) {
-            let fast =
-                run_injection_group_metered_opts(&app.image, spec, &golden_blk, group, scheme, blk)
-                    .unwrap();
-            let slow =
-                run_injection_group_metered_opts(&app.image, spec, &golden_stp, group, scheme, stp)
-                    .unwrap();
-            let fast: Vec<_> = fast.0.into_iter().map(|(run, _)| run).collect();
-            let slow: Vec<_> = slow.0.into_iter().map(|(run, _)| run).collect();
+            let fast = group_runs(app, spec, &golden_blk, group, scheme, blk);
+            let slow = group_runs(app, spec, &golden_stp, group, scheme, stp);
             assert_eq!(
                 fast, slow,
                 "{} {} {:?} group at {:#010x} diverged between block and step engines",
@@ -160,16 +207,8 @@ fn assert_trace_modes_agree(app: &AppSpec, client_idx: usize, slice: &[Injection
     );
     for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
         for group in by_addr(slice) {
-            let fast = run_injection_group_metered_opts(
-                &app.image, spec, &golden_t2, group, scheme, tier2,
-            )
-            .unwrap();
-            let slow = run_injection_group_metered_opts(
-                &app.image, spec, &golden_t1, group, scheme, tier1,
-            )
-            .unwrap();
-            let fast: Vec<_> = fast.0.into_iter().map(|(run, _)| run).collect();
-            let slow: Vec<_> = slow.0.into_iter().map(|(run, _)| run).collect();
+            let fast = group_runs(app, spec, &golden_t2, group, scheme, tier2);
+            let slow = group_runs(app, spec, &golden_t1, group, scheme, tier1);
             assert_eq!(
                 fast, slow,
                 "{} {} {:?} group at {:#010x} diverged between tier-2 and tier-1",
@@ -218,16 +257,8 @@ fn flight_recorder_is_a_pure_observer_and_engine_independent() {
         ..EngineOpts::default()
     };
     for group in by_addr(&slice) {
-        let off = run_injection_group_metered_opts(
-            &app.image,
-            spec,
-            &golden,
-            group,
-            EncodingScheme::Baseline,
-            plain,
-        )
-        .unwrap();
-        let on = fisec_inject::run_injection_group_recorded(
+        let off_runs = group_runs(&app, spec, &golden, group, EncodingScheme::Baseline, plain);
+        let on = run_injection_group_recorded(
             &app.image,
             spec,
             &golden,
@@ -236,7 +267,7 @@ fn flight_recorder_is_a_pure_observer_and_engine_independent() {
             recorded,
         )
         .unwrap();
-        let on_stp = fisec_inject::run_injection_group_recorded(
+        let on_stp = run_injection_group_recorded(
             &app.image,
             spec,
             &golden,
@@ -245,7 +276,6 @@ fn flight_recorder_is_a_pure_observer_and_engine_independent() {
             recorded_stp,
         )
         .unwrap();
-        let off_runs: Vec<_> = off.0.into_iter().map(|(run, _)| run).collect();
         let on_runs: Vec<_> = on.0.iter().map(|(run, _, _, _)| run.clone()).collect();
         assert_eq!(
             off_runs, on_runs,
@@ -296,7 +326,7 @@ fn profiler_is_a_pure_observer_in_both_engines() {
             ..EngineOpts::default()
         };
         for group in by_addr(&slice) {
-            let off = run_injection_group_metered_opts(
+            let off = run_injection_group_recorded(
                 &app.image,
                 spec,
                 &golden,
@@ -305,7 +335,7 @@ fn profiler_is_a_pure_observer_in_both_engines() {
                 plain,
             )
             .unwrap();
-            let (on_runs, on_group, profile, _) = fisec_inject::run_injection_group_recorded(
+            let (on_runs, on_group, profile, _) = run_injection_group_recorded(
                 &app.image,
                 spec,
                 &golden,
@@ -314,7 +344,7 @@ fn profiler_is_a_pure_observer_in_both_engines() {
                 profiled,
             )
             .unwrap();
-            let off_runs: Vec<_> = off.0.into_iter().map(|(run, _)| run).collect();
+            let off_runs: Vec<_> = off.0.into_iter().map(|(run, ..)| run).collect();
             let on_runs: Vec<_> = on_runs.into_iter().map(|(run, _, _, _)| run).collect();
             assert_eq!(
                 off_runs, on_runs,
@@ -347,8 +377,14 @@ fn unreached_group_is_na_in_both_engines() {
     let golden = golden_run(&app.image, spec).unwrap();
     let set = enumerate_targets(&app.image, &["retr"], true);
     let group = by_addr(&set.targets)[0];
-    let fast =
-        run_injection_group(&app.image, spec, &golden, group, EncodingScheme::Baseline).unwrap();
+    let fast = group_runs(
+        &app,
+        spec,
+        &golden,
+        group,
+        EncodingScheme::Baseline,
+        EngineOpts::default(),
+    );
     assert!(fast.iter().all(|r| r.outcome == OutcomeClass::NotActivated));
     let slow: Vec<_> = group
         .iter()
@@ -362,7 +398,13 @@ fn empty_group_is_empty() {
     let app = AppSpec::ftpd();
     let spec = &app.clients[0];
     let golden = golden_run(&app.image, spec).unwrap();
-    let runs =
-        run_injection_group(&app.image, spec, &golden, &[], EncodingScheme::Baseline).unwrap();
+    let runs = group_runs(
+        &app,
+        spec,
+        &golden,
+        &[],
+        EncodingScheme::Baseline,
+        EngineOpts::default(),
+    );
     assert!(runs.is_empty());
 }

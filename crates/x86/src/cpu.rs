@@ -802,11 +802,6 @@ impl Machine {
         self.taint = Some(Box::new(TaintTracer::new(seed, horizon)));
     }
 
-    /// Whether a propagation tracer is active.
-    pub fn taint_enabled(&self) -> bool {
-        self.taint.is_some()
-    }
-
     /// Current shadow width (tainted bytes + flags bit), when tracing.
     pub fn taint_width(&self) -> Option<u32> {
         self.taint.as_ref().map(|t| t.width())
@@ -816,6 +811,18 @@ impl Machine {
     /// [`PropagationLog`]. `None` when no tracer is active.
     pub fn take_propagation_log(&mut self) -> Option<PropagationLog> {
         self.taint.take().map(|t| t.into_log())
+    }
+
+    /// Whether no per-instruction observer is attached (coverage, EIP
+    /// trace, flight recorder, profiler), so blocks and traces may run
+    /// on the uninstrumented fast path. Live taint is decided per code
+    /// range by [`Machine::taint_wants`].
+    #[inline]
+    fn uninstrumented(&self) -> bool {
+        self.coverage.is_none()
+            && self.trace_cap == 0
+            && self.recorder.is_none()
+            && self.profile.is_none()
     }
 
     /// Does the propagation tracer need the instrumented path for the
@@ -852,11 +859,6 @@ impl Machine {
             self.blocks.stats(),
             self.traces.stats(),
         )));
-    }
-
-    /// Whether the hot-spot profiler is collecting.
-    pub fn profiler_enabled(&self) -> bool {
-        self.profile.is_some()
     }
 
     /// Stop the profiler and take the collected [`ExecProfile`], with
@@ -1063,12 +1065,8 @@ impl Machine {
                     total: 0,
                 });
             }
-            let fast = !block.writes
-                && self.coverage.is_none()
-                && self.trace_cap == 0
-                && self.recorder.is_none()
-                && self.profile.is_none()
-                && !self.taint_wants(block.entry, block.end);
+            let fast =
+                !block.writes && self.uninstrumented() && !self.taint_wants(block.entry, block.end);
             let mut resident = false;
             loop {
                 let gen = self.mem.exec_gen();
@@ -1135,10 +1133,9 @@ impl Machine {
     /// case everything retired so far is exactly what tier 1 would have
     /// retired).
     fn exec_trace(&mut self, t: &SuperTrace, steps: &mut u64) -> Option<RunOutcome> {
-        let fast = self.coverage.is_none()
-            && self.trace_cap == 0
-            && self.recorder.is_none()
-            && self.profile.is_none();
+        // No taint term: live taint declines a trace before it runs
+        // (see `run_blocks`), so every trace that runs is taint-free.
+        let fast = self.uninstrumented();
         // A trace whose every block was marked under this epoch skips
         // the per-block footprint check.
         let marking =
