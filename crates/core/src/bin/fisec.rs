@@ -1111,7 +1111,8 @@ fn cache_ls(root: &std::path::Path) {
 /// deterministically sampled group and diff the fresh outcomes against
 /// the memoized entry. Catches the one documented soundness gap (code
 /// bytes read as *data* are not in any footprint) and any store
-/// corruption the shape checks cannot see.
+/// corruption the shape checks cannot see. Every target re-runs through
+/// the from-scratch oracle, sharing no walk with the engine that wrote it.
 ///
 /// # Errors
 /// A drift report (nonzero exit) when any sampled group's re-execution
@@ -1176,10 +1177,12 @@ fn cache_verify(root: &std::path::Path, seed: u64) -> Result<(), String> {
             ));
             continue;
         };
-        let (runs, _, _, _) = fisec_inject::run_injection_group_recorded(
-            &app.image, spec, &golden, &targets, scheme, engine,
-        )
-        .map_err(|e| e.to_string())?;
+        let mut runs = Vec::with_capacity(targets.len());
+        for t in &targets {
+            let oracle =
+                fisec_inject::run_injection_recorded(&app.image, spec, &golden, t, scheme, engine);
+            runs.extend(oracle.map_err(|e| e.to_string())?.0);
+        }
         checked += 1;
         let mut mismatches = 0usize;
         for ((run, _meta, rep, _prop), cached) in runs.iter().zip(&entry.runs) {

@@ -18,11 +18,11 @@
 //!    code bytes of the injected instruction; and
 //! 3. the **footprint hash** is unchanged — the current image text
 //!    hashed over the byte ranges the group's runs actually fetched for
-//!    execution (recorded by [`fisec_x86::Footprint`], a union over the
-//!    boot and every replay). Anything a run fetched can affect its
-//!    outcome; anything outside provably cannot. Code bytes read as
-//!    *data* are the one documented exception — `fisec cache verify`
-//!    exists to audit it.
+//!    execution (recorded by [`fisec_x86::Footprint`], a union over
+//!    golden's execution up to activation and every replay). Anything a
+//!    run fetched can affect its outcome; anything outside provably
+//!    cannot. Code bytes read as *data* are the one documented
+//!    exception — `fisec cache verify` exists to audit it.
 //!
 //! The store is one JSON file per (app, client, scheme, recorder) under
 //! the cache root (`~/.fisec-cache` or `--cache DIR`), written with the
@@ -270,7 +270,7 @@ pub struct GroupEntry {
     pub key: String,
     /// Targets in campaign order.
     pub targets: Vec<CachedTarget>,
-    /// Executed-code footprint of the group's boot + replays.
+    /// Executed-code footprint: golden up to activation, and every replay.
     pub foot: Vec<FootRange>,
     /// Image text hashed over `foot` at store time; a mismatch against
     /// the current image invalidates the entry.

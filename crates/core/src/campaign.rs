@@ -5,11 +5,10 @@ use crate::counts::{LocationCounts, OutcomeCounts};
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    enumerate_targets, golden_run_opts, golden_run_with_coverage_opts, run_injection_recorded,
-    DivergenceReport, EngineOpts, GoldenRun, GroupMeta, GroupRunner, InjectionRun, InjectionTarget,
+    enumerate_targets, golden_run_opts, run_injection_recorded, DivergenceReport, EngineOpts,
+    FirstFetchPass, GoldenRun, GroupMeta, InjectionRun, InjectionTarget, LatentRunner,
     OutcomeClass, PropagationReport, RunMeta,
 };
-use fisec_os::Stop;
 use fisec_telemetry::{
     metric, CacheEvent, CampaignEndEvent, CampaignEvent, HotBlock, MetricsShard, Phase,
     ProfileData, ProfileEvent, PropagationEvent, RunEvent, SlowShape, SpanEvent, Telemetry,
@@ -23,11 +22,12 @@ use std::time::Instant;
 /// How the engine executes the per-target experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Checkpoint-based: boot each (client, instruction-address) pair to
-    /// the breakpoint once, snapshot, and replay only the post-flip
+    /// Checkpoint-based: walk golden forward once per worker and client,
+    /// checkpoint at each instruction's activation icount (where its
+    /// breakpoint would first fire), and replay only the post-flip
     /// suffix for every byte×bit of that instruction. Targets at
     /// addresses the golden run never executes are classified NA from
-    /// the golden coverage set without spawning a run. Produces results
+    /// the first-fetch pass without spawning a run. Produces results
     /// bit-identical to [`ExecutionMode::FromScratch`] (enforced by the
     /// differential tests) at a fraction of the wall-clock.
     #[default]
@@ -731,8 +731,8 @@ impl<'a> WorkerTel<'a> {
         }
     }
 
-    /// A group classified NA wholesale by the golden-coverage
-    /// pre-filter: no process ever ran, so icount/micros are zero.
+    /// A group classified NA wholesale by the first-fetch pass (the
+    /// NA pre-filter): no process ran for it, so icount/micros are zero.
     fn note_prefilter(&mut self, targets: &[InjectionTarget]) {
         if !self.tel.enabled() {
             return;
@@ -1113,27 +1113,28 @@ pub fn run_campaign_cached(
 /// 1. Group the targets by instruction address. Enumeration emits them
 ///    address-major, so each checkpoint group (also the cache's
 ///    memoization unit) is a contiguous slice.
-/// 2. Snapshot mode only: groups at addresses the golden run never
-///    executes are synthesized as NA wholesale. The injected run's
-///    pre-activation execution is identical to golden, so its
-///    breakpoint can never be hit and it must stop exactly as golden
-///    did.
+/// 2. Snapshot mode only: run the [`FirstFetchPass`]. Groups at
+///    addresses golden never executes are synthesized as NA wholesale:
+///    the injected run's pre-activation execution is identical to
+///    golden, so its breakpoint can never be hit and it must stop
+///    exactly as golden did. A pass that does not qualify sends the
+///    client through the from-scratch arm instead.
 /// 3. With a store only: look each remaining group up; a hit folds the
 ///    memoized runs without booting a process.
 /// 4. Run the remaining groups from a shared work queue (groups vary
 ///    wildly in cost, so static chunking would straggle). In snapshot
-///    mode each worker serves its groups from one [`GroupRunner`],
-///    created on the first group it executes, so a client costs each
-///    worker at most one process load. In from-scratch mode, the
-///    paper's §4 procedure and the reference oracle, every target boots
-///    afresh through [`run_injection_recorded`].
+///    mode the queue is in activation order and each worker serves its
+///    groups from one [`LatentRunner`] on the pass, so its walk only
+///    moves forward and it loads at most one process. In from-scratch
+///    mode, the paper's §4 procedure and the reference oracle, every
+///    target boots afresh through [`run_injection_recorded`].
 /// 5. With a store only: record each executed group and its footprint.
 /// 6. Reassemble the runs in target order.
 #[allow(clippy::too_many_arguments)]
-fn run_targets<'a>(
-    app: &'a AppSpec,
+fn run_targets(
+    app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
-    golden: &'a GoldenRun,
+    golden: &GoldenRun,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1150,46 +1151,34 @@ fn run_targets<'a>(
         None => cfg.engine(),
     };
 
-    // Worker 0 is the campaign thread: it owns the coverage boot, the
-    // pre-filter, the cache lookups, the sequential path and the final
+    // Worker 0 is the campaign thread: it owns the first-fetch pass, the
+    // NA synthesis, the cache lookups, the sequential path and the final
     // reassembly.
     let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
 
-    // The NA pre-filter is sound only when the golden run's stop proves
-    // the replayed prefix cannot reach the breakpoint: an Exited or
-    // Deadlock golden run stops at the same point under the (larger)
-    // injection budget, while a Budget golden would keep running and a
-    // fetch-faulted golden stops *before* its final address enters the
-    // coverage set. Outside the safe cases every group runs for real.
-    let coverage = if cfg.mode == ExecutionMode::Snapshot
-        && matches!(golden.stop, Stop::Exited(_) | Stop::Deadlock)
-    {
-        let cov_start = Instant::now();
-        let (gold2, cov) =
-            golden_run_with_coverage_opts(&app.image, spec, cfg.engine()).expect("image loads");
-        debug_assert_eq!(gold2.icount, golden.icount);
+    let pass = (cfg.mode == ExecutionMode::Snapshot).then(|| {
+        let pass_start = Instant::now();
+        let pass = FirstFetchPass::run(&app.image, spec, golden, engine).expect("image loads");
         if tel.enabled() {
             wt0.shard.inc(metric::FRESH_BOOTS, 1);
-            wt0.shard.phase_add(Phase::Boot, micros_since(cov_start));
+            wt0.shard.phase_add(Phase::Boot, micros_since(pass_start));
         }
-        Some(cov)
-    } else {
-        None
-    };
+        pass
+    });
+    let pass = pass.as_ref().filter(|p| p.qualifies());
 
     // One group on a worker: execute it, digest each report down to the
     // per-run numbers the campaign keeps, drop the traces, and — with a
     // cache attached — write the memoized entry back.
-    let run_group = |runner: &mut Option<GroupRunner<'a>>,
+    let run_group = |runner: &mut Option<LatentRunner<'_>>,
                      group: &[InjectionTarget],
                      wt: &mut WorkerTel<'_>|
      -> Vec<DigestedRun> {
-        let (runs, foot): (Vec<DigestedRun>, _) = match cfg.mode {
-            ExecutionMode::Snapshot => {
-                let runner = runner.get_or_insert_with(|| {
-                    GroupRunner::new(&app.image, spec, golden, engine).expect("image loads")
-                });
-                let (runs, gmeta, prof, fp) = runner.run(group, cfg.scheme);
+        let (runs, foot): (Vec<DigestedRun>, _) = match runner {
+            Some(runner) => {
+                let (runs, gmeta, prof, fp) = runner
+                    .run_group(golden, group, cfg.scheme)
+                    .expect("image loads");
                 let runs: Vec<MeteredRun> = runs
                     .into_iter()
                     .map(|(run, meta, rep, preport)| {
@@ -1205,7 +1194,7 @@ fn run_targets<'a>(
                     .collect();
                 (runs, fp.map(|f| f.ranges()).unwrap_or_default())
             }
-            ExecutionMode::FromScratch => {
+            None => {
                 let mut foot = Vec::new();
                 let runs = group
                     .iter()
@@ -1242,45 +1231,43 @@ fn run_targets<'a>(
         }
         runs
     };
+    let runner = || pass.map(|p| LatentRunner::with_pass(&app.image, spec, p));
 
-    // Prefilter first, cache second: a group the golden coverage proves
-    // NA is synthesized for free and never touches (or populates) the
-    // store; the survivors consult the cache before executing.
+    // NA first, cache second: a group the pass proves NA is synthesized
+    // for free and never touches (or populates) the store; the survivors
+    // consult the cache before executing, and queue in activation order.
     let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
-    let live: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter_map(|(gi, group)| {
-            if coverage
-                .as_ref()
-                .is_some_and(|cov| !cov.contains(&group[0].addr))
-            {
-                let na = InjectionRun::not_activated(golden.stop.clone(), golden.client);
-                slots[gi] = Some(vec![(na, None, None); group.len()]);
-                wt0.note_prefilter(group);
-                return None;
-            }
-            if let Some(runs) = store.and_then(|s| consult(s, app, spec, group, &mut wt0)) {
-                slots[gi] = Some(runs);
-                return None;
-            }
-            Some(gi)
-        })
-        .collect();
+    let mut live: Vec<(u64, usize)> = Vec::with_capacity(groups.len());
+    for (gi, group) in groups.iter().enumerate() {
+        // `Some(None)`: the pass proves golden never reaches the group.
+        let activation = pass.map(|p| p.activation(group[0].addr));
+        if activation == Some(None) {
+            let na = InjectionRun::not_activated(golden.stop.clone(), golden.client);
+            slots[gi] = Some(vec![(na, None, None); group.len()]);
+            wt0.note_prefilter(group);
+            continue;
+        }
+        if let Some(runs) = store.and_then(|s| consult(s, app, spec, group, &mut wt0)) {
+            slots[gi] = Some(runs);
+            continue;
+        }
+        live.push((activation.flatten().unwrap_or(0), gi));
+    }
+    live.sort_unstable();
 
     let threads = cfg.threads.max(1).min(live.len().max(1));
     if threads <= 1 {
-        let mut runner = None;
-        for &gi in &live {
+        let mut runner = runner();
+        for &(_, gi) in &live {
             slots[gi] = Some(run_group(&mut runner, groups[gi], &mut wt0));
         }
     } else {
         let slots_mx = Mutex::new(&mut slots);
         run_work_queue(threads, live.len(), |w, pull| {
             let mut wt = WorkerTel::new(tel, client_idx, w + 1, span_epoch);
-            let mut runner = None;
+            let mut runner = runner();
             while let Some(i) = pull() {
-                let gi = live[i];
+                let gi = live[i].1;
                 let runs = run_group(&mut runner, groups[gi], &mut wt);
                 let wait_start = Instant::now();
                 let mut guard = slots_mx.lock().expect("no worker panicked");

@@ -36,7 +36,8 @@ use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    golden_run_opts, EngineOpts, GoldenRun, InjectionRun, LatentError, LatentRunner, OutcomeClass,
+    golden_run_opts, EngineOpts, FirstFetchPass, GoldenRun, InjectionRun, LatentError,
+    LatentRunner, OutcomeClass,
 };
 use fisec_telemetry::{
     metric, MetricsShard, OutcomeHists, Phase, RandomBatchEvent, RandomCampaignEvent,
@@ -709,13 +710,25 @@ fn run_random_inner(
         return Ok(stats_of(init_tallies, init_hists));
     }
 
+    let mut main = MetricsShard::new();
     let boot_start = Instant::now();
     let golden = golden_run_opts(&app.image, client, cfg.engine)
         .map_err(|e| format!("golden run: {e:?}"))?;
+    main.inc(metric::FRESH_BOOTS, 1);
+    main.phase_add(Phase::Boot, micros_since(boot_start));
+    // One first-fetch pass serves every worker's runner.
+    let pass = match cfg.mode {
+        ExecutionMode::Snapshot => {
+            let boot_start = Instant::now();
+            let pass = FirstFetchPass::run(&app.image, client, &golden, cfg.engine)
+                .map_err(|e| format!("first-fetch pass: {e:?}"))?;
+            main.inc(metric::FRESH_BOOTS, 1);
+            main.phase_add(Phase::Boot, micros_since(boot_start));
+            Some(pass)
+        }
+        ExecutionMode::FromScratch => None,
+    };
     if tel.enabled() {
-        let mut main = MetricsShard::new();
-        main.inc(metric::FRESH_BOOTS, 1);
-        main.phase_add(Phase::Boot, micros_since(boot_start));
         tel.metrics.absorb(&main);
     }
     // The §6.2 byte contexts come from decoding every function body:
@@ -757,29 +770,12 @@ fn run_random_inner(
 
     let threads = cfg.threads.max(1).min(total_batches - first_batch);
     let worker_err: Mutex<Option<String>> = Mutex::new(None);
-    run_work_queue(threads, total_batches - first_batch, |w, pull| {
+    run_work_queue(threads, total_batches - first_batch, |_, pull| {
         let mut shard = MetricsShard::new();
-        let boot_start = Instant::now();
-        let mut runner = match cfg.mode {
-            ExecutionMode::Snapshot => {
-                match LatentRunner::snapshot(&app.image, client, &golden, cfg.engine) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        *worker_err.lock().expect("no worker panicked") =
-                            Some(format!("worker {w}: image load: {e:?}"));
-                        return;
-                    }
-                }
-            }
-            ExecutionMode::FromScratch => {
-                LatentRunner::from_scratch(&app.image, client, &golden, cfg.engine)
-            }
+        let mut runner = match &pass {
+            Some(pass) => LatentRunner::with_pass(&app.image, client, pass),
+            None => LatentRunner::from_scratch(&app.image, client, &golden, cfg.engine),
         };
-        if tel.enabled() {
-            shard.inc(metric::FRESH_BOOTS, runner.construction_boots());
-            shard.phase_add(Phase::Boot, micros_since(boot_start));
-        }
-        let boots_per_run = runner.boots_per_run();
         let mut errs = Vec::with_capacity(batch);
         while let Some(i) = pull() {
             if committer.stop.load(Ordering::Relaxed) {
@@ -808,7 +804,6 @@ fn run_random_inner(
                 hist.record(meta.icount);
                 if tel.enabled() {
                     shard.inc(metric::RUNS, 1);
-                    shard.inc(metric::FRESH_BOOTS, boots_per_run);
                     shard.observe(metric::REPLAY_MICROS, meta.run_micros);
                     shard.observe(metric::ICOUNT, meta.icount);
                     shard.phase_add(Phase::Replay, meta.run_micros);
@@ -831,6 +826,8 @@ fn run_random_inner(
             committer.commit(b, partial);
         }
         if tel.enabled() {
+            // This worker's process loads (one per run from scratch).
+            shard.inc(metric::FRESH_BOOTS, runner.loads());
             tel.metrics.absorb(&shard);
         }
     });

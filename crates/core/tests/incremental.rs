@@ -104,8 +104,8 @@ fn warm_run_is_all_hits_zero_replays_and_byte_identical_in_both_modes() {
 
         // Warm: 100% hits, no stores, and the engine never replayed —
         // zero snapshot restores. Snapshot mode boots twice per client
-        // (golden + the NA-prefilter coverage boot, which by design
-        // runs before the store is consulted); from-scratch once.
+        // (golden + the first-fetch pass, which by design runs before
+        // the store is consulted); from-scratch once.
         assert_eq!(warm_m.counter(metric::CACHE_HIT_GROUPS), groups, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_MISS_GROUPS), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_STALE_GROUPS), 0, "{mode:?}");
@@ -118,7 +118,7 @@ fn warm_run_is_all_hits_zero_replays_and_byte_identical_in_both_modes() {
         assert_eq!(
             warm_m.counter(metric::FRESH_BOOTS),
             boots_per_client * app.clients.len() as u64,
-            "{mode:?}: warm run must boot golden/coverage and nothing else"
+            "{mode:?}: warm run must boot golden/pass and nothing else"
         );
         assert!(warm_m.counter(metric::CACHE_SYNTH_RUNS) > 0, "{mode:?}");
 
@@ -144,8 +144,8 @@ fn snapshot_store_warms_a_from_scratch_run_and_vice_versa() {
     let groups = cold_m.counter(metric::CACHE_MISS_GROUPS);
     // Every group the snapshot campaign stored folds into the
     // from-scratch run. From-scratch consults *more* groups — the ones
-    // the snapshot NA-prefilter proved dead and never stored — and
-    // those miss, run live, and heal into the store.
+    // the snapshot engine's first-fetch pass proved dead and never
+    // stored — and those miss, run live, and heal into the store.
     let (warm_scratch, m) = run(&app, &scratch_cfg, Some(&cache));
     assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), groups);
     assert!(

@@ -16,12 +16,27 @@
 //! own text, one that ends on its budget, and one that crashes — and
 //! check that the runner falls back to full sessions there and still
 //! matches the oracle.
+//!
+//! The group tests build images on which a §4 flip replayed from its
+//! byte's rung would differ from the breakpoint procedure — golden reads
+//! a byte of a later instruction as data, or first executes an
+//! instruction overlapping a later target's bytes — or on which a
+//! fetched byte starts an instruction golden never executes, which must
+//! come back NA. Together with a golden session that ends on its budget
+//! and one that crashes, each checks [`LatentRunner::run_group`], one
+//! runner serving every group, and the one-shot
+//! [`run_injection_group_recorded`] against the breakpoint oracle
+//! [`run_injection_recorded`] for every byte×bit of an instruction
+//! decoded at every text offset.
 
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::{Assembler, Image};
 use fisec_core::random::{corrupt_byte, opcode_contexts};
 use fisec_encoding::EncodingScheme;
-use fisec_inject::{golden_run, EngineOpts, GoldenRun, InjectionRun, LatentError, LatentRunner};
+use fisec_inject::{
+    golden_run, run_injection_group_recorded, run_injection_recorded, EngineOpts, ErrorLocation,
+    FirstFetchPass, GoldenRun, InjectionRun, InjectionTarget, LatentError, LatentRunner,
+};
 use fisec_os::{Process, Stop};
 
 /// Byte stride over the text. Odd and coprime with every instruction
@@ -75,8 +90,9 @@ fn assert_matches_oracle(
             (run, meta.icount)
         })
         .collect();
-    let mut runner = LatentRunner::snapshot(image, spec, golden, engine).unwrap();
-    let rungs: Vec<Option<u64>> = (0..image.text.len()).map(|o| runner.rung(o)).collect();
+    let pass = FirstFetchPass::run(image, spec, golden, engine).unwrap();
+    let rungs: Vec<Option<u64>> = (0..image.text.len()).map(|o| pass.rung(o)).collect();
+    let mut runner = LatentRunner::with_pass(image, spec, &pass);
     let single: Vec<Outcome> = errs
         .iter()
         .map(|&e| {
@@ -216,4 +232,176 @@ fn crashing_golden_takes_full_sessions() {
     let errs = every_flip(&image);
     let rungs = assert_matches_oracle("crashing image", &image, spec, &golden, &errs);
     assert!(rungs.iter().all(|&t| t == Some(0)));
+}
+
+/// One group per text offset: every byte×bit of the instruction decoded
+/// there, whether or not golden ever executes it.
+fn every_group(image: &Image) -> Vec<Vec<InjectionTarget>> {
+    let text = &image.text;
+    (0..text.len())
+        .map(|off| {
+            let inst = fisec_x86::decode(&text[off..(off + 15).min(text.len())]);
+            let len = inst.len.clamp(1, (text.len() - off) as u8);
+            (0..len)
+                .flat_map(|byte_index| {
+                    let inst = &inst;
+                    (0..8u8).map(move |bit| InjectionTarget {
+                        addr: TEXT_BASE + off as u32,
+                        inst_len: len,
+                        byte_index,
+                        bit,
+                        first_byte: text[off],
+                        location: ErrorLocation::classify(inst, byte_index),
+                        is_cond_branch: inst.is_cond_branch(),
+                    })
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every group of `image`, under both schemes, through the one-shot call
+/// and through one reused runner (in address order, then backwards,
+/// which restarts its walk at every group) against one oracle run per
+/// target. Returns the first-fetch pass.
+fn assert_groups_match_oracle(what: &str, image: &Image, golden: &GoldenRun) -> FirstFetchPass {
+    let app = AppSpec::ftpd();
+    let spec = &app.clients[0];
+    let engine = EngineOpts::default();
+    let groups = every_group(image);
+    let pass = FirstFetchPass::run(image, spec, golden, engine).unwrap();
+    for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
+        let oracle: Vec<Vec<InjectionRun>> = groups
+            .iter()
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|t| {
+                        let (runs, ..) =
+                            run_injection_recorded(image, spec, golden, t, scheme, engine).unwrap();
+                        runs[0].0.clone()
+                    })
+                    .collect()
+            })
+            .collect();
+        let runs = |outcome: fisec_inject::GroupOutcome| -> Vec<InjectionRun> {
+            outcome.0.into_iter().map(|(run, ..)| run).collect()
+        };
+        let mut runner = LatentRunner::with_pass(image, spec, &pass);
+        let order = (0..groups.len()).chain((0..groups.len()).rev());
+        for (i, gi) in order.enumerate() {
+            let group = &groups[gi];
+            let at = format!("{what} {scheme:?} group at offset {gi}");
+            if i < groups.len() {
+                let one_shot =
+                    run_injection_group_recorded(image, spec, golden, group, scheme, engine)
+                        .unwrap();
+                assert_eq!(runs(one_shot), oracle[gi], "{at}: one-shot");
+            }
+            let reused = runner.run_group(golden, group, scheme).unwrap();
+            assert_eq!(runs(reused), oracle[gi], "{at}: reused runner");
+        }
+    }
+    pass
+}
+
+#[test]
+fn groups_match_the_oracle_when_golden_reads_a_later_instruction() {
+    // movzx eax, byte [TEXT_BASE + 10]; mov ecx, eax; mov ebx, 5 (its
+    // immediate is the byte just read); add ebx, ecx; mov eax, 1;
+    // int 0x80 (exit 10).
+    let mut code = vec![0x0F, 0xB6, 0x05];
+    code.extend((TEXT_BASE + 10).to_le_bytes());
+    code.extend([0x89, 0xC1, 0xBB, 5, 0, 0, 0, 0x01, 0xCB]);
+    code.extend([0xB8, 1, 0, 0, 0, 0xCD, 0x80]);
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(10));
+    let pass = assert_groups_match_oracle("data-reading image", &image, &golden);
+    // The read collapses the §7 rungs to icount 0, below the mov's
+    // activation: a flip planted there would reach the read too.
+    assert!(pass.qualifies());
+    assert_eq!(pass.rung(10), Some(0));
+    assert_eq!(pass.activation(TEXT_BASE + 9), Some(2));
+}
+
+#[test]
+fn groups_match_the_oracle_when_golden_first_runs_an_overlapping_instruction() {
+    // xor ebx, ebx; xor ecx, ecx; jmp into the immediate of the mov at
+    // offset 6, which decodes as inc ebx; nop; nop; nop; then inc ecx;
+    // cmp ecx, 2; jne back to the mov itself (taken once); mov eax, 1;
+    // int 0x80 (exit 1).
+    let code = [
+        0x31, 0xDB, 0x31, 0xC9, 0xEB, 0x01, 0xB8, 0x43, 0x90, 0x90, 0x90, 0x41, 0x83, 0xF9, 0x02,
+        0x75, 0xF5, 0xB8, 1, 0, 0, 0, 0xCD, 0x80,
+    ];
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(1));
+    let pass = assert_groups_match_oracle("overlapping image", &image, &golden);
+    // The mov's immediate is first fetched as the inc ebx, well before
+    // the mov first executes.
+    let activation = pass.activation(TEXT_BASE + 6).unwrap();
+    assert_eq!(pass.rung(7), pass.activation(TEXT_BASE + 7));
+    assert!(pass.rung(7).unwrap() < activation, "{activation}");
+}
+
+#[test]
+fn group_at_an_unexecuted_start_inside_an_executed_instruction_is_na() {
+    // nop; mov eax, 1; mov ebx, 0; int 0x80 (exit 0). The bytes inside
+    // the movs are fetched, yet no instruction starts there for golden.
+    let code = [0x90, 0xB8, 1, 0, 0, 0, 0xBB, 0, 0, 0, 0, 0xCD, 0x80];
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(0));
+    let pass = assert_groups_match_oracle("unexecuted-start image", &image, &golden);
+    for off in [2usize, 3, 4, 5, 7, 8, 9, 10, 12] {
+        assert!(pass.rung(off).is_some(), "offset {off} is fetched");
+        assert_eq!(
+            pass.activation(TEXT_BASE + off as u32),
+            None,
+            "offset {off}"
+        );
+    }
+    let mut runner = LatentRunner::with_pass(&image, spec, &pass);
+    for off in [2usize, 7] {
+        let group = &every_group(&image)[off];
+        let (runs, meta, ..) = runner
+            .run_group(&golden, group, EncodingScheme::Baseline)
+            .unwrap();
+        assert!(!meta.activated, "offset {off}");
+        assert!(runs.iter().all(|(run, ..)| !run.activated), "offset {off}");
+    }
+}
+
+#[test]
+fn groups_match_the_oracle_when_golden_ends_on_its_budget() {
+    // loop: inc eax; jmp loop
+    let image = raw_image(&[0x40, 0xEB, 0xFD]);
+    let spec = &AppSpec::ftpd().clients[0];
+    let mut p = Process::load(&image, spec.make()).unwrap();
+    p.set_budget(50_000);
+    let golden = GoldenRun {
+        stop: p.run(),
+        client: p.client_status(),
+        trace: p.trace(),
+        icount: p.icount(),
+    };
+    assert_eq!(golden.stop, Stop::Budget);
+    let pass = assert_groups_match_oracle("budget-bound image", &image, &golden);
+    assert!(!pass.qualifies());
+}
+
+#[test]
+fn groups_match_the_oracle_when_golden_crashes() {
+    // mov eax, [0] (SIGSEGV); then an exit the session never reaches.
+    let image = raw_image(&[0xA1, 0, 0, 0, 0, 0xB8, 1, 0, 0, 0, 0xCD, 0x80]);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert!(golden.stop.is_crash(), "{:?}", golden.stop);
+    let pass = assert_groups_match_oracle("crashing image", &image, &golden);
+    assert!(!pass.qualifies());
 }

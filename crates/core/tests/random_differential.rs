@@ -16,7 +16,7 @@ use fisec_core::random::{
     truncate_torn_tail, RandomConfig,
 };
 use fisec_core::{trace, EncodingScheme, ExecutionMode};
-use fisec_inject::{golden_run, EngineOpts, LatentRunner};
+use fisec_inject::{golden_run, EngineOpts, FirstFetchPass};
 use fisec_telemetry::{metric, JsonlSink, NullSink, Phase, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -96,22 +96,19 @@ fn random_campaign_reports_phases_and_shortcut_counts() {
     assert_eq!(stats.result.runs, RUNS);
 
     let golden = golden_run(&app.image, &app.clients[0]).unwrap();
-    let runner =
-        LatentRunner::snapshot(&app.image, &app.clients[0], &golden, EngineOpts::default())
-            .unwrap();
+    let pass =
+        FirstFetchPass::run(&app.image, &app.clients[0], &golden, EngineOpts::default()).unwrap();
     let rungs: Vec<Option<u64>> = (0..RUNS as u64)
-        .map(|i| runner.rung(random::draw(SEED, i, app.image.text.len()).0))
+        .map(|i| pass.rung(random::draw(SEED, i, app.image.text.len()).0))
         .collect();
     let unfetched = rungs.iter().filter(|t| t.is_none()).count() as u64;
     assert!(unfetched > 0 && unfetched < RUNS as u64, "{unfetched}");
 
     let snap = tel.metrics.snapshot();
     assert_eq!(snap.counter(metric::RUNS), RUNS as u64);
-    // Process loads: the golden run, then the runner's own.
-    assert_eq!(
-        snap.counter(metric::FRESH_BOOTS),
-        1 + runner.construction_boots()
-    );
+    // Process loads: the golden run, the first-fetch pass and the one
+    // worker's runner.
+    assert_eq!(snap.counter(metric::FRESH_BOOTS), 3);
     assert_eq!(snap.counter(metric::NA_PREFILTER_RUNS), unfetched);
     // One restore per replayed draw plus one per walk step: a distinct
     // rung above icount 0 within a batch.

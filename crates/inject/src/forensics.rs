@@ -86,6 +86,7 @@ pub fn crash_forensics(
         return Ok(None);
     };
     let activation_icount = p.icount();
+    p.machine.remove_breakpoint(target.addr);
     plant(&mut p, target, scheme);
     p.machine.enable_eip_trace(TRACE_WINDOW);
     let bytes_before: usize = traffic_bytes(&p);

@@ -1,56 +1,53 @@
-//! Latent-error execution: the §7 random-injection primitive.
+//! The snapshot engine, and its from-scratch oracle.
 //!
-//! The breakpoint injector in the crate root models *transient* errors
-//! that appear mid-run. The concluding-remarks experiment instead
-//! plants a **latent** error — a corrupted text byte present from the
-//! moment the page is loaded (§5.4's memory-error model) — and runs the
-//! whole session against it. There is no activation breakpoint and no
-//! crash-latency anchor; a run indistinguishable from golden is simply
-//! "no effect".
+//! Two kinds of work run on it:
 //!
-//! Still, a latent flip cannot matter before the golden run first
-//! fetches the flipped byte: until then the corrupted session executes
-//! exactly golden's instructions, so its state there is golden's, and a
-//! replay from golden's state at any icount up to that fetch is exact.
-//! The snapshot runner reuses that prefix (FastFlip's idea, arXiv
-//! 2403.13989: reuse the work an error provably cannot reach). At
-//! construction a *first-fetch pass* runs the golden session once with
-//! coverage on ([`fisec_x86::Machine::first_retire`]) and gives every
-//! text byte a *rung*: the icount at which golden first fetches it. A
-//! draw on a byte golden never fetches reproduces golden without
-//! executing; any other draw can replay from its byte's rung. The pass
-//! counts only if it matches golden, ends by exit or deadlock, writes no
-//! executable byte and reads none as data
-//! ([`fisec_x86::Memory::exec_data_reads`]); otherwise every byte's rung
-//! is icount 0, i.e. full sessions.
+//! * the §4 campaign ([`LatentRunner::run_group`]): every target at one
+//!   instruction address flips its bit when a breakpoint there would
+//!   first fire, at the instruction's *activation icount* (its first
+//!   retirement − 1);
+//! * the §7 test ([`LatentRunner::run`], [`LatentRunner::run_batch`]): a
+//!   text byte corrupted from load (§5.4's memory-error model) for the
+//!   whole session, with no breakpoint; a run indistinguishable from
+//!   golden is "no effect".
 //!
-//! [`LatentRunner`] is the per-worker executor the random tier drives
-//! millions of times. It comes in the campaign engine's two execution
-//! modes, pinned bit-identical by differential tests:
+//! Neither error can matter before golden reaches its instruction or
+//! fetches its byte, so a replay from golden's state there is exact
+//! (FastFlip, arXiv 2403.13989: reuse the work an error provably cannot
+//! reach). A [`FirstFetchPass`] runs golden once with coverage on and
+//! derives both replay points, each under its own guard:
 //!
-//! * [`LatentRunner::snapshot`] boots the pristine image once,
-//!   checkpoints at icount 0 and runs the first-fetch pass.
-//!   [`run`](LatentRunner::run) serves a draw as restore the icount-0
-//!   checkpoint → poke the corrupted byte → run.
-//!   [`run_batch`](LatentRunner::run_batch) orders a batch's draws by
-//!   rung and serves them from one forward walk of the golden session:
-//!   run to the next rung under the budget, checkpoint there, replay
-//!   every draw due at that rung from the checkpoint, then walk on.
-//!   Restoring rewinds registers, memory, icount and the client
-//!   channel, so the poke lands on exactly the state a fresh boot of the
-//!   corrupted image reaches at that icount.
-//! * [`LatentRunner::from_scratch`] keeps a private scratch [`Image`],
-//!   writes the corrupted byte into its text, boots a fresh process,
-//!   and repairs the byte after — the oracle the snapshot path is
-//!   checked against. It takes no shortcut.
+//! * activation icounts hold when the pass matches golden and ends by
+//!   exit or deadlock, so an instruction that never retires is never
+//!   reached (NA); otherwise groups go through the oracle,
+//!   [`run_injection_recorded`];
+//! * rungs (a byte's first fetch) hold when, besides, the pass writes no
+//!   executable byte and reads none as data
+//!   ([`fisec_x86::Memory::exec_data_reads`]), since a latent byte is
+//!   there from load; otherwise every rung is icount 0.
+//!
+//! Campaign flips never replay from a byte's rung: a golden read of text
+//! as data, or an earlier instruction overlapping the target's bytes,
+//! puts it below the activation icount.
+//!
+//! A snapshot runner's *walk* moves one checkpoint forward along golden,
+//! re-captured in place ([`fisec_os::Process::snapshot_into`]), and
+//! restarts from icount 0 for a point behind it. The oracle,
+//! [`LatentRunner::from_scratch`], boots a patched [`Image`] clone per run.
 
 use crate::classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
-use crate::{micros_since, run_budget, EngineOpts, RunMeta};
+use crate::target::InjectionTarget;
+use crate::{
+    flip_and_run, golden_continuation, micros_since, not_activated, run_budget,
+    run_injection_recorded, EngineOpts, GroupMeta, GroupOutcome, RunMeta,
+};
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
+use fisec_encoding::EncodingScheme;
 use fisec_net::{ClientStatus, Trace};
 use fisec_os::{Process, ProcessSnapshot, Stop};
-use fisec_x86::Machine;
+use fisec_x86::{ExecProfile, Footprint, Machine};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// One latent text-segment error: the byte at `offset` (relative to the
@@ -80,46 +77,221 @@ pub struct BatchMeta {
     pub restores: u64,
 }
 
-/// Rung of a byte the golden session never fetches.
+/// Icount marker of an instruction or byte golden never reaches.
 const NEVER: u64 = u64::MAX;
 
-enum Inner {
-    /// Pristine process checkpointed at icount 0, plus what the
-    /// first-fetch pass learned.
+/// One golden session with coverage on, and the replay points it
+/// proves. Run once per (image, client, engine) and shared by every
+/// runner of that triple.
+#[derive(Debug, Clone)]
+pub struct FirstFetchPass {
+    engine: EngineOpts,
+    budget: u64,
+    text_base: u32,
+    /// Per text offset, the activation icount of an instruction starting
+    /// there ([`NEVER`] if none executes); `None` when the pass does not
+    /// qualify.
+    activation: Option<Vec<u64>>,
+    /// Per text byte, its rung ([`NEVER`] if never fetched); all zeros
+    /// when the §7 guard fails.
+    rungs: Vec<u64>,
+    /// The pass's profile and footprint, when the engine asks for them:
+    /// the work a group served without executing stands for.
+    profile: Option<Box<ExecProfile>>,
+    footprint: Option<Footprint>,
+}
+
+impl FirstFetchPass {
+    /// Run golden once with coverage on, in a process of its own, under
+    /// the injected runs' budget, and derive every activation icount and
+    /// rung.
+    ///
+    /// # Errors
+    /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
+    pub fn run(
+        image: &Image,
+        client: &ClientSpec,
+        golden: &GoldenRun,
+        engine: EngineOpts,
+    ) -> Result<FirstFetchPass, fisec_os::LoadError> {
+        let budget = run_budget(golden);
+        // Allocated before the pass's process, below everything it frees.
+        let mut activation = vec![NEVER; image.text.len()];
+        let mut rungs = vec![NEVER; image.text.len()];
+        let mut p = Process::load(image, client.make())?;
+        engine.apply(&mut p);
+        p.set_budget(budget);
+        p.machine.enable_coverage();
+        let exec_gen = p.machine.mem.exec_gen();
+        let exec_reads = p.machine.mem.exec_data_reads();
+        let stop = p.run();
+        let session = GoldenRun {
+            stop,
+            client: p.client_status(),
+            trace: p.trace(),
+            icount: p.icount(),
+        };
+        derive(&mut activation, &mut rungs, image, &p.machine);
+        let qualifies =
+            session == *golden && matches!(session.stop, Stop::Exited(_) | Stop::Deadlock);
+        if !(qualifies
+            && p.machine.mem.exec_gen() == exec_gen
+            && p.machine.mem.exec_data_reads() == exec_reads)
+        {
+            rungs.fill(0);
+        }
+        Ok(FirstFetchPass {
+            engine,
+            budget,
+            text_base: image.text_base,
+            activation: qualifies.then_some(activation),
+            rungs,
+            profile: p.machine.take_exec_profile().map(Box::new),
+            footprint: p.machine.take_footprint(),
+        })
+    }
+
+    /// Whether the activation icounts are exact: the pass matched golden
+    /// and ended by exit or deadlock.
+    pub fn qualifies(&self) -> bool {
+        self.activation.is_some()
+    }
+
+    /// The icount at which a breakpoint at `addr` first fires. `None`
+    /// when golden never executes an instruction there, or when the
+    /// pass does not [qualify](FirstFetchPass::qualifies).
+    pub fn activation(&self, addr: u32) -> Option<u64> {
+        let off = addr.checked_sub(self.text_base)? as usize;
+        let t = *self.activation.as_ref()?.get(off)?;
+        (t != NEVER).then_some(t)
+    }
+
+    /// The rung of text byte `offset`: golden's first fetch of it, where
+    /// a §7 batch replays a draw on it from. `None` for a byte golden
+    /// never fetches; `Some(0)` for every byte when the §7 guard fails.
+    pub fn rung(&self, offset: usize) -> Option<u64> {
+        self.rungs.get(offset).copied().filter(|&t| t != NEVER)
+    }
+}
+
+/// Give each instruction start golden executes its activation icount,
+/// and each byte golden fetches the icount of its first fetch, from the
+/// first-retire icounts `machine` recorded (entries start at [`NEVER`]).
+///
+/// An instruction fetches exactly the bytes its decode consumes (the
+/// decoder reads nothing past them), so a byte's first fetch is the
+/// icount just before the first retirement of an instruction covering
+/// it: the minimum of first retirement − 1 over those instructions.
+fn derive(activation: &mut [u64], rungs: &mut [u64], image: &Image, machine: &Machine) {
+    let text = &image.text;
+    for off in 0..text.len() {
+        let Some(retired) = machine.first_retire(image.text_base.wrapping_add(off as u32)) else {
+            continue;
+        };
+        activation[off] = retired - 1;
+        let len = usize::from(fisec_x86::decode(&text[off..(off + 15).min(text.len())]).len);
+        for t in &mut rungs[off..(off + len).min(text.len())] {
+            *t = (*t).min(retired - 1);
+        }
+    }
+}
+
+/// A snapshot runner's process, its icount-0 checkpoint `boot`, and the
+/// one checkpoint `rung` its walk has moved to icount `at`.
+struct Walk {
+    process: Process,
+    boot: ProcessSnapshot,
+    rung: Option<ProcessSnapshot>,
+    at: u64,
+    /// What the walk fetched from icount 0 to `at` (footprint engines
+    /// only): the same set whether it got there in one step or many.
+    walked: Option<Footprint>,
+}
+
+impl Walk {
+    /// Restore the checkpoint the walk stands on.
+    fn restore(&mut self) {
+        let from = match &self.rung {
+            Some(r) if self.at > 0 => r,
+            _ => &self.boot,
+        };
+        self.process.restore(from);
+    }
+
+    /// Move the walk's checkpoint to golden icount `t` (from icount 0
+    /// when `t` lies behind it) and re-capture it there with the session
+    /// `budget`. Returns the microseconds walking and capturing; nothing
+    /// runs when the walk already stands at `t`.
+    fn step_to(&mut self, t: u64, budget: u64, engine: EngineOpts) -> Result<(u64, u64), String> {
+        if t < self.at {
+            (self.at, self.walked) = (0, None);
+        }
+        if t == self.at {
+            return Ok((0, 0));
+        }
+        let start = Instant::now();
+        self.restore();
+        self.process.set_budget(t);
+        if engine.footprint {
+            self.process.machine.enable_footprint();
+        }
+        let stop = self.process.run();
+        let fetched = self.process.machine.take_footprint();
+        union(&mut self.walked, fetched.as_ref());
+        if stop != Stop::Budget || self.process.icount() != t {
+            return Err(format!(
+                "golden walk to icount {t} stopped at icount {}: {stop}",
+                self.process.icount()
+            ));
+        }
+        self.process.set_budget(budget);
+        let walked = micros_since(start);
+        let start = Instant::now();
+        match &mut self.rung {
+            Some(r) => self.process.snapshot_into(r),
+            None => self.rung = Some(self.process.snapshot()),
+        }
+        self.at = t;
+        Ok((walked, micros_since(start)))
+    }
+}
+
+/// Add every range of `from` to `into`.
+fn union(into: &mut Option<Footprint>, from: Option<&Footprint>) {
+    let Some(f) = from else { return };
+    match into {
+        Some(acc) => f
+            .ranges()
+            .into_iter()
+            .for_each(|(a, n)| acc.mark_range(a, n)),
+        None => *into = Some(f.clone()),
+    }
+}
+
+enum Inner<'a> {
+    /// A pass, and the walk loaded on the first draw or group that
+    /// executes.
     Snapshot {
-        process: Box<Process>,
-        checkpoint: Box<ProcessSnapshot>,
-        /// Per text byte, its rung ([`NEVER`] if golden never fetches
-        /// it). All zeros when the pass failed its guard.
-        rungs: Vec<u64>,
-        /// The pristine session the pass ran, which every draw on a
-        /// never-fetched byte reproduces.
-        pass: GoldenRun,
-        /// The checkpoint of the walk's current rung, kept across
-        /// batches so each capture reuses its buffers (`None` until the
-        /// first walk).
-        rung: Option<Box<ProcessSnapshot>>,
+        pass: Cow<'a, FirstFetchPass>,
+        walk: Option<Box<Walk>>,
     },
     /// Private image clone whose text is patched and repaired per run.
     FromScratch { scratch: Image },
 }
 
-/// Reusable latent-error executor for one (image, client) pair. Create
-/// one per worker thread; every [`run`](LatentRunner::run) is
-/// independent of the previous one.
+/// Reusable executor for one (image, client) pair. Create one per worker
+/// thread; every run, batch and group is independent of the ones before.
 pub struct LatentRunner<'a> {
+    image: &'a Image,
     client: &'a ClientSpec,
     engine: EngineOpts,
     budget: u64,
-    text_base: u32,
-    text_len: usize,
-    inner: Inner,
+    loads: u64,
+    inner: Inner<'a>,
 }
 
 impl<'a> LatentRunner<'a> {
-    /// Snapshot-mode runner: run the first-fetch pass (one golden
-    /// session with coverage on, in a process of its own), then boot
-    /// once and checkpoint at icount 0.
+    /// Snapshot-mode runner that runs and owns its [`FirstFetchPass`].
     ///
     /// # Errors
     /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -129,26 +301,29 @@ impl<'a> LatentRunner<'a> {
         golden: &GoldenRun,
         engine: EngineOpts,
     ) -> Result<LatentRunner<'a>, fisec_os::LoadError> {
-        let budget = run_budget(golden);
-        let (rungs, pass) = first_fetch_pass(image, client, golden, engine, budget)?;
-        let mut p = Process::load(image, client.make())?;
-        engine.apply(&mut p);
-        p.set_budget(budget);
-        let checkpoint = Box::new(p.snapshot());
-        Ok(LatentRunner {
+        let pass = FirstFetchPass::run(image, client, golden, engine)?;
+        Ok(LatentRunner::over(image, client, Cow::Owned(pass)))
+    }
+
+    /// Snapshot-mode runner borrowing `pass`, which must have been run
+    /// for this image and client.
+    pub fn with_pass(
+        image: &'a Image,
+        client: &'a ClientSpec,
+        pass: &'a FirstFetchPass,
+    ) -> LatentRunner<'a> {
+        LatentRunner::over(image, client, Cow::Borrowed(pass))
+    }
+
+    fn over(image: &'a Image, client: &'a ClientSpec, pass: Cow<'a, FirstFetchPass>) -> Self {
+        LatentRunner {
+            image,
             client,
-            engine,
-            budget,
-            text_base: image.text_base,
-            text_len: image.text.len(),
-            inner: Inner::Snapshot {
-                process: Box::new(p),
-                checkpoint,
-                rungs,
-                pass,
-                rung: None,
-            },
-        })
+            engine: pass.engine,
+            budget: pass.budget,
+            loads: 0,
+            inner: Inner::Snapshot { pass, walk: None },
+        }
     }
 
     /// From-scratch-mode runner: clone the image once, boot a fresh
@@ -160,46 +335,47 @@ impl<'a> LatentRunner<'a> {
         engine: EngineOpts,
     ) -> LatentRunner<'a> {
         LatentRunner {
+            image,
             client,
             engine,
             budget: run_budget(golden),
-            text_base: image.text_base,
-            text_len: image.text.len(),
+            loads: 0,
             inner: Inner::FromScratch {
                 scratch: image.clone(),
             },
         }
     }
 
-    /// Processes this runner loaded when it was built (2 in snapshot
-    /// mode: the first-fetch pass and the runner's own; 0 from scratch)
-    /// — for the engine's boot accounting.
-    pub fn construction_boots(&self) -> u64 {
-        match self.inner {
-            Inner::Snapshot { .. } => 2,
-            Inner::FromScratch { .. } => 0,
-        }
+    /// Processes this runner has loaded, for the engine's boot
+    /// accounting: in snapshot mode its own once work needed it (not the
+    /// pass); from scratch, one per run and per group target.
+    pub fn loads(&self) -> u64 {
+        self.loads
     }
 
-    /// Fresh boots this runner performs per run (1 from scratch, 0 from
-    /// a snapshot restore) — for the engine's boot/restore accounting.
-    pub fn boots_per_run(&self) -> u64 {
-        match self.inner {
-            Inner::Snapshot { .. } => 0,
-            Inner::FromScratch { .. } => 1,
+    /// A snapshot runner's walk, loading the process and checkpointing it
+    /// at icount 0 the first time; then also the load's microseconds.
+    fn walk(&mut self) -> Result<(&mut Walk, Option<u64>), fisec_os::LoadError> {
+        let Inner::Snapshot { walk, .. } = &mut self.inner else {
+            unreachable!("only snapshot runners walk");
+        };
+        let mut load_micros = None;
+        if walk.is_none() {
+            let start = Instant::now();
+            let mut process = Process::load(self.image, self.client.make())?;
+            self.engine.configure(&mut process);
+            process.set_budget(self.budget);
+            *walk = Some(Box::new(Walk {
+                boot: process.snapshot(),
+                process,
+                rung: None,
+                at: 0,
+                walked: None,
+            }));
+            self.loads += 1;
+            load_micros = Some(micros_since(start));
         }
-    }
-
-    /// The rung of text byte `offset`: the golden icount a batch replays
-    /// a draw on it from, golden's first fetch of the byte. `None` for a
-    /// byte golden never fetches; `Some(0)` for every byte when the
-    /// first-fetch pass failed its guard, and in from-scratch mode,
-    /// which takes no shortcut.
-    pub fn rung(&self, offset: usize) -> Option<u64> {
-        match &self.inner {
-            Inner::Snapshot { rungs, .. } => rungs.get(offset).copied().filter(|&t| t != NEVER),
-            Inner::FromScratch { .. } => Some(0),
-        }
+        Ok((walk.as_deref_mut().expect("loaded above"), load_micros))
     }
 
     /// Execute one session with `err` planted and classify it against
@@ -220,24 +396,25 @@ impl<'a> LatentRunner<'a> {
         err: LatentError,
     ) -> Result<(InjectionRun, RunMeta), String> {
         self.check(err)?;
+        let text_base = self.image.text_base;
         match &mut self.inner {
-            Inner::Snapshot {
-                process,
-                checkpoint,
-                rungs,
-                pass,
-                ..
-            } => Ok(if rungs[err.offset] == NEVER {
-                unfetched(golden, pass)
-            } else {
-                replay(process, checkpoint, self.text_base, golden, err)
-            }),
+            Inner::Snapshot { pass, .. } => {
+                if pass.rungs[err.offset] == NEVER {
+                    return Ok(unfetched(golden));
+                }
+                let (w, _) = self
+                    .walk()
+                    .map_err(|e| format!("image failed to load: {e:?}"))?;
+                w.process.restore(&w.boot);
+                Ok(replay(&mut w.process, text_base, golden, err))
+            }
             Inner::FromScratch { scratch } => {
                 let orig = scratch.text[err.offset];
                 scratch.text[err.offset] = err.corrupted;
                 let start = Instant::now();
                 let mut p = Process::load(scratch, self.client.make())
                     .map_err(|e| format!("corrupted image failed to load: {e:?}"))?;
+                self.loads += 1;
                 self.engine.apply(&mut p);
                 p.set_budget(self.budget);
                 let stop = p.run();
@@ -264,10 +441,9 @@ impl<'a> LatentRunner<'a> {
     ///
     /// In snapshot mode, draws on never-fetched bytes are served without
     /// executing; the rest are ordered by their byte's rung `t` and
-    /// served from one forward walk of the golden session: run to `t`
-    /// under the budget, checkpoint, then restore + poke + run +
-    /// classify each draw due at `t`, restore, and walk on. From-scratch
-    /// mode runs the draws one by one, in order.
+    /// served from one walk of the golden session from icount 0: step to
+    /// `t`, then restore + poke + run + classify each draw due at `t`.
+    /// From-scratch mode runs the draws one by one, in order.
     ///
     /// # Errors
     /// A message when any draw's offset is outside the text segment
@@ -282,14 +458,7 @@ impl<'a> LatentRunner<'a> {
         for &err in errs {
             self.check(err)?;
         }
-        let Inner::Snapshot {
-            process,
-            checkpoint,
-            rungs,
-            pass,
-            rung,
-        } = &mut self.inner
-        else {
+        let Inner::Snapshot { pass, .. } = &self.inner else {
             for (i, &err) in errs.iter().enumerate() {
                 let (run, meta) = self.run(golden, err)?;
                 each(i, run, meta);
@@ -297,150 +466,186 @@ impl<'a> LatentRunner<'a> {
             return Ok(BatchMeta::default());
         };
         let mut meta = BatchMeta::default();
-        let mut due: Vec<usize> = Vec::with_capacity(errs.len());
+        let mut due: Vec<(u64, usize)> = Vec::with_capacity(errs.len());
         for (i, err) in errs.iter().enumerate() {
-            if rungs[err.offset] == NEVER {
-                let (run, run_meta) = unfetched(golden, pass);
-                each(i, run, run_meta);
-                meta.unfetched += 1;
-            } else {
-                due.push(i);
+            match pass.rungs[err.offset] {
+                NEVER => {
+                    let (run, run_meta) = unfetched(golden);
+                    each(i, run, run_meta);
+                    meta.unfetched += 1;
+                }
+                t => due.push((t, i)),
             }
         }
-        let rung_of = |i: usize| rungs[errs[i].offset];
-        due.sort_unstable_by_key(|&i| (rung_of(i), i));
-        let restores_before = process.restore_count();
-        // Replays restore the icount-0 checkpoint until the walk has
-        // captured a rung further along in this batch.
-        let mut at = 0;
-        for i in due {
-            let t = rung_of(i);
-            if t > at {
-                let start = Instant::now();
-                process.restore(standing_on(at, checkpoint, rung));
-                process.set_budget(t);
-                let stop = process.run();
-                if stop != Stop::Budget || process.icount() != t {
-                    return Err(format!(
-                        "golden walk to icount {t} stopped at icount {}: {stop}",
-                        process.icount()
-                    ));
-                }
-                // Rungs carry the session budget, so replays restore it.
-                process.set_budget(self.budget);
-                match rung {
-                    Some(r) => process.snapshot_into(r),
-                    None => *rung = Some(Box::new(process.snapshot())),
-                }
-                at = t;
+        if due.is_empty() {
+            return Ok(meta);
+        }
+        due.sort_unstable();
+        let (text_base, budget, engine) = (self.image.text_base, self.budget, self.engine);
+        let (w, _) = self
+            .walk()
+            .map_err(|e| format!("image failed to load: {e:?}"))?;
+        let restores_before = w.process.restore_count();
+        // Every batch walks from icount 0.
+        (w.at, w.walked) = (0, None);
+        for (t, i) in due {
+            if t > w.at {
+                let (walked, captured) = w.step_to(t, budget, engine)?;
                 meta.rungs += 1;
-                meta.rung_micros += micros_since(start);
+                meta.rung_micros += walked + captured;
             }
-            let from = standing_on(at, checkpoint, rung);
-            let (run, run_meta) = replay(process, from, self.text_base, golden, errs[i]);
+            w.restore();
+            let (run, run_meta) = replay(&mut w.process, text_base, golden, errs[i]);
             each(i, run, run_meta);
         }
-        meta.restores = process.restore_count() - restores_before;
+        meta.restores = w.process.restore_count() - restores_before;
         Ok(meta)
+    }
+
+    /// Execute every experiment of one checkpoint group — every target
+    /// at one instruction address — with the outcome one fresh boot and
+    /// breakpoint per target gives.
+    ///
+    /// With a qualifying pass, a group golden never reaches is NA: its
+    /// runs stop as the pass did, and it carries the pass's profile and
+    /// footprint. Otherwise the walk steps to the activation icount, and
+    /// each target restores that checkpoint and goes through the
+    /// oracle's flip-and-run step (plant the flip on the live byte, run,
+    /// classify); with the recorder on, the checkpoint first runs once
+    /// unflipped as the golden continuation. The profile covers the walk
+    /// step and the replays; the footprint adds to the replays' what the
+    /// walk fetched from icount 0. From scratch, or when the pass does
+    /// not qualify, every target goes through [`run_injection_recorded`]
+    /// (folded, without a profile).
+    ///
+    /// # Errors
+    /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
+    ///
+    /// # Panics
+    /// If the targets do not all share one instruction address, or if
+    /// the walk stops short of an activation icount the pass reached (a
+    /// runner bug).
+    pub fn run_group(
+        &mut self,
+        golden: &GoldenRun,
+        targets: &[InjectionTarget],
+        scheme: EncodingScheme,
+    ) -> Result<GroupOutcome, fisec_os::LoadError> {
+        let Some(addr) = targets.first().map(|t| t.addr) else {
+            return Ok((Vec::new(), GroupMeta::default(), None, None));
+        };
+        assert!(
+            targets.iter().all(|t| t.addr == addr),
+            "a checkpoint group requires targets sharing one address"
+        );
+        let (image, engine, budget) = (self.image, self.engine, self.budget);
+        let pass = match &self.inner {
+            Inner::Snapshot { pass, .. } if pass.qualifies() => pass,
+            _ => {
+                self.loads += targets.len() as u64;
+                return oracle_group(image, self.client, golden, targets, scheme, engine);
+            }
+        };
+        let Some(activation) = pass.activation(addr) else {
+            let na = not_activated(golden.stop.clone(), golden.client, golden.icount);
+            let runs = vec![na; targets.len()];
+            let (profile, footprint) = (pass.profile.as_deref().cloned(), pass.footprint.clone());
+            return Ok((runs, GroupMeta::default(), profile, footprint));
+        };
+        let (w, load_micros) = self.walk()?;
+        if engine.profiler {
+            w.process.machine.enable_profiler();
+        }
+        let (walked, snapshot_micros) = w
+            .step_to(activation, budget, engine)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let mut group = GroupMeta {
+            boot_micros: load_micros.unwrap_or(0) + walked,
+            snapshot_micros,
+            activated: true,
+            fresh_boot: load_micros.is_some(),
+            ..GroupMeta::default()
+        };
+        if engine.footprint {
+            w.process.machine.enable_footprint();
+        }
+        // One golden continuation serves the whole group; the restore at
+        // the top of every replay rewinds the detour.
+        let golden_ref = engine.flight_recorder.then(|| {
+            w.restore();
+            golden_continuation(&mut w.process)
+        });
+        let restores_before = w.process.restore_count();
+        let runs = targets
+            .iter()
+            .map(|target| {
+                let restore_start = Instant::now();
+                w.restore();
+                let restore_micros = micros_since(restore_start);
+                let gc = golden_ref.as_ref();
+                let mut run =
+                    flip_and_run(&mut w.process, image, golden, target, scheme, engine, gc);
+                // A replay's timer includes its restore.
+                run.1.run_micros += restore_micros;
+                run
+            })
+            .collect();
+        group.restores = w.process.restore_count() - restores_before;
+        let profile = w.process.machine.take_exec_profile();
+        let mut footprint = w.process.machine.take_footprint();
+        union(&mut footprint, w.walked.as_ref());
+        Ok((runs, group, profile, footprint))
     }
 
     /// Reject an offset outside the text segment.
     fn check(&self, err: LatentError) -> Result<(), String> {
-        if err.offset >= self.text_len {
+        let len = self.image.text.len();
+        if err.offset >= len {
             return Err(format!(
-                "latent-error offset {} out of range for text segment of {} bytes",
-                err.offset, self.text_len
+                "latent-error offset {} out of range for text segment of {len} bytes",
+                err.offset
             ));
         }
         Ok(())
     }
 }
 
-/// The checkpoint a batch's walk stands on at icount `at`: the icount-0
-/// checkpoint, or the rung the walk captured there.
-fn standing_on<'s>(
-    at: u64,
-    checkpoint: &'s ProcessSnapshot,
-    rung: &'s Option<Box<ProcessSnapshot>>,
-) -> &'s ProcessSnapshot {
-    match rung {
-        Some(r) if at > 0 => r,
-        _ => checkpoint,
-    }
-}
-
-/// Run the golden session once with coverage on, in a process of its
-/// own (freed before the runner boots its own), and derive every text
-/// byte's rung. Returns the rungs and the session the pass ran. When
-/// the pass fails the guard — it differs from `golden`, ends other than
-/// by exit or deadlock, writes an executable byte or reads one as data
-/// — every rung is icount 0.
-fn first_fetch_pass(
+/// Every target of a group through the from-scratch oracle, folded into
+/// one outcome: the runs in target order and their footprints' union.
+fn oracle_group(
     image: &Image,
     client: &ClientSpec,
     golden: &GoldenRun,
+    targets: &[InjectionTarget],
+    scheme: EncodingScheme,
     engine: EngineOpts,
-    budget: u64,
-) -> Result<(Vec<u64>, GoldenRun), fisec_os::LoadError> {
-    // Allocated before the pass's process, below everything it frees.
-    let mut rungs = vec![NEVER; image.text.len()];
-    let mut p = Process::load(image, client.make())?;
-    engine.configure(&mut p);
-    p.set_budget(budget);
-    p.machine.enable_coverage();
-    let exec_gen = p.machine.mem.exec_gen();
-    let exec_reads = p.machine.mem.exec_data_reads();
-    let stop = p.run();
-    let pass = GoldenRun {
-        stop,
-        client: p.client_status(),
-        trace: p.trace(),
-        icount: p.icount(),
+) -> Result<GroupOutcome, fisec_os::LoadError> {
+    let meta = GroupMeta {
+        fresh_boot: true,
+        ..GroupMeta::default()
     };
-    let sound = pass == *golden
-        && matches!(pass.stop, Stop::Exited(_) | Stop::Deadlock)
-        && p.machine.mem.exec_gen() == exec_gen
-        && p.machine.mem.exec_data_reads() == exec_reads;
-    if sound {
-        derive_rungs(&mut rungs, image, &p.machine);
-    } else {
-        rungs.fill(0);
+    let mut out: GroupOutcome = (Vec::with_capacity(targets.len()), meta, None, None);
+    for target in targets {
+        let (runs, meta, _, fp) =
+            run_injection_recorded(image, client, golden, target, scheme, engine)?;
+        out.0.extend(runs);
+        out.1.boot_micros += meta.boot_micros;
+        out.1.snapshot_micros += meta.snapshot_micros;
+        out.1.activated |= meta.activated;
+        union(&mut out.3, fp.as_ref());
     }
-    Ok((rungs, pass))
+    Ok(out)
 }
 
-/// Give each text byte golden fetches (entries of `rungs` start at
-/// [`NEVER`]) the icount of its first fetch, from the first-retire
-/// icounts `machine` recorded.
-///
-/// An instruction fetches exactly the bytes its decode consumes (the
-/// decoder reads nothing past them), so a byte's first fetch is the
-/// icount just before the first retirement of an instruction covering
-/// it: the minimum of first retirement − 1 over those instructions.
-fn derive_rungs(rungs: &mut [u64], image: &Image, machine: &Machine) {
-    let text = &image.text;
-    for off in 0..text.len() {
-        let Some(retired) = machine.first_retire(image.text_base.wrapping_add(off as u32)) else {
-            continue;
-        };
-        let len = usize::from(fisec_x86::decode(&text[off..(off + 15).min(text.len())]).len);
-        for t in &mut rungs[off..(off + len).min(text.len())] {
-            *t = (*t).min(retired - 1);
-        }
-    }
-}
-
-/// Restore `from`, plant `err`, run to a stop and classify against
-/// `golden`: the one replay primitive behind both snapshot-mode paths.
-/// `run_micros` times the run after the restore and the poke.
+/// Plant `err` in `process`, restored to its replay point, run to a
+/// stop and classify against `golden`: the one replay primitive behind
+/// both §7 paths. `run_micros` times the run after the poke.
 fn replay(
     process: &mut Process,
-    from: &ProcessSnapshot,
     text_base: u32,
     golden: &GoldenRun,
     err: LatentError,
 ) -> (InjectionRun, RunMeta) {
-    process.restore(from);
     let addr = text_base.wrapping_add(err.offset as u32);
     process
         .machine
@@ -460,17 +665,9 @@ fn replay(
     )
 }
 
-/// A draw on a never-fetched byte: the pristine session, classified,
-/// with no run time.
-fn unfetched(golden: &GoldenRun, pass: &GoldenRun) -> (InjectionRun, RunMeta) {
-    classify_latent(
-        golden,
-        pass.stop.clone(),
-        pass.client,
-        pass.trace.clone(),
-        pass.icount,
-        0,
-    )
+/// A draw on a never-fetched byte: golden, classified, with no run time.
+fn unfetched(g: &GoldenRun) -> (InjectionRun, RunMeta) {
+    classify_latent(g, g.stop.clone(), g.client, g.trace.clone(), g.icount, 0)
 }
 
 /// Classify a finished latent session against `golden`.
@@ -527,10 +724,10 @@ mod tests {
             assert_eq!(a.stop, b.stop, "offset {offset} bit {bit}");
             assert_eq!(am.icount, bm.icount, "offset {offset} bit {bit}");
         }
-        assert_eq!(snap.boots_per_run(), 0);
-        assert_eq!(fresh.boots_per_run(), 1);
-        assert_eq!(snap.construction_boots(), 2);
-        assert_eq!(fresh.construction_boots(), 0);
+        // One load for the snapshot runner's own process (the pass is
+        // counted where it runs), one per run from scratch.
+        assert_eq!(snap.loads(), 1);
+        assert_eq!(fresh.loads(), 5);
     }
 
     #[test]
@@ -576,8 +773,8 @@ mod tests {
         let spec = &app.clients[0];
         let golden = golden_run(&image, spec).unwrap();
         assert_eq!((golden.stop.clone(), golden.icount), (Stop::Exited(0), 6));
-        let runner = LatentRunner::snapshot(&image, spec, &golden, EngineOpts::default()).unwrap();
-        let rungs: Vec<_> = (0..code.len()).map(|o| runner.rung(o)).collect();
+        let pass = FirstFetchPass::run(&image, spec, &golden, EngineOpts::default()).unwrap();
+        let rungs: Vec<_> = (0..code.len()).map(|o| pass.rung(o)).collect();
         // nop, nop and the 2-byte jmp are fetched at icounts 0, 1, 2;
         // the dead byte never is; mov ebx (5 bytes), mov eax (5) and
         // int (2) at 3, 4, 5.

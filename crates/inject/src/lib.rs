@@ -12,11 +12,14 @@
 //!    golden (error-free) run: **NA**, **NM**, **SD**, **FSV** or
 //!    **BRK**, plus the crash latency used by Figure 4 and the error
 //!    location taxonomy of Tables 2/3.
+//!
+//! Breakpoints belong to the oracle, [`run_injection_recorded`]. The
+//! snapshot engine ([`latent`]) plants each flip at the icount where the
+//! breakpoint would first fire; the two share only flip-and-run.
 
 pub mod classify;
 pub mod divergence;
 pub mod forensics;
-pub mod group;
 pub mod latent;
 pub mod location;
 pub mod persist;
@@ -26,8 +29,7 @@ pub mod target;
 pub use classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
 pub use divergence::{DivergenceReport, GoldenContinuation, RECORDER_EDGES};
 pub use forensics::{crash_forensics, CrashReport, PathSegment};
-pub use group::{GroupOutcome, GroupRun, GroupRunner};
-pub use latent::{BatchMeta, LatentError, LatentRunner};
+pub use latent::{BatchMeta, FirstFetchPass, LatentError, LatentRunner};
 pub use location::ErrorLocation;
 pub use propagation::{kind_label, PropagationReport};
 pub use target::{enumerate_targets, InjectionTarget, TargetSet};
@@ -35,9 +37,9 @@ pub use target::{enumerate_targets, InjectionTarget, TargetSet};
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
 use fisec_encoding::EncodingScheme;
-use fisec_net::Trace;
+use fisec_net::{ClientStatus, Trace};
 use fisec_os::{Process, Stop};
-use fisec_x86::DEFAULT_TAINT_HORIZON;
+use fisec_x86::{ExecProfile, Footprint, DEFAULT_TAINT_HORIZON};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -114,26 +116,21 @@ impl EngineOpts {
         self
     }
 
+    /// Select the execution engine and start the requested observers.
     fn apply(self, p: &mut Process) {
         self.configure(p);
-        self.observe(p);
-    }
-
-    /// Select the execution engine.
-    fn configure(self, p: &mut Process) {
-        p.machine.set_block_engine(self.block_cache);
-        p.machine.set_trace_cache(self.trace_cache);
-    }
-
-    /// Start the requested per-process observers afresh: a new profile
-    /// and a new footprint.
-    fn observe(self, p: &mut Process) {
         if self.profiler {
             p.machine.enable_profiler();
         }
         if self.footprint {
             p.machine.enable_footprint();
         }
+    }
+
+    /// Select the execution engine.
+    fn configure(self, p: &mut Process) {
+        p.machine.set_block_engine(self.block_cache);
+        p.machine.set_trace_cache(self.trace_cache);
     }
 }
 
@@ -158,10 +155,9 @@ pub fn golden_run_opts(
 }
 
 /// [`golden_run_opts`] that also records the set of instruction
-/// addresses the golden run executes. The campaign engine uses the
-/// coverage set to classify targets at never-executed addresses as NA
-/// without spawning a run: execution before activation is identical to
-/// golden, so a breakpoint at an uncovered address can never be hit.
+/// addresses the golden run executes: execution before activation is
+/// identical to golden, so a breakpoint at an uncovered address can
+/// never be hit (the campaign learns this from its [`FirstFetchPass`]).
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -211,11 +207,10 @@ fn run_budget(golden: &GoldenRun) -> u64 {
 pub struct RunMeta {
     /// Guest instructions retired for this run: since boot for
     /// [`run_injection_recorded`], since activation (the checkpoint the
-    /// replay restores) for a checkpoint group's replay. When the
-    /// breakpoint was never reached, every not-activated run reports
-    /// the prefix's icount (the work a from-scratch run would have
-    /// retired). A latent-error run reports the whole session's icount
-    /// however much of it was replayed.
+    /// replay restores) for a checkpoint group's replay. A run that
+    /// never activated reports the icount golden stopped at (the work a
+    /// from-scratch run would have retired). A latent-error run reports
+    /// the whole session's icount however much of it was replayed.
     pub icount: u64,
     /// Host microseconds replaying the run (0 for runs that never
     /// activated): planting the flip and running the post-activation
@@ -235,27 +230,45 @@ pub struct RunMeta {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupMeta {
     /// Host microseconds booting from `_start` to the breakpoint (or to
-    /// the natural stop when the breakpoint was never reached). For a
-    /// [`GroupRunner`] group this is the restore of its icount-0
-    /// checkpoint plus the prefix, plus the process load on the
-    /// runner's first group.
+    /// the natural stop when it was never reached). For a
+    /// [`LatentRunner`] group this is the walk step to the activation
+    /// icount, plus the process load on the runner's first group.
     pub boot_micros: u64,
-    /// Host microseconds capturing the checkpoint at the breakpoint (0
-    /// when none was taken: the breakpoint was never reached, or a
-    /// single run went without the flight recorder).
+    /// Host microseconds capturing the checkpoint at activation (0 when
+    /// none was taken: the error never activated, a single run went
+    /// without the flight recorder, or the walk already stood there).
     pub snapshot_micros: u64,
     /// Checkpoint restores performed for this group's replays: one per
     /// activated target of a checkpoint group, 0 for a single run
-    /// (which replays nothing). A runner's restore to its icount-0
-    /// checkpoint belongs to the boot, not counted here.
+    /// (which replays nothing). The walk's restores belong to the boot.
     pub restores: u64,
-    /// Whether the breakpoint was reached (the error could activate).
+    /// Whether the breakpoint would fire (the error could activate).
     pub activated: bool,
     /// Whether this call loaded a fresh process (`Process::load`): every
-    /// single run and one-shot group call, only the first group of a
-    /// [`GroupRunner`].
+    /// single run and one-shot group call, only the first executed group
+    /// of a [`LatentRunner`].
     pub fresh_boot: bool,
 }
+
+/// One run of an injection entry point: the classified run, its
+/// metadata, and its divergence and propagation reports when the
+/// engine options asked for them.
+pub type GroupRun = (
+    InjectionRun,
+    RunMeta,
+    Option<DivergenceReport>,
+    Option<PropagationReport>,
+);
+
+/// Everything one checkpoint group (or one single run) yields: its runs
+/// in target order, the boot/restore metadata, and the execution profile
+/// and executed-code footprint when the engine options asked for them.
+pub type GroupOutcome = (
+    Vec<GroupRun>,
+    GroupMeta,
+    Option<ExecProfile>,
+    Option<Footprint>,
+);
 
 fn micros_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
@@ -317,15 +330,17 @@ pub fn run_injection_recorded(
         ..GroupMeta::default()
     };
     let run = if let Stop::Breakpoint(_) = first {
+        // Disarm: execution continues through the corrupted instruction.
+        p.machine.remove_breakpoint(target.addr);
         // With the recorder on, capture the golden continuation first:
         // the checkpoint makes the detour invisible to the injected run
-        // (the restore rewinds registers, memory, icount, breakpoints
-        // and the client channel).
+        // (the restore rewinds registers, memory, icount and the client
+        // channel).
         let golden_ref = engine.flight_recorder.then(|| {
             let snapshot_start = Instant::now();
             let checkpoint = p.snapshot();
             group.snapshot_micros = micros_since(snapshot_start);
-            let gc = golden_continuation(&mut p, target.addr);
+            let gc = golden_continuation(&mut p);
             p.restore(&checkpoint);
             gc
         });
@@ -343,28 +358,27 @@ pub fn run_injection_recorded(
         meta.icount = p.icount();
         (run, meta, report, prop)
     } else {
-        not_activated(&p, first)
+        not_activated(first, p.client_status(), p.icount())
     };
     let profile = p.machine.take_exec_profile();
     let footprint = p.machine.take_footprint();
     Ok((vec![run], group, profile, footprint))
 }
 
-/// The run of a target whose breakpoint `p` never reached: not
-/// activated, stopped as the error-free prefix stopped, billed the
-/// prefix's icount.
-fn not_activated(p: &Process, stop: Stop) -> GroupRun {
-    let run = InjectionRun::not_activated(stop, p.client_status());
+/// The run of a target whose breakpoint is never reached: not
+/// activated, stopped as the error-free run stopped, billed its icount.
+fn not_activated(stop: Stop, client: ClientStatus, icount: u64) -> GroupRun {
+    let run = InjectionRun::not_activated(stop, client);
     let meta = RunMeta {
-        icount: p.icount(),
+        icount,
         ..RunMeta::default()
     };
     (run, meta, None, None)
 }
 
-/// Flip `target`'s bit in the memory of `p`, stopped at the target's
-/// breakpoint, and disarm the breakpoint so execution continues through
-/// the corrupted instruction.
+/// Flip `target`'s bit in the memory of `p`, stopped where the target's
+/// instruction is about to execute for the first time: peek the live
+/// byte, flip it, poke it back.
 fn plant(p: &mut Process, target: &InjectionTarget, scheme: EncodingScheme) {
     let byte_addr = target.addr.wrapping_add(u32::from(target.byte_index));
     let orig = p
@@ -376,13 +390,12 @@ fn plant(p: &mut Process, target: &InjectionTarget, scheme: EncodingScheme) {
         .mem
         .poke8(byte_addr, target.flip(orig, scheme))
         .expect("target byte is mapped");
-    p.machine.remove_breakpoint(target.addr);
 }
 
 /// The experiment after activation, shared by the single run and every
-/// checkpoint-group replay. `p` is stopped at `target`'s armed
-/// breakpoint: plant the flip, arm the per-run flight recorder (when a
-/// golden continuation is given) and taint tracer (`engine.propagation`),
+/// checkpoint-group replay. `p` is stopped at `target`'s activation, no
+/// breakpoint armed: plant the flip, arm the per-run flight recorder (when
+/// a golden continuation is given) and taint tracer (`engine.propagation`),
 /// run to the stop, take both reports and classify against golden. The
 /// run's icount counts from activation; its timer covers the flip and
 /// the run.
@@ -434,11 +447,10 @@ fn flip_and_run(
     (run, meta, report, prop)
 }
 
-/// Resume a process checkpointed at its (disarmed) breakpoint with the
-/// recorder on and no fault planted, capturing the reference the faulty
-/// runs are diffed against. The caller restores the checkpoint after.
-fn golden_continuation(p: &mut Process, addr: u32) -> GoldenContinuation {
-    p.machine.remove_breakpoint(addr);
+/// Resume a process checkpointed at activation with the recorder on and
+/// no fault planted, capturing the reference the faulty runs are diffed
+/// against. The caller restores the checkpoint after.
+fn golden_continuation(p: &mut Process) -> GoldenContinuation {
     p.machine.enable_flight_recorder(RECORDER_EDGES);
     let stop = p.run();
     let trace = p
@@ -453,10 +465,11 @@ fn golden_continuation(p: &mut Process, addr: u32) -> GoldenContinuation {
 }
 
 /// Execute every experiment in a group of targets sharing one
-/// instruction address from one fresh process, replaying the
-/// boot-to-breakpoint prefix only once: a one-shot [`GroupRunner`] (see
-/// [`group`] for the procedure and [`GroupRunner::run`] for what the
-/// outcome holds). An empty group loads nothing.
+/// instruction address on the snapshot engine, one-shot: run the
+/// first-fetch pass, load, walk golden to the group's activation icount
+/// and replay every target from there (see [`LatentRunner::run_group`]
+/// for what the outcome holds). The pass is this call's fresh boot,
+/// billed to `boot_micros`. An empty group runs nothing.
 ///
 /// # Errors
 /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -474,8 +487,14 @@ pub fn run_injection_group_recorded(
     if targets.is_empty() {
         return Ok((Vec::new(), GroupMeta::default(), None, None));
     }
-    let mut runner = GroupRunner::one_shot(image, client, golden, engine)?;
-    Ok(runner.run(targets, scheme))
+    let start = Instant::now();
+    let pass = FirstFetchPass::run(image, client, golden, engine)?;
+    let pass_micros = micros_since(start);
+    let mut outcome =
+        LatentRunner::with_pass(image, client, &pass).run_group(golden, targets, scheme)?;
+    outcome.1.boot_micros += pass_micros;
+    outcome.1.fresh_boot = true;
+    Ok(outcome)
 }
 
 /// Whether the *original* instruction at `addr` is a control transfer.

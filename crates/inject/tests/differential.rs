@@ -1,15 +1,16 @@
-//! Differential tests: the checkpointed group runner must be observably
-//! indistinguishable from booting every experiment from scratch.
+//! Differential tests: the snapshot engine's checkpoint groups must be
+//! observably indistinguishable from booting every experiment from
+//! scratch.
 //!
 //! `run_injection_group_recorded` replays a snapshot taken at the
-//! breakpoint for every byte×bit of an instruction; these tests re-run
-//! the same pinned target slices through the one-boot-per-experiment
-//! `run_injection_recorded` oracle and require the full `InjectionRun`
-//! records — outcome class, activation, stop reason, client verdict,
-//! crash latency, transient deviation flag and divergence text — to
-//! agree field for field, for both servers and both encodings. With the
-//! flight recorder and the taint tracer on, every run's divergence and
-//! propagation reports must agree as well.
+//! instruction's activation icount for every byte×bit of it; these
+//! tests re-run the same pinned target slices through the
+//! one-boot-per-experiment `run_injection_recorded` oracle and require
+//! the full `InjectionRun` records — outcome class, activation, stop
+//! reason, client verdict, crash latency, transient deviation flag and
+//! divergence text — to agree field for field, for both servers and
+//! both encodings. With the flight recorder and the taint tracer on,
+//! every run's divergence and propagation reports must agree as well.
 
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_encoding::EncodingScheme;

@@ -1,53 +1,91 @@
-//! The warm per-worker group runner against one fresh process per
-//! group: identical runs, replay restores and executed-code footprints
-//! for every checkpoint group of both servers, every client and both
-//! encodings. The footprint keys the campaign cache, so a single
-//! differing range would silently change every cache key.
+//! One snapshot-engine runner serving many checkpoint groups against one
+//! one-shot call per group: identical runs, replay restores and
+//! executed-code footprints for every checkpoint group of both servers,
+//! every client and both encodings. The footprint keys the campaign
+//! cache, so a single differing range would silently change every cache
+//! key. The runner serves the groups in activation order (its walk only
+//! moves forward) and then again in address order (its walk restarts
+//! from icount 0 whenever a group lies behind it), so the check also
+//! pins that a group's outcome does not depend on what the runner
+//! walked before it.
 
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
 use fisec_inject::{
-    enumerate_targets, golden_run, run_injection_group_recorded, EngineOpts, GroupRunner,
+    enumerate_targets, golden_run, run_injection_group_recorded, EngineOpts, FirstFetchPass,
+    LatentRunner,
 };
 
-fn assert_runner_matches_fresh_boots(app: &AppSpec) {
+fn assert_runner_matches_one_shots(app: &AppSpec) {
     let set = enumerate_targets(&app.image, &app.auth_funcs, false);
     let groups: Vec<_> = set.targets.chunk_by(|a, b| a.addr == b.addr).collect();
     let engine = EngineOpts::default().with_footprint();
     for spec in &app.clients {
         let golden = golden_run(&app.image, spec).unwrap();
+        let pass = FirstFetchPass::run(&app.image, spec, &golden, engine).unwrap();
+        assert!(pass.qualifies(), "{} {}", app.name, spec.name);
+        let mut by_activation: Vec<usize> = (0..groups.len()).collect();
+        by_activation.sort_by_key(|&gi| pass.activation(groups[gi][0].addr));
         for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
-            let mut runner = GroupRunner::new(&app.image, spec, &golden, engine).unwrap();
-            for (gi, group) in groups.iter().enumerate() {
-                let what = format!(
-                    "{} {} {scheme:?} group at {:#010x}",
-                    app.name, spec.name, group[0].addr
-                );
-                let (warm, wmeta, _, wfp) = runner.run(group, scheme);
-                let (fresh, fmeta, _, ffp) =
+            let one_shots: Vec<_> = groups
+                .iter()
+                .map(|group| {
                     run_injection_group_recorded(&app.image, spec, &golden, group, scheme, engine)
-                        .unwrap();
-                assert_eq!(wfp.unwrap().ranges(), ffp.unwrap().ranges(), "{what}");
-                assert_eq!(wmeta.restores, fmeta.restores, "{what}");
-                assert_eq!(wmeta.activated, fmeta.activated, "{what}");
-                assert_eq!(wmeta.fresh_boot, gi == 0, "{what}: one load per runner");
-                assert!(fmeta.fresh_boot, "{what}: the one-shot call loads");
-                for ((w, wm, _, _), (f, fm, _, _)) in warm.iter().zip(&fresh) {
-                    assert_eq!(w, f, "{what}");
-                    assert_eq!(wm.icount, fm.icount, "{what}");
+                        .unwrap()
+                })
+                .collect();
+            let mut runner = LatentRunner::with_pass(&app.image, spec, &pass);
+            let mut executed = 0;
+            let orders = [
+                ("activation", by_activation.clone()),
+                ("address", (0..groups.len()).collect()),
+            ];
+            for (order, indices) in orders {
+                for gi in indices {
+                    let group = groups[gi];
+                    let what = format!(
+                        "{} {} {scheme:?} group at {:#010x} in {order} order",
+                        app.name, spec.name, group[0].addr
+                    );
+                    let (warm, wmeta, _, wfp) = runner.run_group(&golden, group, scheme).unwrap();
+                    let (fresh, fmeta, _, ffp) = &one_shots[gi];
+                    assert_eq!(
+                        wfp.unwrap().ranges(),
+                        ffp.as_ref().unwrap().ranges(),
+                        "{what}"
+                    );
+                    assert_eq!(wmeta.restores, fmeta.restores, "{what}");
+                    assert_eq!(wmeta.activated, fmeta.activated, "{what}");
+                    assert_eq!(
+                        wmeta.activated,
+                        pass.activation(group[0].addr).is_some(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        wmeta.fresh_boot,
+                        wmeta.activated && executed == 0,
+                        "{what}: one load per runner, on its first executed group"
+                    );
+                    executed += usize::from(wmeta.activated);
+                    assert!(fmeta.fresh_boot, "{what}: the one-shot call loads");
+                    for ((w, wm, _, _), (f, fm, _, _)) in warm.iter().zip(fresh) {
+                        assert_eq!(w, f, "{what}");
+                        assert_eq!(wm.icount, fm.icount, "{what}");
+                    }
+                    assert_eq!(warm.len(), fresh.len(), "{what}");
                 }
-                assert_eq!(warm.len(), fresh.len(), "{what}");
             }
+            assert_eq!(runner.loads(), 1, "{} {}", app.name, spec.name);
         }
     }
 }
 
 #[test]
 fn ftpd_runner_groups_match_fresh_boots() {
-    assert_runner_matches_fresh_boots(&AppSpec::ftpd());
+    assert_runner_matches_one_shots(&AppSpec::ftpd());
 }
 
 #[test]
 fn sshd_runner_groups_match_fresh_boots() {
-    assert_runner_matches_fresh_boots(&AppSpec::sshd());
+    assert_runner_matches_one_shots(&AppSpec::sshd());
 }

@@ -126,12 +126,12 @@ pub struct CampaignEndEvent {
     pub reassemble_micros: u64,
     /// Total injection runs.
     pub runs: u64,
-    /// Runs classified NA by the golden-coverage pre-filter.
+    /// Runs classified NA by the first-fetch pass's pre-filter.
     pub na_prefilter_runs: u64,
     /// Checkpoint restores performed for replays.
     pub restores: u64,
-    /// Process loads (golden and coverage runs, from-scratch runs, one
-    /// per worker's group runner).
+    /// Process loads (golden runs and first-fetch passes, from-scratch
+    /// runs, one per worker's snapshot runner).
     pub fresh_boots: u64,
     /// Checkpoint groups folded in from the incremental campaign cache
     /// without executing. Absent from cache-off traces (older streams

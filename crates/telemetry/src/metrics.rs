@@ -17,13 +17,13 @@ pub mod metric {
     pub const RUNS: &str = "runs";
     /// Counter: checkpoint groups executed.
     pub const GROUPS: &str = "groups";
-    /// Counter: runs classified NA by the golden-coverage pre-filter.
+    /// Counter: runs classified NA by the first-fetch pass's pre-filter.
     pub const NA_PREFILTER_RUNS: &str = "na_prefilter_runs";
-    /// Counter: process loads (golden and coverage runs, one per
-    /// from-scratch run, one per worker's group runner).
+    /// Counter: process loads (golden runs and first-fetch passes, one
+    /// per from-scratch run, one per worker's snapshot runner).
     pub const FRESH_BOOTS: &str = "fresh_boots";
-    /// Counter: checkpoint restores for replays (a group runner's
-    /// rewind to its boot checkpoint counts as boot work, not here).
+    /// Counter: checkpoint restores for replays (a snapshot runner's
+    /// walk restoring its checkpoint counts as boot work, not here).
     pub const RESTORES: &str = "restores";
     /// Counter: checkpoint groups folded in from the incremental
     /// campaign cache without executing.
