@@ -653,6 +653,7 @@ impl<'a> WorkerTel<'a> {
         self.shard
             .inc(metric::FRESH_BOOTS, u64::from(gmeta.fresh_boot));
         self.shard.inc(metric::RESTORES, gmeta.restores);
+        self.shard.inc(metric::MASKED_RUNS, gmeta.masked);
         self.shard.observe(metric::GROUP_SIZE, runs.len() as u64);
         self.shard
             .observe(metric::RESTORES_PER_GROUP, gmeta.restores);
@@ -1099,6 +1100,7 @@ pub fn run_campaign_cached(
                 cache_miss_groups: ctr(metric::CACHE_MISS_GROUPS),
                 cache_stale_groups: ctr(metric::CACHE_STALE_GROUPS),
                 cache_synth_runs: ctr(metric::CACHE_SYNTH_RUNS),
+                masked_runs: ctr(metric::MASKED_RUNS),
             }));
         }
         tel.sink.flush();

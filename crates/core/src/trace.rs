@@ -340,6 +340,17 @@ fn is_complete(c: &ReplayedCampaign) -> bool {
     c.run_events.len() == c.result.runs_per_client * c.result.clients.len()
 }
 
+/// The stats line for masked replays; empty when none was masked (from
+/// scratch, older traces), so their output stays byte-stable.
+fn masked_line(masked: u64, replays: u64) -> String {
+    if masked == 0 {
+        return String::new();
+    }
+    format!(
+        "masked {masked} of {replays} replays (re-joined golden after the flipped instruction)\n"
+    )
+}
+
 /// Render the summary for a replayed trace: the Table 1 layout per
 /// consecutive same-scheme group of campaigns (byte-identical to the
 /// live `fisec table1` output when the trace is complete), then a
@@ -387,6 +398,7 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
                 "runs {}  na-prefilter {}  fresh boots {}  restores {}\n",
                 end.runs, end.na_prefilter_runs, end.fresh_boots, end.restores
             ));
+            out.push_str(&masked_line(end.masked_runs, end.restores));
             // Cache-synthesized groups are *memoized* results folded
             // from the store — a different animal from the NA
             // pre-filter's *derived* groups, so they get their own
@@ -480,6 +492,7 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
             sum(|e| e.fresh_boots),
             sum(|e| e.restores)
         ));
+        out.push_str(&masked_line(sum(|e| e.masked_runs), sum(|e| e.restores)));
         if sum(|e| e.cache_hit_groups + e.cache_miss_groups + e.cache_stale_groups) > 0 {
             out.push_str(&format!(
                 "cache: hit groups {} ({} memoized runs)  miss {}  stale {}\n",

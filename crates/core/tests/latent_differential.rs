@@ -28,6 +28,14 @@
 //! [`run_injection_group_recorded`] against the breakpoint oracle
 //! [`run_injection_recorded`] for every byte×bit of an instruction
 //! decoded at every text offset.
+//!
+//! The masking tests build images on which a replay that re-joins golden
+//! one instruction after the flip still differs later, unless one guard
+//! of the masked-replay rule catches it: a branch golden runs again on a
+//! later loop iteration (golden's last fetch of the byte), golden reading
+//! the flipped branch as data (§7's guard), and flips into same-length
+//! instructions that write a stack slot or a register golden's step
+//! leaves alone (the page and register comparison).
 
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::{Assembler, Image};
@@ -404,4 +412,98 @@ fn groups_match_the_oracle_when_golden_crashes() {
     assert!(golden.stop.is_crash(), "{:?}", golden.stop);
     let pass = assert_groups_match_oracle("crashing image", &image, &golden);
     assert!(!pass.qualifies());
+}
+
+/// Replays masked by one runner serving every group of `image` under the
+/// baseline scheme.
+fn masked_replays(image: &Image, golden: &GoldenRun, pass: &FirstFetchPass) -> u64 {
+    let spec = &AppSpec::ftpd().clients[0];
+    let mut runner = LatentRunner::with_pass(image, spec, pass);
+    every_group(image)
+        .iter()
+        .map(|group| {
+            let (_, meta, ..) = runner
+                .run_group(golden, group, EncodingScheme::Baseline)
+                .unwrap();
+            meta.masked
+        })
+        .sum()
+}
+
+#[test]
+fn groups_match_the_oracle_when_a_masked_looking_branch_runs_again() {
+    // xor ebx, ebx; xor ecx, ecx; loop: inc ecx; cmp ecx, 2; je +2
+    // (falls through on the first iteration, taken on the second); jmp
+    // loop; inc ebx; inc ebx; inc ebx; mov eax, 1; int 0x80 (exit 3).
+    // An offset flip leaves the first iteration as golden's, and moves
+    // the second one's landing in the inc sled.
+    let code = [
+        0x31, 0xDB, 0x31, 0xC9, 0x41, 0x83, 0xF9, 0x02, 0x74, 0x02, 0xEB, 0xF8, 0x43, 0x43, 0x43,
+        0xB8, 1, 0, 0, 0, 0xCD, 0x80,
+    ];
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(3));
+    let pass = assert_groups_match_oracle("loop image", &image, &golden);
+    let activation = pass.activation(TEXT_BASE + 8).unwrap();
+    assert!(pass.last_fetch(9).unwrap() > activation, "{activation}");
+    assert!(masked_replays(&image, &golden, &pass) > 0);
+}
+
+#[test]
+fn groups_match_the_oracle_when_golden_reads_a_branch_after_it_ran() {
+    // xor eax, eax; jne +0 (never taken, whatever its offset); movzx
+    // ebx, byte [TEXT_BASE + 3] (the jne's offset, read as data); mov
+    // eax, 1; int 0x80 (exit 0). An offset flip leaves the step as
+    // golden's and changes the exit code.
+    let mut code = vec![0x31, 0xC0, 0x75, 0x00, 0x0F, 0xB6, 0x1D];
+    code.extend((TEXT_BASE + 3).to_le_bytes());
+    code.extend([0xB8, 1, 0, 0, 0, 0xCD, 0x80]);
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(0));
+    let pass = assert_groups_match_oracle("branch-reading image", &image, &golden);
+    assert!(pass.qualifies());
+    assert_eq!(pass.last_fetch(3), None, "§7's guard fails");
+    assert_eq!(masked_replays(&image, &golden, &pass), 0);
+}
+
+#[test]
+fn groups_match_the_oracle_when_a_flip_writes_what_golden_leaves_alone() {
+    // mov eax, 7; mov ebx, 9; push 5; cmp [esp], eax; cmp ebx, eax;
+    // pop edx; add ebx, edx; mov eax, 1; int 0x80 (exit 14). Bit 4 of
+    // either cmp's opcode makes it a sub with the same flags and length:
+    // one writes the stack slot, the other ebx.
+    let code = [
+        0xB8, 7, 0, 0, 0, 0xBB, 9, 0, 0, 0, 0x6A, 5, 0x39, 0x04, 0x24, 0x39, 0xC3, 0x5A, 0x01,
+        0xD3, 0xB8, 1, 0, 0, 0, 0xCD, 0x80,
+    ];
+    let image = raw_image(&code);
+    let spec = &AppSpec::ftpd().clients[0];
+    let golden = golden_run(&image, spec).unwrap();
+    assert_eq!(golden.stop, Stop::Exited(14));
+    let pass = assert_groups_match_oracle("same-length image", &image, &golden);
+    let oracle = |off: usize| {
+        let group = &every_group(&image)[off];
+        let flip = group
+            .iter()
+            .find(|t| t.byte_index == 0 && t.bit == 4)
+            .unwrap();
+        let (runs, ..) = run_injection_recorded(
+            &image,
+            spec,
+            &golden,
+            flip,
+            EncodingScheme::Baseline,
+            EngineOpts::default(),
+        )
+        .unwrap();
+        runs[0].0.stop.clone()
+    };
+    // sub [esp], eax leaves edx at 5 - 7; sub ebx, eax leaves ebx at 2.
+    assert_eq!(oracle(12), Stop::Exited(7));
+    assert_eq!(oracle(15), Stop::Exited(7));
+    assert!(masked_replays(&image, &golden, &pass) > 0);
 }

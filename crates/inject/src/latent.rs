@@ -15,7 +15,7 @@
 //! fetches its byte, so a replay from golden's state there is exact
 //! (FastFlip, arXiv 2403.13989: reuse the work an error provably cannot
 //! reach). A [`FirstFetchPass`] runs golden once with coverage on and
-//! derives both replay points, each under its own guard:
+//! derives three replay rules, each under its own guard:
 //!
 //! * activation icounts hold when the pass matches golden and ends by
 //!   exit or deadlock, so an instruction that never retires is never
@@ -24,7 +24,13 @@
 //! * rungs (a byte's first fetch) hold when, besides, the pass writes no
 //!   executable byte and reads none as data
 //!   ([`fisec_x86::Memory::exec_data_reads`]), since a latent byte is
-//!   there from load; otherwise every rung is icount 0.
+//!   there from load; otherwise every rung is icount 0;
+//! * under that same guard, a byte's last fetch says when golden is done
+//!   with it. A campaign replay whose flipped byte golden never fetches
+//!   after the activation icount, and whose flipped instruction leaves
+//!   the process as golden's own step from the checkpoint does, has
+//!   re-joined golden: it is *masked*, classified as golden without
+//!   running its suffix ([`LatentRunner::run_group`]).
 //!
 //! Campaign flips never replay from a byte's rung: a golden read of text
 //! as data, or an earlier instruction overlapping the target's bytes,
@@ -39,7 +45,7 @@ use crate::classify::{classify_run, GoldenRun, InjectionRun, OutcomeClass};
 use crate::target::InjectionTarget;
 use crate::{
     flip_and_run, golden_continuation, micros_since, not_activated, run_budget,
-    run_injection_recorded, EngineOpts, GroupMeta, GroupOutcome, RunMeta,
+    run_injection_recorded, EngineOpts, GoldenStep, GroupMeta, GroupOutcome, RunMeta,
 };
 use fisec_apps::ClientSpec;
 use fisec_asm::Image;
@@ -95,6 +101,9 @@ pub struct FirstFetchPass {
     /// Per text byte, its rung ([`NEVER`] if never fetched); all zeros
     /// when the §7 guard fails.
     rungs: Vec<u64>,
+    /// Per text byte, golden's last fetch of it ([`NEVER`] if never
+    /// fetched); `None` when the §7 guard fails.
+    last_fetch: Option<Vec<u64>>,
     /// The pass's profile and footprint, when the engine asks for them:
     /// the work a group served without executing stands for.
     profile: Option<Box<ExecProfile>>,
@@ -118,6 +127,7 @@ impl FirstFetchPass {
         // Allocated before the pass's process, below everything it frees.
         let mut activation = vec![NEVER; image.text.len()];
         let mut rungs = vec![NEVER; image.text.len()];
+        let mut last_fetch = vec![NEVER; image.text.len()];
         let mut p = Process::load(image, client.make())?;
         engine.apply(&mut p);
         p.set_budget(budget);
@@ -131,13 +141,19 @@ impl FirstFetchPass {
             trace: p.trace(),
             icount: p.icount(),
         };
-        derive(&mut activation, &mut rungs, image, &p.machine);
+        derive(
+            &mut activation,
+            &mut rungs,
+            &mut last_fetch,
+            image,
+            &p.machine,
+        );
         let qualifies =
             session == *golden && matches!(session.stop, Stop::Exited(_) | Stop::Deadlock);
-        if !(qualifies
+        let text_only_executed = qualifies
             && p.machine.mem.exec_gen() == exec_gen
-            && p.machine.mem.exec_data_reads() == exec_reads)
-        {
+            && p.machine.mem.exec_data_reads() == exec_reads;
+        if !text_only_executed {
             rungs.fill(0);
         }
         Ok(FirstFetchPass {
@@ -146,6 +162,7 @@ impl FirstFetchPass {
             text_base: image.text_base,
             activation: qualifies.then_some(activation),
             rungs,
+            last_fetch: text_only_executed.then_some(last_fetch),
             profile: p.machine.take_exec_profile().map(Box::new),
             footprint: p.machine.take_footprint(),
         })
@@ -172,26 +189,60 @@ impl FirstFetchPass {
     pub fn rung(&self, offset: usize) -> Option<u64> {
         self.rungs.get(offset).copied().filter(|&t| t != NEVER)
     }
+
+    /// Golden's last fetch of text byte `offset`: the icount just before
+    /// the last retirement of an instruction covering it. `None` for a
+    /// byte golden never fetches, and for every byte when the §7 guard
+    /// fails.
+    pub fn last_fetch(&self, offset: usize) -> Option<u64> {
+        let t = *self.last_fetch.as_ref()?.get(offset)?;
+        (t != NEVER).then_some(t)
+    }
+
+    /// Whether golden, from icount `t` on, never fetches the text byte
+    /// at `addr` again, nor reads or writes any text: a flip planted
+    /// there at `t` that leaves the rest of the state as golden's is
+    /// invisible for the rest of the session.
+    fn unfetched_after(&self, addr: u32, t: u64) -> bool {
+        addr.checked_sub(self.text_base)
+            .and_then(|off| self.last_fetch(off as usize))
+            .is_some_and(|last| last <= t)
+    }
 }
 
 /// Give each instruction start golden executes its activation icount,
-/// and each byte golden fetches the icount of its first fetch, from the
-/// first-retire icounts `machine` recorded (entries start at [`NEVER`]).
+/// and each byte golden fetches the icounts of its first and last fetch,
+/// from the first- and last-retire icounts `machine` recorded (entries
+/// start at [`NEVER`]).
 ///
 /// An instruction fetches exactly the bytes its decode consumes (the
 /// decoder reads nothing past them), so a byte's first fetch is the
 /// icount just before the first retirement of an instruction covering
-/// it: the minimum of first retirement − 1 over those instructions.
-fn derive(activation: &mut [u64], rungs: &mut [u64], image: &Image, machine: &Machine) {
+/// it: the minimum of first retirement − 1 over those instructions; its
+/// last fetch is the maximum of last retirement − 1.
+fn derive(
+    activation: &mut [u64],
+    rungs: &mut [u64],
+    last_fetch: &mut [u64],
+    image: &Image,
+    machine: &Machine,
+) {
     let text = &image.text;
     for off in 0..text.len() {
-        let Some(retired) = machine.first_retire(image.text_base.wrapping_add(off as u32)) else {
+        let addr = image.text_base.wrapping_add(off as u32);
+        let Some(first) = machine.first_retire(addr) else {
             continue;
         };
-        activation[off] = retired - 1;
+        let last = machine.last_retire(addr).expect("retired at least once");
+        activation[off] = first - 1;
         let len = usize::from(fisec_x86::decode(&text[off..(off + 15).min(text.len())]).len);
-        for t in &mut rungs[off..(off + len).min(text.len())] {
-            *t = (*t).min(retired - 1);
+        let end = (off + len).min(text.len());
+        for (r, l) in rungs[off..end].iter_mut().zip(&mut last_fetch[off..end]) {
+            *r = (*r).min(first - 1);
+            *l = match *l {
+                NEVER => last - 1,
+                t => t.max(last - 1),
+            };
         }
     }
 }
@@ -209,13 +260,19 @@ struct Walk {
 }
 
 impl Walk {
-    /// Restore the checkpoint the walk stands on.
-    fn restore(&mut self) {
+    /// The process, and the checkpoint the walk stands on.
+    fn split(&mut self) -> (&mut Process, &ProcessSnapshot) {
         let from = match &self.rung {
             Some(r) if self.at > 0 => r,
             _ => &self.boot,
         };
-        self.process.restore(from);
+        (&mut self.process, from)
+    }
+
+    /// Restore the checkpoint the walk stands on.
+    fn restore(&mut self) {
+        let (process, from) = self.split();
+        process.restore(from);
     }
 
     /// Move the walk's checkpoint to golden icount `t` (from icount 0
@@ -267,6 +324,10 @@ fn union(into: &mut Option<Footprint>, from: Option<&Footprint>) {
         None => *into = Some(f.clone()),
     }
 }
+
+/// A snapshot runner's walk, its pass, and the load's microseconds when
+/// this call loaded the process.
+type WalkParts<'w> = (&'w mut Walk, &'w FirstFetchPass, Option<u64>);
 
 enum Inner<'a> {
     /// A pass, and the walk loaded on the first draw or group that
@@ -353,10 +414,11 @@ impl<'a> LatentRunner<'a> {
         self.loads
     }
 
-    /// A snapshot runner's walk, loading the process and checkpointing it
-    /// at icount 0 the first time; then also the load's microseconds.
-    fn walk(&mut self) -> Result<(&mut Walk, Option<u64>), fisec_os::LoadError> {
-        let Inner::Snapshot { walk, .. } = &mut self.inner else {
+    /// A snapshot runner's walk and pass, loading the process and
+    /// checkpointing it at icount 0 the first time; then also the load's
+    /// microseconds.
+    fn walk(&mut self) -> Result<WalkParts<'_>, fisec_os::LoadError> {
+        let Inner::Snapshot { pass, walk } = &mut self.inner else {
             unreachable!("only snapshot runners walk");
         };
         let mut load_micros = None;
@@ -375,7 +437,11 @@ impl<'a> LatentRunner<'a> {
             self.loads += 1;
             load_micros = Some(micros_since(start));
         }
-        Ok((walk.as_deref_mut().expect("loaded above"), load_micros))
+        Ok((
+            walk.as_deref_mut().expect("loaded above"),
+            pass,
+            load_micros,
+        ))
     }
 
     /// Execute one session with `err` planted and classify it against
@@ -402,7 +468,7 @@ impl<'a> LatentRunner<'a> {
                 if pass.rungs[err.offset] == NEVER {
                     return Ok(unfetched(golden));
                 }
-                let (w, _) = self
+                let (w, ..) = self
                     .walk()
                     .map_err(|e| format!("image failed to load: {e:?}"))?;
                 w.process.restore(&w.boot);
@@ -482,7 +548,7 @@ impl<'a> LatentRunner<'a> {
         }
         due.sort_unstable();
         let (text_base, budget, engine) = (self.image.text_base, self.budget, self.engine);
-        let (w, _) = self
+        let (w, ..) = self
             .walk()
             .map_err(|e| format!("image failed to load: {e:?}"))?;
         let restores_before = w.process.restore_count();
@@ -512,11 +578,19 @@ impl<'a> LatentRunner<'a> {
     /// each target restores that checkpoint and goes through the
     /// oracle's flip-and-run step (plant the flip on the live byte, run,
     /// classify); with the recorder on, the checkpoint first runs once
-    /// unflipped as the golden continuation. The profile covers the walk
-    /// step and the replays; the footprint adds to the replays' what the
-    /// walk fetched from icount 0. From scratch, or when the pass does
-    /// not qualify, every target goes through [`run_injection_recorded`]
-    /// (folded, without a profile).
+    /// unflipped as the golden continuation.
+    ///
+    /// A replay whose flipped byte golden never fetches again (the pass
+    /// also passes §7's guard) is compared with golden's own step from
+    /// the checkpoint, taken once per group: when the flipped instruction
+    /// leaves the process exactly where golden's left it, the run is
+    /// *masked* — classified as golden without running its suffix (see
+    /// [`GroupMeta::masked`]). The profile covers the walk step, golden's
+    /// step and what the replays executed; the footprint adds to the
+    /// replays' what the walk fetched from icount 0, and the pass's when a
+    /// run was masked (its skipped suffix is golden's). From scratch, or
+    /// when the pass does not qualify, every target goes through
+    /// [`run_injection_recorded`] (folded, without a profile).
     ///
     /// # Errors
     /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
@@ -552,7 +626,7 @@ impl<'a> LatentRunner<'a> {
             let (profile, footprint) = (pass.profile.as_deref().cloned(), pass.footprint.clone());
             return Ok((runs, GroupMeta::default(), profile, footprint));
         };
-        let (w, load_micros) = self.walk()?;
+        let (w, pass, load_micros) = self.walk()?;
         if engine.profiler {
             w.process.machine.enable_profiler();
         }
@@ -566,34 +640,52 @@ impl<'a> LatentRunner<'a> {
             fresh_boot: load_micros.is_some(),
             ..GroupMeta::default()
         };
+        // A target whose flipped byte golden never fetches again.
+        let maskable = |t: &InjectionTarget| {
+            let byte = t.addr.wrapping_add(u32::from(t.byte_index));
+            pass.unfetched_after(byte, activation)
+        };
+        let (process, checkpoint) = w.split();
+        // Golden's step runs before the footprint records: it stands for
+        // no replay's work. A recorded run always executes its suffix.
+        let step_start = Instant::now();
+        let golden_step = (!engine.flight_recorder && targets.iter().any(maskable))
+            .then(|| GoldenStep::take(process, checkpoint))
+            .flatten();
+        group.snapshot_micros += micros_since(step_start);
         if engine.footprint {
-            w.process.machine.enable_footprint();
+            process.machine.enable_footprint();
         }
         // One golden continuation serves the whole group; the restore at
         // the top of every replay rewinds the detour.
         let golden_ref = engine.flight_recorder.then(|| {
-            w.restore();
-            golden_continuation(&mut w.process)
+            process.restore(checkpoint);
+            golden_continuation(process)
         });
-        let restores_before = w.process.restore_count();
+        let restores_before = process.restore_count();
         let runs = targets
             .iter()
             .map(|target| {
                 let restore_start = Instant::now();
-                w.restore();
+                process.restore(checkpoint);
                 let restore_micros = micros_since(restore_start);
                 let gc = golden_ref.as_ref();
-                let mut run =
-                    flip_and_run(&mut w.process, image, golden, target, scheme, engine, gc);
+                let gs = golden_step.as_ref().filter(|_| maskable(target));
+                let (mut run, masked) =
+                    flip_and_run(process, image, golden, target, scheme, engine, gc, gs);
+                group.masked += u64::from(masked);
                 // A replay's timer includes its restore.
                 run.1.run_micros += restore_micros;
                 run
             })
             .collect();
-        group.restores = w.process.restore_count() - restores_before;
-        let profile = w.process.machine.take_exec_profile();
-        let mut footprint = w.process.machine.take_footprint();
+        group.restores = process.restore_count() - restores_before;
+        let profile = process.machine.take_exec_profile();
+        let mut footprint = process.machine.take_footprint();
         union(&mut footprint, w.walked.as_ref());
+        if group.masked > 0 {
+            union(&mut footprint, pass.footprint.as_ref());
+        }
         Ok((runs, group, profile, footprint))
     }
 

@@ -38,7 +38,7 @@ use fisec_apps::ClientSpec;
 use fisec_asm::Image;
 use fisec_encoding::EncodingScheme;
 use fisec_net::{ClientStatus, Trace};
-use fisec_os::{Process, Stop};
+use fisec_os::{Process, ProcessDelta, ProcessSnapshot, Stop};
 use fisec_x86::{ExecProfile, Footprint, DEFAULT_TAINT_HORIZON};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -207,15 +207,19 @@ fn run_budget(golden: &GoldenRun) -> u64 {
 pub struct RunMeta {
     /// Guest instructions retired for this run: since boot for
     /// [`run_injection_recorded`], since activation (the checkpoint the
-    /// replay restores) for a checkpoint group's replay. A run that
-    /// never activated reports the icount golden stopped at (the work a
-    /// from-scratch run would have retired). A latent-error run reports
-    /// the whole session's icount however much of it was replayed.
+    /// replay restores) for a checkpoint group's replay. A masked
+    /// replay (see [`LatentRunner::run_group`]) reports what it would
+    /// have retired, golden's icount minus the activation icount, though
+    /// it executed one instruction. A run that never activated reports
+    /// the icount golden stopped at (the work a from-scratch run would
+    /// have retired). A latent-error run reports the whole session's
+    /// icount however much of it was replayed.
     pub icount: u64,
     /// Host microseconds replaying the run (0 for runs that never
     /// activated): planting the flip and running the post-activation
     /// suffix, plus, for a checkpoint group's replay, the checkpoint
-    /// restore before them. A latent-error run times what it executed
+    /// restore before them. A masked replay times its restore, its
+    /// plant and its one step. A latent-error run times what it executed
     /// after the restore and the poke: the whole session from
     /// [`LatentRunner::run`], only the suffix from its rung inside
     /// [`LatentRunner::run_batch`], and 0 for a draw on a byte the
@@ -236,11 +240,14 @@ pub struct GroupMeta {
     pub boot_micros: u64,
     /// Host microseconds capturing the checkpoint at activation (0 when
     /// none was taken: the error never activated, a single run went
-    /// without the flight recorder, or the walk already stood there).
+    /// without the flight recorder, or the walk already stood there),
+    /// plus, for a [`LatentRunner`] group, golden's one step from it
+    /// that masked replays are compared with, restore included.
     pub snapshot_micros: u64,
     /// Checkpoint restores performed for this group's replays: one per
     /// activated target of a checkpoint group, 0 for a single run
-    /// (which replays nothing). The walk's restores belong to the boot.
+    /// (which replays nothing). The walk's restores belong to the boot,
+    /// the golden step's to the snapshot.
     pub restores: u64,
     /// Whether the breakpoint would fire (the error could activate).
     pub activated: bool,
@@ -248,6 +255,10 @@ pub struct GroupMeta {
     /// single run and one-shot group call, only the first executed group
     /// of a [`LatentRunner`].
     pub fresh_boot: bool,
+    /// Replays of this group that re-joined golden one instruction after
+    /// the flip and were classified without running their suffix (see
+    /// [`LatentRunner::run_group`]); 0 for a single run.
+    pub masked: u64,
 }
 
 /// One run of an injection entry point: the classified run, its
@@ -345,7 +356,7 @@ pub fn run_injection_recorded(
             gc
         });
         group.activated = true;
-        let (run, mut meta, report, prop) = flip_and_run(
+        let ((run, mut meta, report, prop), _) = flip_and_run(
             &mut p,
             image,
             golden,
@@ -353,6 +364,7 @@ pub fn run_injection_recorded(
             scheme,
             engine,
             golden_ref.as_ref(),
+            None,
         );
         // A single run counts its instructions from boot.
         meta.icount = p.icount();
@@ -392,6 +404,37 @@ fn plant(p: &mut Process, target: &InjectionTarget, scheme: EncodingScheme) {
         .expect("target byte is mapped");
 }
 
+/// Golden's state one instruction past a checkpoint group's activation:
+/// the checkpoint, and what golden's own step from it changed. A replay
+/// that matches it has re-joined golden (see [`flip_and_run`]).
+struct GoldenStep<'a> {
+    checkpoint: &'a ProcessSnapshot,
+    delta: ProcessDelta,
+}
+
+impl<'a> GoldenStep<'a> {
+    /// Restore `checkpoint` in `p` and step golden once from it. `None`
+    /// when the step does not stop on the budget (it crashed or exited)
+    /// or makes a syscall: then no replay is compared with it.
+    fn take(p: &mut Process, checkpoint: &'a ProcessSnapshot) -> Option<GoldenStep<'a>> {
+        p.restore(checkpoint);
+        if step(p) != Stop::Budget {
+            return None;
+        }
+        let delta = p.delta_since(checkpoint)?;
+        Some(GoldenStep { checkpoint, delta })
+    }
+}
+
+/// Run `p` for at most one instruction, keeping its budget.
+fn step(p: &mut Process) -> Stop {
+    let budget = p.budget();
+    p.set_budget((p.icount() + 1).min(budget));
+    let stop = p.run();
+    p.set_budget(budget);
+    stop
+}
+
 /// The experiment after activation, shared by the single run and every
 /// checkpoint-group replay. `p` is stopped at `target`'s activation, no
 /// breakpoint armed: plant the flip, arm the per-run flight recorder (when
@@ -399,6 +442,19 @@ fn plant(p: &mut Process, target: &InjectionTarget, scheme: EncodingScheme) {
 /// run to the stop, take both reports and classify against golden. The
 /// run's icount counts from activation; its timer covers the flip and
 /// the run.
+///
+/// Given golden's step from the same checkpoint (a group replay whose
+/// flipped byte golden never fetches again), the run first retires only
+/// the flipped instruction. If it then stands where golden's step stood
+/// — stopped on the budget, the same registers, EIP, EFLAGS and written
+/// pages, no syscall, no live taint, no recorder — it has re-joined
+/// golden: the flipped byte is never fetched or read again (the pass's
+/// guard), so the rest of the session is golden's, and the run is
+/// classified as golden without executing it. The second value says
+/// whether that happened (the run is *masked*). Otherwise the same
+/// process runs on to its stop: a budget stop followed by a resume is
+/// the uninterrupted run.
+#[allow(clippy::too_many_arguments)]
 fn flip_and_run(
     p: &mut Process,
     image: &Image,
@@ -407,7 +463,8 @@ fn flip_and_run(
     scheme: EncodingScheme,
     engine: EngineOpts,
     golden_ref: Option<&GoldenContinuation>,
-) -> GroupRun {
+    golden_step: Option<&GoldenStep>,
+) -> (GroupRun, bool) {
     let run_start = Instant::now();
     let activation_icount = p.icount();
     plant(p, target, scheme);
@@ -419,7 +476,32 @@ fn flip_and_run(
             .enable_taint(Some(target.addr), DEFAULT_TAINT_HORIZON);
     }
 
-    let stop = p.run();
+    // The recorder's divergence report describes the suffix, so a
+    // recorded run always executes it.
+    let golden_step = golden_step.filter(|_| golden_ref.is_none());
+    let mut stop = match golden_step {
+        Some(_) => step(p),
+        None => p.run(),
+    };
+    // After a syscall `delta_since` is `None`, so a step that made one is
+    // never masked. No test reaches this guard: the one syscall is
+    // `int 0x80` (CD 80), and no golden instruction one bit away from it
+    // both retires normally and is 2 bytes long, so a flipped step that
+    // makes a syscall already ends at another EIP.
+    let masked = golden_step.is_some_and(|g| {
+        stop == Stop::Budget
+            && p.machine.taint_width().unwrap_or(0) == 0
+            && p.delta_since(g.checkpoint).as_ref() == Some(&g.delta)
+    });
+    if golden_step.is_some() && !masked && stop == Stop::Budget {
+        stop = p.run();
+    }
+    let (stop, client, final_trace, end) = if masked {
+        let g = golden;
+        (g.stop.clone(), g.client, g.trace.clone(), g.icount)
+    } else {
+        (stop, p.client_status(), p.trace(), p.icount())
+    };
     let run_micros = micros_since(run_start);
     let report = golden_ref.map(|gc| {
         let faulty = p
@@ -435,16 +517,15 @@ fn flip_and_run(
         }
         rep
     });
-    let final_trace = p.trace();
-    let crash_latency = stop.is_crash().then(|| p.icount() - activation_icount);
+    let crash_latency = stop.is_crash().then(|| end - activation_icount);
     let classify_start = Instant::now();
-    let run = classify_run(golden, stop, p.client_status(), final_trace, crash_latency);
+    let run = classify_run(golden, stop, client, final_trace, crash_latency);
     let meta = RunMeta {
-        icount: p.icount().saturating_sub(activation_icount),
+        icount: end.saturating_sub(activation_icount),
         run_micros,
         classify_micros: micros_since(classify_start),
     };
-    (run, meta, report, prop)
+    ((run, meta, report, prop), masked)
 }
 
 /// Resume a process checkpointed at activation with the recorder on and

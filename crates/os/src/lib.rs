@@ -14,7 +14,7 @@
 
 use fisec_asm::Image;
 use fisec_net::{Channel, ClientDriver, ClientStatus, ReadOutcome, Trace};
-use fisec_x86::{Fault, Machine, Memory, Perms, Region, RunOutcome};
+use fisec_x86::{Cpu, Fault, Machine, Memory, Perms, Region, RunOutcome};
 use std::fmt;
 
 /// Stack top (grows down). A guard gap below the stack region makes large
@@ -104,6 +104,9 @@ pub struct Process {
     channel: Channel,
     exit_code: Option<i32>,
     budget: u64,
+    /// Syscalls serviced: the only way the process touches its channel
+    /// or exit status.
+    syscalls: u64,
 }
 
 /// Default instruction budget per connection. Generous: a normal
@@ -122,6 +125,20 @@ pub struct ProcessSnapshot {
     channel: Channel,
     exit_code: Option<i32>,
     budget: u64,
+    syscalls: u64,
+}
+
+/// What a [`Process`] changed since a checkpoint it was restored to or
+/// captured at, when it made no syscall since ([`Process::delta_since`]):
+/// registers, EIP and EFLAGS, the icount, and every writable memory page
+/// written since, with its contents. Two runs from one checkpoint whose
+/// deltas are equal stand in identical states, except for bytes of
+/// non-writable regions (which only debugger pokes change).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProcessDelta {
+    cpu: Cpu,
+    icount: u64,
+    pages: Vec<(u32, Vec<u8>)>,
 }
 
 impl Process {
@@ -163,12 +180,19 @@ impl Process {
             channel: Channel::new(client),
             exit_code: None,
             budget: DEFAULT_BUDGET,
+            syscalls: 0,
         })
     }
 
     /// Override the instruction budget.
     pub fn set_budget(&mut self, budget: u64) {
         self.budget = budget;
+    }
+
+    /// The instruction budget: [`Process::run`] stops with
+    /// [`Stop::Budget`] once the icount reaches it.
+    pub fn budget(&self) -> u64 {
+        self.budget
     }
 
     /// Checkpoint the whole simulated world: machine, channel (client
@@ -179,6 +203,7 @@ impl Process {
             channel: self.channel.clone(),
             exit_code: self.exit_code,
             budget: self.budget,
+            syscalls: self.syscalls,
         }
     }
 
@@ -191,6 +216,7 @@ impl Process {
         snap.channel.clone_from(&self.channel);
         snap.exit_code = self.exit_code;
         snap.budget = self.budget;
+        snap.syscalls = self.syscalls;
     }
 
     /// Rewind to a previously captured [`ProcessSnapshot`] of this
@@ -201,6 +227,22 @@ impl Process {
         self.channel = snap.channel.clone();
         self.exit_code = snap.exit_code;
         self.budget = snap.budget;
+        self.syscalls = snap.syscalls;
+    }
+
+    /// What this process changed since `snap`, a checkpoint of this
+    /// process it ran on from. `None` when it made a syscall since (its
+    /// channel or exit status may differ, which the delta does not
+    /// hold) or `snap` is no longer a live capture of its memory.
+    pub fn delta_since(&self, snap: &ProcessSnapshot) -> Option<ProcessDelta> {
+        if self.syscalls != snap.syscalls {
+            return None;
+        }
+        Some(ProcessDelta {
+            cpu: self.machine.cpu.clone(),
+            icount: self.machine.icount,
+            pages: self.machine.pages_written_since(&snap.machine)?,
+        })
     }
 
     /// Instructions retired so far.
@@ -260,6 +302,7 @@ impl Process {
 
     /// Service one syscall; `Some(stop)` ends the run.
     fn syscall(&mut self) -> Option<Stop> {
+        self.syscalls += 1;
         let nr = self.machine.cpu.regs[0]; // eax
         let a1 = self.machine.cpu.regs[3]; // ebx
         let a2 = self.machine.cpu.regs[1]; // ecx
@@ -431,6 +474,31 @@ mod tests {
         assert_eq!(p.run(), Stop::Exited(42));
         assert_eq!(p.icount_since(mark), ran);
         assert_eq!(p.restore_count(), 1);
+    }
+
+    #[test]
+    fn delta_since_tells_runs_from_one_checkpoint_apart() {
+        let img = build(r#"int main() { char b[8]; b[0] = 'x'; write(1, b, 1); return 0; }"#);
+        let mut p = Process::load(&img, ScriptClient::new(&[])).unwrap();
+        let snap = p.snapshot();
+        let run_to = |p: &mut Process, icount: u64| {
+            p.restore(&snap);
+            p.set_budget(icount);
+            p.run();
+            p.delta_since(&snap)
+        };
+        // The same run from the checkpoint has the same delta; a shorter
+        // one, or one with a stack byte written besides, another.
+        let before_write = run_to(&mut p, 12).unwrap();
+        assert_eq!(run_to(&mut p, 12), Some(before_write.clone()));
+        assert_ne!(run_to(&mut p, 11), Some(before_write.clone()));
+        p.restore(&snap);
+        p.machine.mem.write8(STACK_TOP - STACK_SIZE, 1).unwrap();
+        p.set_budget(12);
+        p.run();
+        assert_ne!(p.delta_since(&snap), Some(before_write));
+        // Once the write syscall ran, the channel differs: no delta.
+        assert_eq!(run_to(&mut p, DEFAULT_BUDGET), None);
     }
 
     #[test]

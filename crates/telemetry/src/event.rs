@@ -149,6 +149,11 @@ pub struct CampaignEndEvent {
     /// Runs synthesized from cache hits (counted in `runs` as well).
     #[serde(default)]
     pub cache_synth_runs: u64,
+    /// Replays that re-joined golden one instruction after the flip and
+    /// were classified without running their suffix (0 from scratch).
+    /// Absent from older traces (they parse with 0).
+    #[serde(default)]
+    pub masked_runs: u64,
 }
 
 /// Random-campaign (§7 random-injection tier) header: identifies the

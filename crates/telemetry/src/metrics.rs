@@ -25,6 +25,9 @@ pub mod metric {
     /// Counter: checkpoint restores for replays (a snapshot runner's
     /// walk restoring its checkpoint counts as boot work, not here).
     pub const RESTORES: &str = "restores";
+    /// Counter: replays that re-joined golden one instruction after the
+    /// flip and were classified without running their suffix.
+    pub const MASKED_RUNS: &str = "masked_runs";
     /// Counter: checkpoint groups folded in from the incremental
     /// campaign cache without executing.
     pub const CACHE_HIT_GROUPS: &str = "cache_hit_groups";

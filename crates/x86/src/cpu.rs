@@ -168,18 +168,19 @@ fn icache_drop_windows(icache: &mut [ICacheEntry], addrs: &[u32]) {
 }
 
 /// Retired-EIP coverage recorder: for every byte address spanning the
-/// executable regions, the icount of the first instruction retired
-/// there (0 for never), plus a spill map for EIPs executed anywhere
-/// else (reachable only through rwx data regions or wild jumps, both
-/// rare). The dense table makes the per-instruction mark an index, a
-/// compare and a store instead of a hash insert. Retirement counts are
-/// 1-based (the icount *of* the instruction), so 0 is free to mean
-/// "never retired".
+/// executable regions, the icounts of the first and the last
+/// instruction retired there (0 for never), plus a spill map for EIPs
+/// executed anywhere else (reachable only through rwx data regions or
+/// wild jumps, both rare). The dense table makes the per-instruction
+/// mark an index, a compare and two stores instead of a hash insert.
+/// Retirement counts are 1-based (the icount *of* the instruction), so
+/// 0 is free to mean "never retired".
 #[derive(Debug, Clone)]
 struct Coverage {
     base: u32,
-    first: Vec<u64>,
-    spill: HashMap<u32, u64>,
+    /// (first, last) retirement per address.
+    dense: Vec<(u64, u64)>,
+    spill: HashMap<u32, (u64, u64)>,
 }
 
 impl Coverage {
@@ -196,43 +197,46 @@ impl Coverage {
         let span = hi.saturating_sub(lo) as usize;
         Coverage {
             base: if span == 0 { 0 } else { lo as u32 },
-            first: vec![0u64; span],
+            dense: vec![(0, 0); span],
             spill: HashMap::new(),
         }
     }
 
     /// Note the instruction at `eip` retiring as instruction number
-    /// `icount`; only the first retirement per address is kept.
+    /// `icount`: the first retirement per address is kept, the last one
+    /// overwritten.
     #[inline]
     fn insert(&mut self, eip: u32, icount: u64) {
         if let Some(off) = eip.checked_sub(self.base).map(|o| o as usize) {
-            if let Some(slot) = self.first.get_mut(off) {
-                if *slot == 0 {
-                    *slot = icount;
+            if let Some(slot) = self.dense.get_mut(off) {
+                if slot.0 == 0 {
+                    slot.0 = icount;
                 }
+                slot.1 = icount;
                 return;
             }
         }
-        self.spill.entry(eip).or_insert(icount);
+        self.spill.entry(eip).or_insert((icount, icount)).1 = icount;
     }
 
-    /// The icount of the first retirement at `eip`, if any.
-    fn first_retire(&self, eip: u32) -> Option<u64> {
+    /// The icounts of the first and the last retirement at `eip`, if
+    /// any.
+    fn retires(&self, eip: u32) -> Option<(u64, u64)> {
         let dense = eip
             .checked_sub(self.base)
-            .and_then(|off| self.first.get(off as usize));
+            .and_then(|off| self.dense.get(off as usize));
         match dense {
-            Some(&c) => (c != 0).then_some(c),
+            Some(&(first, last)) => (first != 0).then_some((first, last)),
             None => self.spill.get(&eip).copied(),
         }
     }
 
     /// Materialize as the address set the public coverage API exposes.
     fn to_set(&self) -> HashSet<u32> {
-        self.first
+        self.dense
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| c != 0)
+            .filter(|&(_, &(first, _))| first != 0)
             .map(|(off, _)| self.base + off as u32)
             .chain(self.spill.keys().copied())
             .collect()
@@ -617,6 +621,14 @@ impl Machine {
         self.restores += 1;
     }
 
+    /// The writable memory pages written since `snap` was captured from
+    /// this machine, as (page address, contents) in address order: the
+    /// writable pages [`Machine::restore`] to `snap` would copy back.
+    /// `None` when `snap` is not a live capture of this execution.
+    pub fn pages_written_since(&self, snap: &MachineSnapshot) -> Option<Vec<(u32, Vec<u8>)>> {
+        self.mem.written_since(&snap.mem)
+    }
+
     /// How many times [`Machine::restore`] has rewound this machine.
     /// Monotonic across restores (deliberately *not* snapshot state) —
     /// the telemetry layer reports it as replay work performed.
@@ -625,13 +637,13 @@ impl Machine {
     }
 
     /// Record the distinct EIPs executed from now on, each with the
-    /// icount of its first retirement. The campaign engine uses the
-    /// golden run's coverage to skip injection targets at never-executed
-    /// addresses; the latent-error runner uses the first-retire icounts
-    /// to start each replay where the golden run first fetches the
-    /// corrupted byte. Internally a dense table over the executable
-    /// regions (with a spill map for EIPs outside them), so enable it
-    /// after the image is mapped.
+    /// icounts of its first and last retirement. The snapshot engine
+    /// uses the golden run's first retirements to start each replay
+    /// where golden first reaches the flipped instruction or fetches the
+    /// corrupted byte, and its last retirements to prove golden never
+    /// fetches a flipped byte again. Internally dense tables over the
+    /// executable regions (with a spill map for EIPs outside them), so
+    /// enable it after the image is mapped.
     pub fn enable_coverage(&mut self) {
         self.coverage = Some(Coverage::new(&self.mem));
     }
@@ -649,7 +661,16 @@ impl Machine {
     /// executed is one less. Block, trace and per-step engines record
     /// identical values.
     pub fn first_retire(&self, eip: u32) -> Option<u64> {
-        self.coverage.as_ref().and_then(|c| c.first_retire(eip))
+        self.coverage.as_ref()?.retires(eip).map(|(first, _)| first)
+    }
+
+    /// The icount of the last retirement of the instruction at `eip`
+    /// since [`Machine::enable_coverage`], counted like
+    /// [`Machine::first_retire`]; `None` when it never retired or
+    /// coverage is off. Block, trace and per-step engines record
+    /// identical values.
+    pub fn last_retire(&self, eip: u32) -> Option<u64> {
+        self.coverage.as_ref()?.retires(eip).map(|(_, last)| last)
     }
 
     /// Record the byte ranges fetched for execution from now on, at

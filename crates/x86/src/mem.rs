@@ -359,6 +359,27 @@ impl Memory {
         self.exec_gen = snap.mem.exec_gen;
     }
 
+    /// The writable pages written since `snap` was captured, as (page
+    /// address, contents) in address order: the writable pages `restore`
+    /// would copy back, read from the same stamps. `None` when `snap` is not
+    /// a live capture of this memory, so its stamps say nothing.
+    pub(crate) fn written_since(&self, snap: &MemorySnapshot) -> Option<Vec<(u32, Vec<u8>)>> {
+        if !self.descends_from(snap) {
+            return None;
+        }
+        let mut pages = Vec::new();
+        for r in self.regions.iter().filter(|r| r.perms.write) {
+            for (page, &stamp) in r.stamps.iter().enumerate() {
+                if stamp > snap.stamp {
+                    let lo = page << PAGE_SHIFT;
+                    let hi = (lo + PAGE_SIZE).min(r.data.len());
+                    pages.push((r.start + lo as u32, r.data[lo..hi].to_vec()));
+                }
+            }
+        }
+        Some(pages)
+    }
+
     /// Is `snap` a capture of this memory that still describes an
     /// ancestor of its current contents?
     fn descends_from(&self, snap: &MemorySnapshot) -> bool {

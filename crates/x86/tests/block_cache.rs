@@ -208,6 +208,13 @@ fn coverage_and_trace_identical_across_engines() {
         .collect();
     let want = [1, 0, 0, 0, 0, 2, 3, 4, 0, 17, 0].map(|c| (c > 0).then_some(c));
     assert_eq!(first, want.map(|c| (c, c)));
+    // ... and of its last: the loop's fifth pass (14..16), jmp $ until
+    // the budget runs out (200).
+    let last: Vec<_> = (TEXT..TEXT + 11)
+        .map(|a| (blk.last_retire(a), stp.last_retire(a)))
+        .collect();
+    let want = [1, 0, 0, 0, 0, 14, 15, 16, 0, 200, 0].map(|c| (c > 0).then_some(c));
+    assert_eq!(last, want.map(|c| (c, c)));
     // Out-of-bitmap EIPs (no exec region below TEXT) spill correctly:
     // the coverage set is exactly the executed addresses.
     let cov = blk.coverage().unwrap();

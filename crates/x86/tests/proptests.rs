@@ -61,8 +61,8 @@ proptest! {
 
     /// The block-dispatch engine is observably identical to the per-step
     /// reference interpreter on arbitrary byte soup: same outcome, same
-    /// precise icount, same architectural state, same coverage set and
-    /// trace ring. This is the property the campaign's bit-identical
+    /// precise icount, same architectural state, same coverage set,
+    /// first and last retirements and trace ring. This is the property the campaign's bit-identical
     /// results rest on.
     #[test]
     fn block_engine_matches_stepwise(
@@ -91,6 +91,7 @@ proptest! {
         prop_assert_eq!(blk.coverage(), stp.coverage());
         for a in 0x1000..0x1000 + text.len() as u32 {
             prop_assert_eq!(blk.first_retire(a), stp.first_retire(a));
+            prop_assert_eq!(blk.last_retire(a), stp.last_retire(a));
         }
         prop_assert_eq!(blk.eip_trace(), stp.eip_trace());
     }
@@ -102,8 +103,8 @@ proptest! {
     /// cdq). Arbitrary budgets land side-exits at every offset. Checked
     /// with no observer attached, where register-only blocks take the
     /// uninstrumented fast executor, and with coverage on, where the
-    /// instrumented executor must also record the reference's
-    /// first-retire icounts.
+    /// instrumented executor must also record the reference's first-
+    /// and last-retire icounts.
     #[test]
     fn trace_engine_matches_stepwise_on_generated_loops(
         iters in 1u32..40,
@@ -177,6 +178,7 @@ proptest! {
         prop_assert_eq!(&hot.cpu, &stp.cpu);
         for a in 0x1000..0x1000 + text.len() as u32 {
             prop_assert_eq!(hot.first_retire(a), stp.first_retire(a));
+            prop_assert_eq!(hot.last_retire(a), stp.last_retire(a));
         }
     }
 
