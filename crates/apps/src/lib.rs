@@ -116,6 +116,17 @@ impl AppSpec {
         )
     }
 
+    /// The bundled app recorded under `name` in trace headers and store
+    /// files: `ftpd`, `sshd` or `sshd-single-entry`.
+    pub fn by_name(name: &str) -> Option<AppSpec> {
+        match name {
+            "ftpd" => Some(AppSpec::ftpd()),
+            "sshd" => Some(AppSpec::sshd()),
+            "sshd-single-entry" => Some(AppSpec::sshd_single_entry()),
+            _ => None,
+        }
+    }
+
     fn sshd_with(image: Image, name: &'static str) -> AppSpec {
         let clients = SshPattern::ALL
             .iter()

@@ -201,6 +201,19 @@ mod tests {
         }
     }
 
+    /// A1 as EXPERIMENTS.md reports it: on sshd Client1, the four ways in
+    /// give 20 break-ins where password-only authentication gives 9.
+    #[test]
+    fn entry_points_study_pins_the_a1_row() {
+        let r = entry_points_study(&CampaignConfig::default());
+        assert_eq!((r.multi_brk(), r.single_brk()), (20, 9));
+        let table = render_entry_points(&r);
+        assert!(
+            table.contains("3.38%") && table.contains("1.88%"),
+            "{table}"
+        );
+    }
+
     #[test]
     fn sampling_estimates_converge_to_truth() {
         let r = synthetic_result(10, 1000); // 1% BRK

@@ -22,6 +22,7 @@
 use crate::cache::CampaignCache;
 use crate::campaign::{run_campaign_cached, CampaignConfig};
 use fisec_apps::AppSpec;
+use fisec_inject::EngineOpts;
 use fisec_telemetry::{metric, Telemetry};
 use serde::Value;
 use std::fmt::Write as _;
@@ -191,12 +192,18 @@ pub fn measure() -> Measured {
     };
     let (plain_ms, mean_replay) = run_ms(&cfg);
     let profiled = CampaignConfig {
-        profiler: true,
+        engine: EngineOpts {
+            profiler: true,
+            ..cfg.engine
+        },
         ..cfg
     };
     let (profiled_ms, _) = run_ms(&profiled);
     let propagated = CampaignConfig {
-        propagation: true,
+        engine: EngineOpts {
+            propagation: true,
+            ..cfg.engine
+        },
         ..cfg
     };
     let (propagated_ms, _) = run_ms(&propagated);

@@ -59,39 +59,16 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Checkpoint-based fast path (default) or from-scratch oracle.
     pub mode: ExecutionMode,
-    /// Execute guests through the interpreter's basic-block cache
-    /// (default). `false` — the `--no-block-cache` escape hatch — forces
-    /// the reference per-step engine; results are bit-identical.
-    pub block_cache: bool,
-    /// Promote hot blocks into tier-2 superblock traces (default).
-    /// `false` — the `--no-trace-cache` escape hatch — caps the engine
-    /// at tier 1; results are bit-identical (differential tests).
-    pub trace_cache: bool,
-    /// Record a control-flow flight trace for every activated run and
-    /// diff it against the golden continuation (`--recorder`). A pure
-    /// observer: classification results are bit-identical either way
-    /// (enforced by the differential tests); run events gain divergence
-    /// depth and trace-derived latency, and the metrics registry gains
-    /// per-outcome divergence-depth histograms.
-    pub flight_recorder: bool,
-    /// Collect the hot-spot execution profile (`fisec profile`): per-
-    /// block dispatch/retire tallies, slow-path op shapes and block-
-    /// cache traffic, accumulated in the metrics shards and emitted as
-    /// one `profile` trace event per campaign. A pure observer —
-    /// results are bit-identical either way (differential tests).
-    pub profiler: bool,
+    /// The engine every process of this campaign boots with: block and
+    /// trace caches, and the observers (flight recorder, profiler,
+    /// propagation tracer), which leave classification bit-identical
+    /// (differential tests). Its `footprint` is not read: the campaign
+    /// records footprints exactly when a store is attached.
+    pub engine: EngineOpts,
     /// Emit hierarchical span events (campaign → client → checkpoint
     /// group → run → phase) into the trace stream (`--chrome-trace`).
     /// Off by default so existing traces stay byte-compatible.
     pub spans: bool,
-    /// Trace how each activated injection's corrupted data propagates
-    /// (`--propagation`): the taint tracer is armed per run at the flip,
-    /// run events gain taint-to-decision latency / peak width /
-    /// compare-vs-store ordering, the metrics registry gains per-outcome
-    /// taint histograms, and one `propagation` aggregate trace event is
-    /// emitted per campaign. A pure observer: classification results
-    /// are bit-identical either way (differential tests).
-    pub propagation: bool,
 }
 
 impl Default for CampaignConfig {
@@ -101,28 +78,8 @@ impl Default for CampaignConfig {
             scheme: EncodingScheme::Baseline,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             mode: ExecutionMode::default(),
-            block_cache: true,
-            trace_cache: true,
-            flight_recorder: false,
-            profiler: false,
+            engine: EngineOpts::default(),
             spans: false,
-            propagation: false,
-        }
-    }
-}
-
-impl CampaignConfig {
-    /// The engine options every process of this campaign boots with.
-    fn engine(&self) -> EngineOpts {
-        EngineOpts {
-            block_cache: self.block_cache,
-            trace_cache: self.trace_cache,
-            flight_recorder: self.flight_recorder,
-            profiler: self.profiler,
-            propagation: self.propagation,
-            // The execution footprint is a per-group opt-in: the cached
-            // paths enable it per process via `with_footprint()`.
-            footprint: false,
         }
     }
 }
@@ -903,7 +860,11 @@ pub fn run_campaign_cached(
     for (ci, spec) in app.clients.iter().enumerate() {
         let client_start = micros_since(wall_start);
         let boot_start = Instant::now();
-        let golden = golden_run_opts(&app.image, spec, cfg.engine()).expect("image loads");
+        let engine = EngineOpts {
+            footprint: false,
+            ..cfg.engine
+        };
+        let golden = golden_run_opts(&app.image, spec, engine).expect("image loads");
         if tel.enabled() {
             main.inc(metric::FRESH_BOOTS, 1);
             main.phase_add(Phase::Boot, micros_since(boot_start));
@@ -911,10 +872,10 @@ pub fn run_campaign_cached(
         // Propagation campaigns bypass the incremental store: its wire
         // schema memoizes (run, divergence) pairs only, and folding a
         // memoized group would silently drop its taint timelines.
-        let store = if cfg.propagation {
+        let store = if cfg.engine.propagation {
             None
         } else {
-            cache.map(|c| c.open_client(app, spec, cfg.scheme, cfg.flight_recorder, &golden))
+            cache.map(|c| c.open_client(app, spec, cfg.scheme, cfg.engine.flight_recorder, &golden))
         };
         if let Some(s) = &store {
             if s.context_invalidated {
@@ -963,7 +924,7 @@ pub fn run_campaign_cached(
             crash_latencies: Vec::new(),
             trace_crash_latencies: Vec::new(),
             transient_deviations: 0,
-            propagation: cfg.propagation.then(PropagationStats::default),
+            propagation: cfg.engine.propagation.then(PropagationStats::default),
             records: Vec::new(),
         };
         for (target, (run, div, prop)) in set.targets.iter().zip(&records) {
@@ -1056,7 +1017,7 @@ pub fn run_campaign_cached(
                     addr: None,
                 }));
             }
-            if cfg.profiler {
+            if cfg.engine.profiler {
                 // The registry may span several campaigns, so the
                 // profile event carries exactly this campaign's delta.
                 let data = after.profile().diff(before.profile());
@@ -1148,9 +1109,9 @@ fn run_targets(
     // With a cache attached every process records its execution
     // footprint (a pure observer; results stay bit-identical) so the
     // written entries carry their invalidation ranges.
-    let engine = match store {
-        Some(_) => cfg.engine().with_footprint(),
-        None => cfg.engine(),
+    let engine = EngineOpts {
+        footprint: store.is_some(),
+        ..cfg.engine
     };
 
     // Worker 0 is the campaign thread: it owns the first-fetch pass, the
@@ -1452,7 +1413,10 @@ mod tests {
         let tel = Telemetry::new(sink.clone(), false);
         let cfg = CampaignConfig {
             cond_branches_only: true,
-            profiler: true,
+            engine: EngineOpts {
+                profiler: true,
+                ..EngineOpts::default()
+            },
             ..CampaignConfig::default()
         };
         run_campaign_cached(&app, &cfg, &tel, None);
@@ -1537,12 +1501,15 @@ mod tests {
                 ..CampaignConfig::default()
             };
             let profiled = CampaignConfig {
-                profiler: true,
+                engine: EngineOpts {
+                    profiler: true,
+                    ..plain.engine
+                },
                 ..plain
             };
-            let golden = golden_run_opts(&app.image, spec, plain.engine()).unwrap();
+            let golden = golden_run_opts(&app.image, spec, plain.engine).unwrap();
             let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
-            let golden = golden_run_opts(&app.image, spec, profiled.engine()).unwrap();
+            let golden = golden_run_opts(&app.image, spec, profiled.engine).unwrap();
             let b = run_targets(
                 &app, spec, &golden, &targets, &profiled, &tel, 0, None, None,
             );
@@ -1569,17 +1536,23 @@ mod tests {
             {
                 let plain = CampaignConfig {
                     mode,
-                    block_cache,
-                    trace_cache,
+                    engine: EngineOpts {
+                        block_cache,
+                        trace_cache,
+                        ..EngineOpts::default()
+                    },
                     ..CampaignConfig::default()
                 };
                 let traced = CampaignConfig {
-                    propagation: true,
+                    engine: EngineOpts {
+                        propagation: true,
+                        ..plain.engine
+                    },
                     ..plain
                 };
-                let golden = golden_run_opts(&app.image, spec, plain.engine()).unwrap();
+                let golden = golden_run_opts(&app.image, spec, plain.engine).unwrap();
                 let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
-                let golden = golden_run_opts(&app.image, spec, traced.engine()).unwrap();
+                let golden = golden_run_opts(&app.image, spec, traced.engine).unwrap();
                 let b = run_targets(&app, spec, &golden, &targets, &traced, &tel, 0, None, None);
                 let oa: Vec<_> = a.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
                 let ob: Vec<_> = b.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
@@ -1611,7 +1584,10 @@ mod tests {
         let tel = Telemetry::new(sink.clone(), false);
         let cfg = CampaignConfig {
             cond_branches_only: true,
-            propagation: true,
+            engine: EngineOpts {
+                propagation: true,
+                ..EngineOpts::default()
+            },
             ..CampaignConfig::default()
         };
         let result = run_campaign_cached(&app, &cfg, &tel, None);
@@ -1684,7 +1660,10 @@ mod tests {
         app.clients.truncate(1);
         let cfg = CampaignConfig {
             cond_branches_only: true,
-            propagation: true,
+            engine: EngineOpts {
+                propagation: true,
+                ..EngineOpts::default()
+            },
             ..CampaignConfig::default()
         };
         let tel = Telemetry::disabled();
@@ -1707,7 +1686,10 @@ mod tests {
         let tel = Telemetry::new(sink.clone(), false);
         let cfg = CampaignConfig {
             cond_branches_only: true,
-            flight_recorder: true,
+            engine: EngineOpts {
+                flight_recorder: true,
+                ..EngineOpts::default()
+            },
             ..CampaignConfig::default()
         };
         let result = run_campaign_cached(&app, &cfg, &tel, None);

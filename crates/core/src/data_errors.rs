@@ -12,7 +12,7 @@
 
 use crate::counts::OutcomeCounts;
 use fisec_apps::AppSpec;
-use fisec_inject::{classify_run, golden_run, OutcomeClass};
+use fisec_inject::{classify_run, golden_run, OutcomeClass, BUDGET_FLOOR, BUDGET_MULTIPLIER};
 use fisec_os::run_session;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,7 @@ impl DataCampaignResult {
 pub fn run_data_campaign(app: &AppSpec, max_symbol_len: u32) -> DataCampaignResult {
     let spec = &app.clients[0];
     let golden = golden_run(&app.image, spec).expect("image loads");
-    let budget = (golden.icount * 8).max(400_000);
+    let budget = (golden.icount * BUDGET_MULTIPLIER).max(BUDGET_FLOOR);
     let mut symbols = Vec::new();
     for sym in &app.image.symbols.data {
         if sym.len == 0 || sym.len > max_symbol_len {

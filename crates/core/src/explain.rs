@@ -83,6 +83,8 @@ pub fn explain(
 /// with the same options: the experiment `fisec explain` and
 /// `fisec propagate` narrate. `client` is 1-based (the CLI's
 /// `--client`).
+/// A `byte_index` past the instruction at `addr` is an argument error
+/// (it would flip the *next* instruction), not an enumeration miss.
 pub(crate) fn rerun(
     app: &AppSpec,
     client: usize,
@@ -92,6 +94,22 @@ pub(crate) fn rerun(
     scheme: EncodingScheme,
     engine: EngineOpts,
 ) -> Result<(&ClientSpec, InjectionTarget, GroupRun), String> {
+    let image = &app.image;
+    if let Some(off) = addr
+        .checked_sub(image.text_base)
+        .map(|o| o as usize)
+        .filter(|&o| o < image.text.len())
+    {
+        let end = (off + 16).min(image.text.len());
+        let len = fisec_x86::decode(&image.text[off..end]).len;
+        if byte_index >= len {
+            return Err(format!(
+                "--byte {byte_index} out of range: the instruction at {addr:#010x} is {len} \
+                 byte(s) long (valid bytes: 0..={})",
+                len - 1
+            ));
+        }
+    }
     let spec = app.clients.get(client.wrapping_sub(1)).ok_or_else(|| {
         format!(
             "--client {client} out of range (valid: 1..={})",

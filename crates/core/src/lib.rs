@@ -52,6 +52,7 @@ pub use campaign::{
 };
 pub use counts::{LocationCounts, OutcomeCounts};
 pub use fisec_encoding::EncodingScheme;
+pub use fisec_inject::EngineOpts;
 
 use serde::{Deserialize, Serialize};
 

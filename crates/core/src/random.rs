@@ -193,9 +193,7 @@ impl RandomConfig {
         threads: usize,
         engine: EngineOpts,
     ) -> Result<RandomConfig, String> {
-        let scheme = [EncodingScheme::Baseline, EncodingScheme::NewEncoding]
-            .into_iter()
-            .find(|s| s.to_string() == header.scheme)
+        let scheme = EncodingScheme::by_name(&header.scheme)
             .ok_or_else(|| format!("ledger header: unknown scheme label `{}`", header.scheme))?;
         let mode = [ExecutionMode::Snapshot, ExecutionMode::FromScratch]
             .into_iter()

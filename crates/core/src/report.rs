@@ -30,17 +30,6 @@ fn pre(out: &mut String, title: &str, body: &str) {
     let _ = writeln!(out, "<pre>{}</pre>", esc(body.trim_end()));
 }
 
-/// The bundled image a replayed campaign profiled, when its recorded
-/// app name matches one ("ftpd"/"sshd") — the disassembly annotation of
-/// the hot-block table needs the text bytes back.
-fn image_for(app: &str) -> Option<AppSpec> {
-    match app {
-        "ftpd" => Some(AppSpec::ftpd()),
-        "sshd" => Some(AppSpec::sshd()),
-        _ => None,
-    }
-}
-
 fn campaign_title(c: &ReplayedCampaign) -> String {
     format!(
         "{} [{}] — {} engine",
@@ -265,7 +254,7 @@ pub fn render_html(trace: &ReplayedTrace) -> String {
 
         // Hot-block table (profiler campaigns only).
         if let Some(p) = &c.profile {
-            let app = image_for(&p.app);
+            let app = AppSpec::by_name(&p.app);
             let body = render_hot_blocks(&p.data, app.as_ref().map(|a| &a.image), DEFAULT_TOP);
             pre(&mut out, &format!("Hot blocks — {title}"), &body);
         }

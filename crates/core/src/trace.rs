@@ -71,13 +71,6 @@ pub struct ReplayedTrace {
     pub spans: Vec<SpanEvent>,
 }
 
-fn scheme_of(label: &str) -> Result<EncodingScheme, String> {
-    [EncodingScheme::Baseline, EncodingScheme::NewEncoding]
-        .into_iter()
-        .find(|s| s.to_string() == label)
-        .ok_or_else(|| format!("unknown scheme label `{label}`"))
-}
-
 fn outcome_of(abbrev: &str) -> Result<OutcomeClass, String> {
     OutcomeClass::ALL
         .into_iter()
@@ -171,7 +164,9 @@ pub fn parse_trace(events: &[TraceEvent]) -> Result<ReplayedTrace, String> {
                     header: hdr.clone(),
                     result: CampaignResult {
                         app: hdr.app.clone(),
-                        scheme: scheme_of(&hdr.scheme).map_err(|e| format!("{}: {e}", at()))?,
+                        scheme: EncodingScheme::by_name(&hdr.scheme).ok_or_else(|| {
+                            format!("{}: unknown scheme label `{}`", at(), hdr.scheme)
+                        })?,
                         instructions: hdr.instructions,
                         cond_branches: hdr.cond_branches,
                         runs_per_client: hdr.runs_per_client,

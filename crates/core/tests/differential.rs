@@ -5,7 +5,9 @@
 //! 1/3/5 inputs and the Figure 4 latency vector).
 
 use fisec_apps::AppSpec;
-use fisec_core::{run_campaign, CampaignConfig, CampaignResult, EncodingScheme, ExecutionMode};
+use fisec_core::{
+    run_campaign, CampaignConfig, CampaignResult, EncodingScheme, EngineOpts, ExecutionMode,
+};
 
 fn cfg(scheme: EncodingScheme, mode: ExecutionMode) -> CampaignConfig {
     CampaignConfig {
@@ -104,7 +106,10 @@ fn full_campaigns_identical_with_and_without_block_cache() {
             let stp = run_campaign(
                 &app,
                 &CampaignConfig {
-                    block_cache: false,
+                    engine: EngineOpts {
+                        block_cache: false,
+                        ..EngineOpts::default()
+                    },
                     ..cfg(EncodingScheme::Baseline, mode)
                 },
             );
@@ -125,7 +130,10 @@ fn full_campaigns_identical_with_and_without_trace_cache() {
             let tier1 = run_campaign(
                 &app,
                 &CampaignConfig {
-                    trace_cache: false,
+                    engine: EngineOpts {
+                        trace_cache: false,
+                        ..EngineOpts::default()
+                    },
                     ..cfg(EncodingScheme::Baseline, mode)
                 },
             );
@@ -146,7 +154,10 @@ fn full_campaigns_identical_with_and_without_flight_recorder() {
         let on = run_campaign(
             &app,
             &CampaignConfig {
-                flight_recorder: true,
+                engine: EngineOpts {
+                    flight_recorder: true,
+                    ..EngineOpts::default()
+                },
                 ..cfg(EncodingScheme::Baseline, mode)
             },
         );

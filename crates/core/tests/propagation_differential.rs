@@ -4,7 +4,9 @@
 //! trace cache on and off — and must be byte-identical.
 
 use fisec_apps::AppSpec;
-use fisec_core::{figure4, run_campaign, tables, CampaignConfig, EncodingScheme, ExecutionMode};
+use fisec_core::{
+    figure4, run_campaign, tables, CampaignConfig, EncodingScheme, EngineOpts, ExecutionMode,
+};
 
 /// Render the artifacts one configuration produces.
 fn artifacts(app: &AppSpec, cfg: &CampaignConfig) -> (String, String, String) {
@@ -31,11 +33,17 @@ fn tables_and_figure4_are_bit_identical_tracer_on_and_off() {
             let plain = CampaignConfig {
                 cond_branches_only: true,
                 mode,
-                trace_cache,
+                engine: EngineOpts {
+                    trace_cache,
+                    ..EngineOpts::default()
+                },
                 ..CampaignConfig::default()
             };
             let traced = CampaignConfig {
-                propagation: true,
+                engine: EngineOpts {
+                    propagation: true,
+                    ..plain.engine
+                },
                 ..plain
             };
             let off = artifacts(&app, &plain);

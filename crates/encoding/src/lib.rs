@@ -94,6 +94,14 @@ impl EncodingScheme {
             EncodingScheme::NewEncoding => "newenc",
         }
     }
+
+    /// The scheme whose display label (as trace and ledger headers
+    /// record it) or cache tag (as store files record it) is `name`.
+    pub fn by_name(name: &str) -> Option<EncodingScheme> {
+        [EncodingScheme::Baseline, EncodingScheme::NewEncoding]
+            .into_iter()
+            .find(|s| s.to_string() == name || s.cache_tag() == name)
+    }
 }
 
 /// Old→new (and equally new→old) byte mapping for one-byte opcodes.

@@ -18,7 +18,7 @@
 use fisec_apps::AppSpec;
 use fisec_core::{
     figure4, load, random, run_campaign, tables, CampaignConfig, CampaignSummary, EncodingScheme,
-    ExecutionMode,
+    EngineOpts, ExecutionMode,
 };
 
 const USAGE: &str = "usage: campaign_report [--quick] [--from-scratch] [--no-block-cache]";
@@ -87,7 +87,10 @@ fn main() {
 
     let base_cfg = CampaignConfig {
         mode,
-        block_cache: !flags.no_block_cache,
+        engine: EngineOpts {
+            block_cache: !flags.no_block_cache,
+            ..EngineOpts::default()
+        },
         ..CampaignConfig::default()
     };
     let new_cfg = CampaignConfig {
