@@ -8,11 +8,12 @@
 //! The measured leg is deliberately small and deterministic in shape: a
 //! full ftpd baseline campaign (the same workload the baseline file
 //! records under `flight_recorder.campaign_ftpd_full_ms.recorder_off`),
-//! once plain, once with the profiler on and once with the taint
-//! tracer on — the extra runs gate the observatory's own promises that
-//! profiling and propagation tracing each cost ≤ 10%. A third
-//! pair of runs against a throwaway incremental-cache store gates the
-//! cache's two promises: populating it costs ≤ 10% extra wall, and an
+//! timed plain, then in back-to-back pairs of plain and profiled,
+//! plain and taint-traced runs — the medians of those pairs gate the
+//! observatory's own promises that profiling and propagation tracing
+//! each cost ≤ 10%. Pairs of plain and cold-store runs, then warm reruns
+//! against the same throwaway incremental-cache store, gate the cache's
+//! two promises: populating it costs ≤ 10% extra wall, and an
 //! unchanged-tree warm rerun is ≥ 5x faster than the cold run.
 //!
 //! Thresholds are ratios over the baseline, scaled by `--factor` so a
@@ -174,8 +175,13 @@ pub fn read_baseline(path: impl AsRef<Path>) -> Result<Baseline, String> {
     baseline_of(&v)
 }
 
-/// Run the measured leg: one full ftpd baseline campaign plain, one
-/// with the profiler on, one with the taint tracer on.
+/// Back-to-back (plain, variant) campaign pairs behind each overhead
+/// row; the row reads the median pair.
+const PAIRS: usize = 5;
+
+/// Run the measured leg: one full ftpd baseline campaign plain, then
+/// five plain/profiled and five plain/propagation-traced pairs, then the
+/// cache legs.
 pub fn measure() -> Measured {
     let app = AppSpec::ftpd();
     let cfg = CampaignConfig::default();
@@ -191,41 +197,50 @@ pub fn measure() -> Measured {
         (ms, mean)
     };
     let (plain_ms, mean_replay) = run_ms(&cfg);
-    let profiled = CampaignConfig {
-        engine: EngineOpts {
-            profiler: true,
-            ..cfg.engine
-        },
-        ..cfg
+    let overhead_with = |engine: EngineOpts| {
+        let variant = CampaignConfig { engine, ..cfg };
+        median_overhead(|| run_ms(&cfg).0, || run_ms(&variant).0)
     };
-    let (profiled_ms, _) = run_ms(&profiled);
-    let propagated = CampaignConfig {
-        engine: EngineOpts {
-            propagation: true,
-            ..cfg.engine
-        },
-        ..cfg
-    };
-    let (propagated_ms, _) = run_ms(&propagated);
+    let profiler_overhead = overhead_with(EngineOpts {
+        profiler: true,
+        ..cfg.engine
+    });
+    let propagation_overhead = overhead_with(EngineOpts {
+        propagation: true,
+        ..cfg.engine
+    });
     let (cold_overhead, warm_speedup) = measure_cached(&app, &cfg);
     Measured {
         campaign_ftpd_full_ms: plain_ms,
         mean_micros_per_replay: mean_replay,
-        profiler_overhead: (profiled_ms / plain_ms - 1.0).max(0.0),
+        profiler_overhead,
         alu_loop_minst_per_s: measure_alu_loop(),
         cache_cold_overhead: cold_overhead,
         cache_warm_speedup: warm_speedup,
-        propagation_overhead: (propagated_ms / plain_ms - 1.0).max(0.0),
+        propagation_overhead,
     }
+}
+
+/// The extra wall fraction of `variant` over `plain`, floored at 0: the
+/// median of `variant / plain - 1` over [`PAIRS`] back-to-back pairs. A
+/// sub-10% effect is well inside single-shot scheduler noise, and slow
+/// drift hits both halves of a pair alike.
+fn median_overhead(mut plain: impl FnMut() -> f64, mut variant: impl FnMut() -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..PAIRS)
+        .map(|_| {
+            let base = plain();
+            variant() / base
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    (ratios[PAIRS / 2] - 1.0).max(0.0)
 }
 
 /// Time the campaign plain (no cache), cold (empty store, every group
 /// replayed and recorded) and warm (unchanged tree, every group folded
-/// from the store). Returns `(cold_overhead, warm_speedup)`. The
-/// cold/plain gap is a sub-10% effect, well inside single-shot
-/// scheduler noise, so the legs run as back-to-back plain/cold pairs —
-/// slow drift hits both halves of a pair alike — and the overhead is
-/// the median of the per-pair ratios.
+/// from the store). Returns `(cold_overhead, warm_speedup)`: the cold
+/// row is a [`median_overhead`] over plain/cold pairs, the warm row the
+/// fastest cold run over the fastest of three warm ones.
 fn measure_cached(app: &AppSpec, cfg: &CampaignConfig) -> (f64, f64) {
     let dir = std::env::temp_dir().join(format!("fisec-benchdiff-{}", std::process::id()));
     let cached_ms = |cache: Option<&CampaignCache>| {
@@ -234,22 +249,21 @@ fn measure_cached(app: &AppSpec, cfg: &CampaignConfig) -> (f64, f64) {
         run_campaign_cached(app, cfg, &tel, cache);
         start.elapsed().as_secs_f64() * 1e3
     };
-    let mut ratios = Vec::new();
-    let (mut cold_min, mut warm_min) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        let plain = cached_ms(None);
-        let _ = std::fs::remove_dir_all(&dir);
-        let cold = cached_ms(Some(&CampaignCache::at(dir.clone())));
-        ratios.push(cold / plain);
-        cold_min = cold_min.min(cold);
-    }
+    let mut cold_min = f64::MAX;
+    let overhead = median_overhead(
+        || cached_ms(None),
+        || {
+            let _ = std::fs::remove_dir_all(&dir);
+            let cold = cached_ms(Some(&CampaignCache::at(dir.clone())));
+            cold_min = cold_min.min(cold);
+            cold
+        },
+    );
     // The last cold run above left the store populated: warm reuses it.
-    for _ in 0..3 {
-        warm_min = warm_min.min(cached_ms(Some(&CampaignCache::at(dir.clone()))));
-    }
+    let warm_min = (0..3)
+        .map(|_| cached_ms(Some(&CampaignCache::at(dir.clone()))))
+        .fold(f64::MAX, f64::min);
     let _ = std::fs::remove_dir_all(&dir);
-    ratios.sort_by(f64::total_cmp);
-    let overhead = (ratios[ratios.len() / 2] - 1.0).max(0.0);
     (overhead, cold_min / warm_min)
 }
 

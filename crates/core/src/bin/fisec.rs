@@ -1636,6 +1636,8 @@ mod tests {
             cache ls --cache store
             table1 --app both --cache store1 --threads 1
             table1 --app both --cache store --trace-out warm.jsonl
+            table1 --app both --cache store --trace-out heal.jsonl
+            table1 --app both --cache store --trace-out healed.jsonl
             figure4 --app ftpd --cache store
             cache verify --cache store
             cache gc --cache store --max-size 64m

@@ -24,11 +24,14 @@
 //!    cannot. Code bytes read as *data* are the one documented
 //!    exception — `fisec cache verify` exists to audit it.
 //!
-//! The store is one JSON file per (app, client, scheme, recorder) under
-//! the cache root (`~/.fisec-cache` or `--cache DIR`), written with the
-//! same tmp+atomic-rename discipline as the random-tier ledger. Corrupt,
-//! truncated or stale-schema files are treated as misses, never a
-//! panic.
+//! The store is one binary file (`*.store`) per (app, client, scheme,
+//! recorder) under the cache root (`~/.fisec-cache` or `--cache DIR`),
+//! written with the same tmp+atomic-rename discipline as the random-tier
+//! ledger. [`encode_store`]/[`decode_store`] are its whole codec: a
+//! checked header, then little-endian, length-framed fields. Decoding is
+//! total — corrupt, truncated or stale-schema files are misses, never a
+//! panic. `*.json` files left by schema-1 builds are listed and evicted
+//! but never read.
 
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
@@ -36,16 +39,16 @@ use fisec_encoding::EncodingScheme;
 use fisec_inject::persist::{self, CachedRun};
 use fisec_inject::{ErrorLocation, GoldenRun, InjectionRun, InjectionTarget};
 use fisec_net::Dir;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Version tag of the store-file layout. Bump on any change to
-/// [`StoreFile`]/[`GroupEntry`] fields or the key derivations; files
-/// with a different schema are ignored wholesale.
-pub const CACHE_SCHEMA: u32 = 1;
+/// [`StoreFile`]/[`GroupEntry`] fields, their encoding or the key
+/// derivations; files with a different schema are ignored wholesale.
+/// Schema 1 was a JSON file; schema 2 is the binary layout of
+/// [`encode_store`].
+pub const CACHE_SCHEMA: u32 = 2;
 
 /// Identity of the injected fault model. The study injects exhaustive
 /// single-bit flips into instruction bytes; any change to that model
@@ -235,7 +238,7 @@ impl KeyHasher {
 // ---------------------------------------------------------------------
 
 /// One byte range of a stored execution footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FootRange {
     /// First byte address.
     pub start: u32,
@@ -245,7 +248,7 @@ pub struct FootRange {
 
 /// One injection target, as stored (everything `fisec cache verify`
 /// needs to rebuild the [`InjectionTarget`] and re-execute the group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CachedTarget {
     /// Byte within the instruction.
     pub byte_index: u8,
@@ -262,7 +265,7 @@ pub struct CachedTarget {
 }
 
 /// One memoized checkpoint group.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupEntry {
     /// Shared instruction address (the store's lookup key).
     pub addr: u32,
@@ -280,7 +283,7 @@ pub struct GroupEntry {
 }
 
 /// One per-(app, client, scheme, recorder) store file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreFile {
     /// Store layout version ([`CACHE_SCHEMA`]).
     pub schema: u32,
@@ -550,10 +553,18 @@ impl CampaignCache {
     }
 }
 
+/// File extension of the stores this build reads and writes.
+const STORE_EXT: &str = "store";
+
+/// File extension of the schema-1 JSON stores older builds wrote.
+/// Distinct from [`STORE_EXT`], so builds sharing a cache root never
+/// overwrite each other's stores; this one lists and evicts them.
+const LEGACY_EXT: &str = "json";
+
 /// Deterministic store file name for one campaign column.
 pub fn store_file_name(app: &str, client: &str, scheme_tag: &str, recorder: bool) -> String {
     format!(
-        "{app}-{client}-{scheme_tag}{}.json",
+        "{app}-{client}-{scheme_tag}{}.{STORE_EXT}",
         if recorder { "-rec" } else { "" }
     )
 }
@@ -674,31 +685,278 @@ impl ClientStore {
             context: self.context.clone(),
             groups,
         };
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let json = serde_json::to_string(&file).expect("store contains no non-finite floats");
-        let tmp = self.path.with_extension("json.tmp");
-        {
-            // No fsync: the rename keeps torn writes from ever becoming
-            // visible under the store's name, and a file lost to a
-            // power cut merely re-runs its groups — `load_store`
-            // degrades anything unreadable to a miss. Durability is not
-            // worth a per-client fsync stall on the campaign path.
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-        }
-        std::fs::rename(&tmp, &self.path)
+        write_store(&self.path, &file)
     }
 }
 
-/// Parse a store file. `None` for unreadable, torn, non-JSON,
-/// schema-mismatched or otherwise malformed files — every failure mode
-/// is a cache miss.
+// ---------------------------------------------------------------------
+// Store codec
+// ---------------------------------------------------------------------
+
+/// First bytes of every store file.
+const MAGIC: [u8; 8] = *b"FISECSTO";
+
+// Fewest encoded bytes of one target, footprint range, run and group: a
+// sequence count claiming more elements than the bytes left can hold is
+// rejected before anything is allocated for it.
+const TARGET_BYTES: usize = 6;
+const FOOT_BYTES: usize = 8;
+// Three string lengths, seven bool or option tags.
+const RUN_BYTES: usize = 3 * 4 + 7;
+// The address, two string lengths and three sequence counts.
+const GROUP_BYTES: usize = 6 * 4;
+
+/// Encode a store. Layout, every integer little-endian:
+///
+/// ```text
+/// file   = magic[8] schema:u32 digest_schema:u32
+///          app:str client:str scheme:str recorder:bool context:str
+///          n:u32 group*n
+/// group  = addr:u32 key:str n:u32 target*n n:u32 (start:u32 len:u32)*n
+///          foot_hash:str n:u32 run*n
+/// target = byte_index:u8 bit:u8 first_byte:u8 inst_len:u8 location:u8
+///          is_cond_branch:bool
+/// run    = outcome:str activated:bool stop:str client:str
+///          crash_latency:opt<u64> transient_deviation:bool
+///          divergence:opt<str> has_div:bool divergence_depth:opt<u64>
+///          trace_latency:opt<u64>
+/// str    = len:u32 utf8[len]      bool = 0|1      opt<T> = 0 | 1 T
+/// ```
+///
+/// [`decode_store`] accepts exactly the images this produces, so a
+/// decoded file re-encodes to the same bytes.
+pub fn encode_store(file: &StoreFile) -> Vec<u8> {
+    let mut w = Writer(Vec::new());
+    w.0.extend_from_slice(&MAGIC);
+    w.u32(file.schema);
+    w.u32(file.digest_schema);
+    w.str(&file.app);
+    w.str(&file.client);
+    w.str(&file.scheme);
+    w.bool(file.recorder);
+    w.str(&file.context);
+    w.len(file.groups.len());
+    for g in &file.groups {
+        w.u32(g.addr);
+        w.str(&g.key);
+        w.len(g.targets.len());
+        for t in &g.targets {
+            w.0.extend_from_slice(&[t.byte_index, t.bit, t.first_byte, t.inst_len, t.location]);
+            w.bool(t.is_cond_branch);
+        }
+        w.len(g.foot.len());
+        for r in &g.foot {
+            w.u32(r.start);
+            w.u32(r.len);
+        }
+        w.str(&g.foot_hash);
+        w.len(g.runs.len());
+        for r in &g.runs {
+            w.str(&r.outcome);
+            w.bool(r.activated);
+            w.str(&r.stop);
+            w.str(&r.client);
+            w.opt(r.crash_latency, Writer::u64);
+            w.bool(r.transient_deviation);
+            w.opt(r.divergence.as_deref(), Writer::str);
+            w.bool(r.has_div);
+            w.opt(r.divergence_depth, Writer::u64);
+            w.opt(r.trace_latency, Writer::u64);
+        }
+    }
+    w.0
+}
+
+/// Decode a store image. `None` unless the header carries this build's
+/// magic, [`CACHE_SCHEMA`] and [`persist::DIGEST_SCHEMA`] (checked before
+/// any group is decoded) and the rest is exactly one well-formed
+/// [`encode_store`] body: a short read, trailing bytes, non-UTF-8 text, a
+/// bool or option tag other than 0/1, or a count larger than the bytes
+/// left all decode to `None`. Never panics.
+pub fn decode_store(bytes: &[u8]) -> Option<StoreFile> {
+    let mut r = Reader(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
+        return None;
+    }
+    let schema = r.u32()?;
+    let digest_schema = r.u32()?;
+    if schema != CACHE_SCHEMA || digest_schema != persist::DIGEST_SCHEMA {
+        return None;
+    }
+    let file = StoreFile {
+        schema,
+        digest_schema,
+        app: r.str()?,
+        client: r.str()?,
+        scheme: r.str()?,
+        recorder: r.bool()?,
+        context: r.str()?,
+        groups: r.seq(GROUP_BYTES, Reader::group)?,
+    };
+    r.0.is_empty().then_some(file)
+}
+
+/// Read and decode a store file; `None` for an unreadable file or
+/// anything [`decode_store`] rejects — every failure mode is a cache
+/// miss.
 pub fn read_store(path: &Path) -> Option<StoreFile> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let file: StoreFile = serde_json::from_str(&text).ok()?;
-    (file.schema == CACHE_SCHEMA && file.digest_schema == persist::DIGEST_SCHEMA).then_some(file)
+    decode_store(&std::fs::read(path).ok()?)
+}
+
+/// Encode `file` and write it atomically: a sibling `.tmp` file renamed
+/// over `path`, creating the cache directory first.
+///
+/// # Errors
+/// I/O errors creating the directory, writing or renaming the file.
+pub fn write_store(path: &Path, file: &StoreFile) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    // No fsync: the rename keeps torn writes from ever becoming visible
+    // under the store's name, and a file lost to a power cut merely
+    // re-runs its groups — `read_store` degrades anything unreadable to
+    // a miss. Durability is not worth a per-client fsync stall on the
+    // campaign path.
+    std::fs::write(&tmp, encode_store(file))?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Byte sink of [`encode_store`].
+struct Writer(Vec<u8>);
+
+impl Writer {
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.0.push(u8::from(v));
+    }
+
+    fn len(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("store sequences hold fewer than 2^32 items"));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            put(self, v);
+        }
+    }
+}
+
+/// Byte source of [`decode_store`]: the bytes not yet consumed.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.0.len() {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.array::<1>()? {
+            [0] => Some(false),
+            [1] => Some(true),
+            _ => None,
+        }
+    }
+
+    fn str(&mut self) -> Option<String> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).ok().map(str::to_owned)
+    }
+
+    fn opt<T>(&mut self, get: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        if self.bool()? {
+            get(self).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    /// A counted sequence of items at least `min_bytes` long each.
+    fn seq<T>(
+        &mut self,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = self.u32()? as usize;
+        if n > self.0.len() / min_bytes {
+            return None;
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Some(out)
+    }
+
+    fn group(&mut self) -> Option<GroupEntry> {
+        Some(GroupEntry {
+            addr: self.u32()?,
+            key: self.str()?,
+            targets: self.seq(TARGET_BYTES, |r| {
+                let [byte_index, bit, first_byte, inst_len, location] = r.array()?;
+                Some(CachedTarget {
+                    byte_index,
+                    bit,
+                    first_byte,
+                    inst_len,
+                    location,
+                    is_cond_branch: r.bool()?,
+                })
+            })?,
+            foot: self.seq(FOOT_BYTES, |r| {
+                Some(FootRange {
+                    start: r.u32()?,
+                    len: r.u32()?,
+                })
+            })?,
+            foot_hash: self.str()?,
+            runs: self.seq(RUN_BYTES, |r| {
+                Some(CachedRun {
+                    outcome: r.str()?,
+                    activated: r.bool()?,
+                    stop: r.str()?,
+                    client: r.str()?,
+                    crash_latency: r.opt(Reader::u64)?,
+                    transient_deviation: r.bool()?,
+                    divergence: r.opt(Reader::str)?,
+                    has_div: r.bool()?,
+                    divergence_depth: r.opt(Reader::u64)?,
+                    trace_latency: r.opt(Reader::u64)?,
+                })
+            })?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -718,14 +976,20 @@ pub struct StoreSummary {
     pub store: Option<StoreFile>,
 }
 
-/// All store files under `root`, name-sorted (deterministic output).
+/// All store files under `root`, name-sorted (deterministic output):
+/// this build's stores plus the schema-1 `*.json` stores older builds
+/// left, which never decode, so `ls` shows them invalid, `verify` skips
+/// them and `gc` counts and evicts them.
 pub fn store_paths(root: &Path) -> Vec<PathBuf> {
     let Ok(rd) = std::fs::read_dir(root) else {
         return Vec::new();
     };
     let mut paths: Vec<PathBuf> = rd
         .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .filter(|p| {
+            p.extension()
+                .is_some_and(|x| x == STORE_EXT || x == LEGACY_EXT)
+        })
         .collect();
     paths.sort();
     paths
@@ -938,8 +1202,8 @@ mod tests {
         store.save().unwrap();
         let path = store_paths(&dir)[0].clone();
 
-        // Torn tail: truncate mid-JSON → unreadable → empty store.
-        let full = std::fs::read_to_string(&path).unwrap();
+        // Torn tail: truncate mid-file → undecodable → empty store.
+        let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         let (store, _) = test_store(&dir, &app);
         assert!(matches!(
@@ -948,7 +1212,10 @@ mod tests {
         ));
 
         // Stale schema version → ignored wholesale.
-        std::fs::write(&path, full.replacen("\"schema\":1", "\"schema\":999", 1)).unwrap();
+        let mut file = decode_store(&full).unwrap();
+        file.schema = 999;
+        write_store(&path, &file).unwrap();
+        assert!(read_store(&path).is_none());
         let (store, _) = test_store(&dir, &app);
         assert!(matches!(
             store.lookup(&app.image, &group),
@@ -957,10 +1224,9 @@ mod tests {
 
         // Hash-collision-shaped entry: right key string, wrong shape
         // (fewer runs than targets) → stale, never a bad fold.
-        std::fs::write(&path, &full).unwrap();
-        let mut file = read_store(&path).unwrap();
+        let mut file = decode_store(&full).unwrap();
         file.groups[0].runs.pop();
-        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
+        write_store(&path, &file).unwrap();
         let (store, _) = test_store(&dir, &app);
         assert!(matches!(
             store.lookup(&app.image, &group),
@@ -968,15 +1234,112 @@ mod tests {
         ));
 
         // Malformed payload inside a well-shaped entry → stale.
-        std::fs::write(&path, &full).unwrap();
-        let mut file = read_store(&path).unwrap();
+        let mut file = decode_store(&full).unwrap();
         file.groups[0].runs[0].outcome = "bogus".to_string();
-        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
+        write_store(&path, &file).unwrap();
         let (store, _) = test_store(&dir, &app);
         assert!(matches!(
             store.lookup(&app.image, &group),
             CacheLookup::Stale
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_codec_round_trips_every_run_field() {
+        let run = InjectionRun {
+            outcome: fisec_inject::OutcomeClass::FailSilenceViolation,
+            activated: true,
+            stop: fisec_os::Stop::Crashed(fisec_x86::Fault::MemAccess {
+                addr: 0x2004,
+                write: true,
+            }),
+            client: fisec_net::ClientStatus::Confused,
+            crash_latency: Some(4242),
+            transient_deviation: true,
+            divergence: Some("msg 3 differs".to_string()),
+        };
+        let divs = [
+            None,
+            Some((None, None)),
+            Some((Some(17), None)),
+            Some((None, Some(9))),
+            Some((Some(u64::MAX), Some(0))),
+        ];
+        let plain = InjectionRun {
+            crash_latency: None,
+            divergence: None,
+            ..run.clone()
+        };
+        let runs: Vec<CachedRun> = divs
+            .iter()
+            .flat_map(|div| {
+                [
+                    persist::encode_run(&run, *div),
+                    persist::encode_run(&plain, *div),
+                ]
+            })
+            .collect();
+        let file = StoreFile {
+            schema: CACHE_SCHEMA,
+            digest_schema: persist::DIGEST_SCHEMA,
+            app: "ftpd".to_string(),
+            client: "Client1".to_string(),
+            scheme: "base".to_string(),
+            recorder: true,
+            context: "ctx".to_string(),
+            groups: vec![GroupEntry {
+                addr: 0x0804_8000,
+                key: "k".to_string(),
+                targets: Vec::new(),
+                foot: vec![FootRange { start: 1, len: 2 }],
+                foot_hash: "f".to_string(),
+                runs,
+            }],
+        };
+        let bytes = encode_store(&file);
+        let back = decode_store(&bytes).unwrap();
+        assert_eq!(back, file);
+        assert_eq!(encode_store(&back), bytes);
+        for (i, c) in back.groups[0].runs.iter().enumerate() {
+            let (dec, div) = persist::decode_run(c).unwrap();
+            assert_eq!(dec, if i % 2 == 0 { &run } else { &plain }.clone());
+            assert_eq!(div, divs[i / 2]);
+        }
+    }
+
+    #[test]
+    fn legacy_json_stores_are_listed_invalid_and_evicted() {
+        let dir = std::env::temp_dir().join("fisec-cache-test-legacy");
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = AppSpec::ftpd();
+        let group = sample_group(&app);
+        let runs = sample_runs(group.len());
+        let (store, _) = test_store(&dir, &app);
+        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
+        store.save().unwrap();
+        // What a schema-1 build leaves for the same column.
+        let legacy = dir.join("ftpd-Client1-base.json");
+        std::fs::write(
+            &legacy,
+            r#"{"schema":1,"digest_schema":1,"app":"ftpd","client":"Client1","scheme":"base","recorder":false,"context":"0","groups":[]}"#,
+        )
+        .unwrap();
+        let rows = ls(&dir);
+        let names: Vec<&str> = rows.iter().map(|r| r.file.as_str()).collect();
+        assert_eq!(names, ["ftpd-Client1-base.json", "ftpd-Client1-base.store"]);
+        assert!(rows[0].store.is_none(), "a JSON store never decodes");
+        assert_eq!(rows[1].store.as_ref().unwrap().groups.len(), 1);
+        // The binary store is the one the campaign reads.
+        let (store, _) = test_store(&dir, &app);
+        assert!(matches!(
+            store.lookup(&app.image, &group),
+            CacheLookup::Hit(_)
+        ));
+        // gc counts the legacy file like any other and evicts it.
+        let report = gc(&dir, Some(0), None);
+        assert_eq!(report.evicted.len(), 2);
+        assert!(store_paths(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

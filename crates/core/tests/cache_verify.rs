@@ -1,6 +1,7 @@
 //! `fisec cache verify` audits a store with the from-scratch oracle: a
-//! freshly written store passes, and one doctored run in the group the
-//! audit samples fails the command with that group named.
+//! freshly written store passes (a schema-1 JSON store beside it is
+//! skipped), and one doctored run in the group the audit samples fails
+//! the command with that group named.
 
 use fisec_apps::AppSpec;
 use fisec_core::{cache, run_campaign_cached, CampaignCache, CampaignConfig};
@@ -28,19 +29,25 @@ fn verify_names_a_doctored_group() {
     };
     let cache = CampaignCache::at(root.clone());
     run_campaign_cached(&AppSpec::ftpd(), &cfg, &Telemetry::disabled(), Some(&cache));
-    assert!(
-        verify(&root).status.success(),
-        "an untouched store verifies"
-    );
-
     let path = cache::store_paths(&root)[0].clone();
+    let legacy = root.join("ftpd-Client1-base.json");
+    std::fs::write(&legacy, r#"{"schema":1,"groups":[]}"#).unwrap();
+    let out = verify(&root);
+    assert!(out.status.success(), "an untouched store verifies");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("ftpd-Client1-base.json: invalid or stale schema — skipped"),
+        "{stdout}"
+    );
+    std::fs::remove_file(&legacy).unwrap();
+
     let mut store = cache::read_store(&path).expect("a valid store");
     let idx = SEED as usize % store.groups.len();
     let entry = &mut store.groups[idx];
     let addr = entry.addr;
     let run = &mut entry.runs[0];
     run.outcome = if run.outcome == "BRK" { "NM" } else { "BRK" }.to_string();
-    std::fs::write(&path, serde_json::to_string(&store).unwrap()).unwrap();
+    cache::write_store(&path, &store).unwrap();
     let out = verify(&root);
     let err = String::from_utf8_lossy(&out.stderr);
     let file = path.file_name().unwrap().to_string_lossy();

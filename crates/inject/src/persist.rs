@@ -1,21 +1,20 @@
-//! Stable, versioned serialization of digested injection outcomes for
-//! the incremental campaign cache.
+//! Stable, versioned digests of injection outcomes for the incremental
+//! campaign cache.
 //!
 //! A cached checkpoint group stores one [`CachedRun`] per target, built
 //! from the [`InjectionRun`](crate::InjectionRun) plus the divergence
 //! observables the campaign layer digests out of a
 //! [`DivergenceReport`](crate::DivergenceReport). Enum-valued fields are
-//! flattened to short, human-auditable strings rather than relying on
-//! derived enum encodings, so the on-disk format only changes when
-//! [`DIGEST_SCHEMA`] is bumped deliberately. Decoding is total:
-//! malformed input yields `None` (the cache layer treats it as a miss),
-//! never a panic.
+//! flattened to short, stable strings with their own codecs below, so
+//! the stored form only changes when [`DIGEST_SCHEMA`] is bumped
+//! deliberately; the cache's store codec frames them as it frames any
+//! other string. Decoding is total: malformed input yields `None` (the
+//! cache layer treats it as a miss), never a panic.
 
 use crate::classify::{InjectionRun, OutcomeClass};
 use fisec_net::ClientStatus;
 use fisec_os::Stop;
 use fisec_x86::Fault;
-use serde::{Deserialize, Serialize};
 
 /// Version tag for the digested-run serialization. Bump on any change
 /// to [`CachedRun`]'s fields or the string codecs below; the cache
@@ -25,7 +24,7 @@ pub const DIGEST_SCHEMA: u32 = 1;
 /// One memoized injection outcome: everything the campaign layer folds
 /// into `CampaignResults` for a run, with enum fields flattened to
 /// stable strings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedRun {
     /// Outcome abbreviation: NA/NM/SD/FSV/BRK.
     pub outcome: String,
@@ -253,12 +252,6 @@ mod tests {
         let enc = encode_run(&run, None);
         let (_, div) = decode_run(&enc).unwrap();
         assert_eq!(div, None);
-        // JSON round-trip preserves everything.
-        let json = serde_json::to_string(&encode_run(&run, Some((None, Some(9))))).unwrap();
-        let back: CachedRun = serde_json::from_str(&json).unwrap();
-        let (dec, div) = decode_run(&back).unwrap();
-        assert_eq!(dec, run);
-        assert_eq!(div, Some((None, Some(9))));
     }
 
     #[test]
