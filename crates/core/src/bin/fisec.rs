@@ -504,7 +504,7 @@ fn run(argv: Vec<String>) -> Result<(), Exit> {
 fn cmd_table(mut r: Flags) -> Result<(), Exit> {
     let apps = apps(&mut r)?;
     let schemes = match r.cmd.as_str() {
-        "table5" => vec![EncodingScheme::Baseline, EncodingScheme::NewEncoding],
+        "table5" => EncodingScheme::ALL.to_vec(),
         _ => vec![scheme(&mut r)],
     };
     let json = r.switch("--json");

@@ -24,6 +24,14 @@
 //!    cannot. Code bytes read as *data* are the one documented
 //!    exception — `fisec cache verify` exists to audit it.
 //!
+//! A missed group can still be answered run by run from its **sibling
+//! stores**: the same (app, client, recorder) under another encoding
+//! scheme. A run depends only on the client, the instruction address,
+//! the byte index and the byte value planted there. The §6.2 mapping is
+//! the identity for operand bytes and most opcode bits, so most
+//! new-encoding flips plant exactly the byte a baseline flip planted
+//! ([`ClientStore::share`]).
+//!
 //! The store is one binary file (`*.store`) per (app, client, scheme,
 //! recorder) under the cache root (`~/.fisec-cache` or `--cache DIR`),
 //! written with the same tmp+atomic-rename discipline as the random-tier
@@ -41,7 +49,7 @@ use fisec_inject::{ErrorLocation, GoldenRun, InjectionRun, InjectionTarget};
 use fisec_net::Dir;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Version tag of the store-file layout. Bump on any change to
 /// [`StoreFile`]/[`GroupEntry`] fields, their encoding or the key
@@ -282,6 +290,30 @@ pub struct GroupEntry {
     pub runs: Vec<CachedRun>,
 }
 
+impl GroupEntry {
+    /// The decoded runs, when the entry still holds for `targets` under
+    /// `image`: the right shape, group key and footprint hash, and every
+    /// run decoding. `None` means stale.
+    fn checked_runs(
+        &self,
+        image: &Image,
+        targets: &[InjectionTarget],
+    ) -> Option<Vec<CachedDigestedRun>> {
+        // Shape check first: a key collision with a different target
+        // count must never index out of step with the campaign.
+        if self.runs.len() != targets.len() || self.targets.len() != targets.len() {
+            return None;
+        }
+        if self.key != group_key(image, targets)
+            || self.foot_hash != footprint_hash(image, &self.foot)
+        {
+            return None;
+        }
+        // A malformed payload is stale, never a panic.
+        self.runs.iter().map(persist::decode_run).collect()
+    }
+}
+
 /// One per-(app, client, scheme, recorder) store file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreFile {
@@ -475,6 +507,18 @@ pub struct CampaignCache {
     root: PathBuf,
 }
 
+/// The runs of a missed group that sibling stores answer
+/// ([`ClientStore::share`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SharedRuns {
+    /// Per target, in group order: the run a sibling recorded for the
+    /// same planted byte, or `None` when the target must execute.
+    pub runs: Vec<Option<CachedDigestedRun>>,
+    /// The union of the answering entries' footprints: part of the
+    /// footprint the group's own entry must carry.
+    pub foot: Vec<(u32, u32)>,
+}
+
 /// Result of consulting the store for one checkpoint group.
 pub enum CacheLookup {
     /// Every run of the group, decoded; fold without executing.
@@ -515,12 +559,25 @@ impl CampaignCache {
         golden: &GoldenRun,
     ) -> ClientStore {
         let context = context_key(app, spec, scheme, recorder, golden);
-        let path = self.root.join(store_file_name(
-            app.name,
-            &spec.name,
-            scheme.cache_tag(),
-            recorder,
-        ));
+        let path = |scheme: EncodingScheme| {
+            self.root.join(store_file_name(
+                app.name,
+                &spec.name,
+                scheme.cache_tag(),
+                recorder,
+            ))
+        };
+        let siblings = EncodingScheme::ALL
+            .into_iter()
+            .filter(|&s| s != scheme)
+            .map(|s| Sibling {
+                scheme: s,
+                path: path(s),
+                context: context_key(app, spec, s, recorder, golden),
+                groups: OnceLock::new(),
+            })
+            .collect();
+        let path = path(scheme);
         let mut loaded = HashMap::new();
         let mut context_invalidated = false;
         let mut dropped_groups = 0;
@@ -542,10 +599,11 @@ impl CampaignCache {
             path,
             app: app.name.to_string(),
             client: spec.name.clone(),
-            scheme: scheme.cache_tag().to_string(),
+            scheme,
             recorder,
             context,
             loaded,
+            siblings,
             fresh: Mutex::new(Vec::new()),
             context_invalidated,
             dropped_groups,
@@ -570,16 +628,18 @@ pub fn store_file_name(app: &str, client: &str, scheme_tag: &str, recorder: bool
 }
 
 /// The loaded store for one (app, client, scheme, recorder) column:
-/// lookups against the entries on disk, fresh results accumulated from
-/// worker threads, one atomic write-back at the end of the column.
+/// lookups against the entries on disk, the runs its sibling stores
+/// answer for a missed group, fresh results accumulated from worker
+/// threads, one atomic write-back at the end of the column.
 pub struct ClientStore {
     path: PathBuf,
     app: String,
     client: String,
-    scheme: String,
+    scheme: EncodingScheme,
     recorder: bool,
     context: String,
     loaded: HashMap<u32, GroupEntry>,
+    siblings: Vec<Sibling>,
     fresh: Mutex<Vec<GroupEntry>>,
     /// Whether a stored file existed but was keyed under a different
     /// context (full miss).
@@ -588,35 +648,97 @@ pub struct ClientStore {
     pub dropped_groups: usize,
 }
 
+/// The store of the same (app, client, recorder) under another scheme,
+/// read at most once, when [`ClientStore::share`] first asks for it.
+struct Sibling {
+    scheme: EncodingScheme,
+    path: PathBuf,
+    /// [`context_key`] for this scheme and the campaign's golden run: the
+    /// file's groups are trusted only under it.
+    context: String,
+    groups: OnceLock<HashMap<u32, GroupEntry>>,
+}
+
+impl Sibling {
+    /// The file's groups; none when it is missing, undecodable or keyed
+    /// under another context.
+    fn groups(&self) -> &HashMap<u32, GroupEntry> {
+        self.groups.get_or_init(|| match read_store(&self.path) {
+            Some(file) if file.context == self.context => {
+                file.groups.into_iter().map(|g| (g.addr, g)).collect()
+            }
+            _ => HashMap::new(),
+        })
+    }
+}
+
 impl ClientStore {
     /// Consult the store for one checkpoint group.
     pub fn lookup(&self, image: &Image, targets: &[InjectionTarget]) -> CacheLookup {
         let Some(addr) = targets.first().map(|t| t.addr) else {
             return CacheLookup::Miss;
         };
-        let Some(entry) = self.loaded.get(&addr) else {
-            return CacheLookup::Miss;
+        match self.loaded.get(&addr) {
+            Some(entry) => entry
+                .checked_runs(image, targets)
+                .map_or(CacheLookup::Stale, CacheLookup::Hit),
+            None => CacheLookup::Miss,
+        }
+    }
+
+    /// The runs of a group this store missed that its sibling stores
+    /// answer; `None` when they answer none.
+    ///
+    /// A run depends only on the client, the address, the byte index and
+    /// the byte planted there, so a sibling's run stands for a target
+    /// exactly when both plant the same byte: `(byte_index,
+    /// t.flip(image byte, scheme))` under each store's own scheme. The
+    /// text segment is mapped read-only, so the byte a flip reads at
+    /// activation is the image byte. A
+    /// sibling entry is used only when its file's context is
+    /// [`context_key`] for its scheme and this golden run, and when the
+    /// entry passes the checks a [`CacheLookup::Hit`] passes: shape,
+    /// group key, footprint hash and every run decoding. Each sibling
+    /// file is read once, at the first call.
+    pub fn share(&self, image: &Image, targets: &[InjectionTarget]) -> Option<SharedRuns> {
+        let addr = targets.first()?.addr;
+        let planted = |t: &InjectionTarget, scheme: EncodingScheme| {
+            let byte = text_slice(image, t.addr.wrapping_add(u32::from(t.byte_index)), 1);
+            byte.first().map(|&b| (t.byte_index, t.flip(b, scheme)))
         };
-        // Shape check first: a key collision with a different target
-        // count must never index out of step with the campaign.
-        if entry.runs.len() != targets.len() || entry.targets.len() != targets.len() {
-            return CacheLookup::Stale;
-        }
-        if entry.key != group_key(image, targets) {
-            return CacheLookup::Stale;
-        }
-        if entry.foot_hash != footprint_hash(image, &entry.foot) {
-            return CacheLookup::Stale;
-        }
-        let mut runs = Vec::with_capacity(entry.runs.len());
-        for c in &entry.runs {
-            match persist::decode_run(c) {
-                Some(run) => runs.push(run),
-                // Malformed payload: a miss, never a panic.
-                None => return CacheLookup::Stale,
+        let mut shared = SharedRuns {
+            runs: vec![None; targets.len()],
+            foot: Vec::new(),
+        };
+        for sibling in &self.siblings {
+            let Some(entry) = sibling.groups().get(&addr) else {
+                continue;
+            };
+            let Some(runs) = entry.checked_runs(image, targets) else {
+                continue;
+            };
+            // The key covers the target tuples, so the entry's runs are
+            // in `targets` order.
+            let by_planted: HashMap<_, _> = targets
+                .iter()
+                .zip(runs)
+                .filter_map(|(t, run)| Some((planted(t, sibling.scheme)?, run)))
+                .collect();
+            let mut used = false;
+            for (slot, t) in shared.runs.iter_mut().zip(targets) {
+                if slot.is_none() {
+                    *slot = planted(t, self.scheme).and_then(|p| by_planted.get(&p).cloned());
+                    used |= slot.is_some();
+                }
+            }
+            if used {
+                shared
+                    .foot
+                    .extend(entry.foot.iter().map(|r| (r.start, r.len)));
             }
         }
-        CacheLookup::Hit(runs)
+        shared.foot = merge_ranges(shared.foot);
+        shared.runs.iter().any(Option::is_some).then_some(shared)
     }
 
     /// Record one freshly executed group. Thread-safe; the entry lands
@@ -680,7 +802,7 @@ impl ClientStore {
             digest_schema: persist::DIGEST_SCHEMA,
             app: self.app.clone(),
             client: self.client.clone(),
-            scheme: self.scheme.clone(),
+            scheme: self.scheme.cache_tag().to_string(),
             recorder: self.recorder,
             context: self.context.clone(),
             groups,

@@ -1,6 +1,8 @@
 //! Selective exhaustive injection campaigns (paper §4/§5).
 
-use crate::cache::{CacheLookup, CachedDigestedRun, CampaignCache, ClientStore, DivTuple};
+use crate::cache::{
+    merge_ranges, CacheLookup, CachedDigestedRun, CampaignCache, ClientStore, DivTuple,
+};
 use crate::counts::{LocationCounts, OutcomeCounts};
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
@@ -164,6 +166,11 @@ struct RunPropagation {
 /// What the engine hands back per run once traces are digested away.
 type DigestedRun = (InjectionRun, Option<RunDivergence>, Option<RunPropagation>);
 
+/// The runs sibling stores answered for a missed group, in group order
+/// (`None` where the target executes), and the union of the answering
+/// entries' footprints.
+type Answered = (Vec<Option<DigestedRun>>, Vec<(u32, u32)>);
+
 /// A digested run with the execution metadata telemetry folds.
 type MeteredRun = (
     InjectionRun,
@@ -181,20 +188,16 @@ fn to_cached(runs: &[DigestedRun]) -> Vec<CachedDigestedRun> {
         .collect()
 }
 
-/// Cached digested runs back into the campaign's shape.
-fn from_cached(runs: Vec<CachedDigestedRun>) -> Vec<DigestedRun> {
-    runs.into_iter()
-        .map(|(run, div)| {
-            (
-                run,
-                div.map(|(depth, trace_latency): DivTuple| RunDivergence {
-                    depth,
-                    trace_latency,
-                }),
-                None,
-            )
-        })
-        .collect()
+/// A cached digested run back into the campaign's shape.
+fn from_cached((run, div): CachedDigestedRun) -> DigestedRun {
+    (
+        run,
+        div.map(|(depth, trace_latency): DivTuple| RunDivergence {
+            depth,
+            trace_latency,
+        }),
+        None,
+    )
 }
 
 /// Digest a report against its run; `None` when the recorder was off or
@@ -737,12 +740,28 @@ impl<'a> WorkerTel<'a> {
         if !self.tel.enabled() {
             return;
         }
-        let n = targets.len() as u64;
-        self.shard.inc(metric::RUNS, n);
         self.shard.inc(metric::CACHE_HIT_GROUPS, 1);
-        self.shard.inc(metric::CACHE_SYNTH_RUNS, n);
+        self.shard
+            .inc(metric::CACHE_SYNTH_RUNS, targets.len() as u64);
+        let runs: Vec<_> = targets.iter().zip(runs).collect();
+        self.note_memoized(&runs, 1);
+    }
+
+    /// The runs of a missed group that sibling stores answered, memoized
+    /// like a hit's; `groups` is 1 when nothing of the group executes.
+    fn note_shared(&mut self, runs: &[(&InjectionTarget, &DigestedRun)], groups: u64) {
+        if !self.tel.enabled() {
+            return;
+        }
+        self.shard.inc(metric::CACHE_SHARED_RUNS, runs.len() as u64);
+        self.note_memoized(runs, groups);
+    }
+
+    /// Runs served from a store without executing.
+    fn note_memoized(&mut self, runs: &[(&InjectionTarget, &DigestedRun)], groups: u64) {
+        self.shard.inc(metric::RUNS, runs.len() as u64);
         let mut tally = [0u64; 5];
-        for ((run, div, prop), target) in runs.iter().zip(targets) {
+        for (target, (run, div, prop)) in runs {
             self.observe_divergence(run, *div);
             tally[outcome_index(run.outcome)] += 1;
             if self.tel.events_enabled() {
@@ -752,7 +771,7 @@ impl<'a> WorkerTel<'a> {
         if self.tel.events_enabled() {
             self.flush_if_full();
         }
-        self.tel.progress.add(tally, 1);
+        self.tel.progress.add(tally, groups);
     }
 
     /// One cache consultation or write-back: a counter bump plus a
@@ -1062,6 +1081,7 @@ pub fn run_campaign_cached(
                 cache_stale_groups: ctr(metric::CACHE_STALE_GROUPS),
                 cache_synth_runs: ctr(metric::CACHE_SYNTH_RUNS),
                 masked_runs: ctr(metric::MASKED_RUNS),
+                cache_shared_runs: ctr(metric::CACHE_SHARED_RUNS),
             }));
         }
         tel.sink.flush();
@@ -1083,15 +1103,21 @@ pub fn run_campaign_cached(
 ///    exactly as golden did. A pass that does not qualify sends the
 ///    client through the from-scratch arm instead.
 /// 3. With a store only: look each remaining group up; a hit folds the
-///    memoized runs without booting a process.
-/// 4. Run the remaining groups from a shared work queue (groups vary
-///    wildly in cost, so static chunking would straggle). In snapshot
-///    mode the queue is in activation order and each worker serves its
-///    groups from one [`LatentRunner`] on the pass, so its walk only
-///    moves forward and it loads at most one process. In from-scratch
-///    mode, the paper's §4 procedure and the reference oracle, every
-///    target boots afresh through [`run_injection_recorded`].
-/// 5. With a store only: record each executed group and its footprint.
+///    memoized runs without booting a process. A group that misses takes
+///    every run its sibling stores answer ([`ClientStore::share`]: the
+///    other encoding scheme planted the same byte), and a group they
+///    answer in full executes nothing.
+/// 4. Run the remaining targets, group by group, from a shared work
+///    queue (groups vary wildly in cost, so static chunking would
+///    straggle). In snapshot mode the queue is in activation order and
+///    each worker serves its groups from one [`LatentRunner`] on the
+///    pass, so its walk only moves forward and it loads at most one
+///    process. In from-scratch mode, the paper's §4 procedure and the
+///    reference oracle, every target boots afresh through
+///    [`run_injection_recorded`].
+/// 5. With a store only: record each missed group whole, its footprint
+///    the union of the executed runs' and the answering siblings'. The
+///    union can make the entry go stale sooner, never serve a wrong run.
 /// 6. Reassemble the runs in target order.
 #[allow(clippy::too_many_arguments)]
 fn run_targets(
@@ -1130,17 +1156,41 @@ fn run_targets(
     });
     let pass = pass.as_ref().filter(|p| p.qualifies());
 
-    // One group on a worker: execute it, digest each report down to the
-    // per-run numbers the campaign keeps, drop the traces, and — with a
-    // cache attached — write the memoized entry back.
+    // Write a missed group's runs back to the store, whole.
+    let record = |group: &[InjectionTarget], runs: &[DigestedRun], foot, wt: &mut WorkerTel<'_>| {
+        if let Some(store) = store {
+            store.record(&app.image, group, &to_cached(runs), foot);
+            let n = group.len() as u64;
+            wt.note_cache(app.name, &spec.name, "store", Some(group[0].addr), n);
+        }
+    };
+
+    // One group on a worker: execute the targets no sibling store
+    // answered, digest each report down to the per-run numbers the
+    // campaign keeps, drop the traces, and — with a cache attached —
+    // write the whole group back.
     let run_group = |runner: &mut Option<LatentRunner<'_>>,
                      group: &[InjectionTarget],
+                     shared: Option<&Answered>,
                      wt: &mut WorkerTel<'_>|
      -> Vec<DigestedRun> {
+        let unshared: Vec<InjectionTarget>;
+        let exec = match shared {
+            Some((answered, _)) => {
+                unshared = group
+                    .iter()
+                    .zip(answered)
+                    .filter(|(_, run)| run.is_none())
+                    .map(|(t, _)| *t)
+                    .collect();
+                &unshared[..]
+            }
+            None => group,
+        };
         let (runs, foot): (Vec<DigestedRun>, _) = match runner {
             Some(runner) => {
                 let (runs, gmeta, prof, fp) = runner
-                    .run_group(golden, group, cfg.scheme)
+                    .run_group(golden, exec, cfg.scheme)
                     .expect("image loads");
                 let runs: Vec<MeteredRun> = runs
                     .into_iter()
@@ -1149,7 +1199,7 @@ fn run_targets(
                         (run, meta, div, digest_prop(preport.as_ref()))
                     })
                     .collect();
-                wt.note_group(group, &runs, gmeta);
+                wt.note_group(exec, &runs, gmeta);
                 wt.note_exec_profile(prof.as_ref());
                 let runs = runs
                     .into_iter()
@@ -1159,7 +1209,7 @@ fn run_targets(
             }
             None => {
                 let mut foot = Vec::new();
-                let runs = group
+                let runs = exec
                     .iter()
                     .map(|t| {
                         let (runs, gmeta, prof, fp) =
@@ -1179,19 +1229,25 @@ fn run_targets(
                         (run, div, prop)
                     })
                     .collect();
-                (runs, crate::cache::merge_ranges(foot))
+                (runs, merge_ranges(foot))
             }
         };
-        if let Some(store) = store {
-            store.record(&app.image, group, &to_cached(&runs), foot);
-            wt.note_cache(
-                app.name,
-                &spec.name,
-                "store",
-                Some(group[0].addr),
-                group.len() as u64,
-            );
-        }
+        let (runs, foot) = match shared {
+            Some((answered, shared_foot)) => {
+                let mut executed = runs.into_iter();
+                let runs: Vec<DigestedRun> = answered
+                    .iter()
+                    .map(|run| {
+                        run.clone().unwrap_or_else(|| {
+                            executed.next().expect("one run per unshared target")
+                        })
+                    })
+                    .collect();
+                (runs, merge_ranges([foot, shared_foot.clone()].concat()))
+            }
+            None => (runs, foot),
+        };
+        record(group, &runs, foot, wt);
         runs
     };
     let runner = || pass.map(|p| LatentRunner::with_pass(&app.image, spec, p));
@@ -1200,6 +1256,7 @@ fn run_targets(
     // for free and never touches (or populates) the store; the survivors
     // consult the cache before executing, and queue in activation order.
     let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
+    let mut shared: Vec<Option<Answered>> = vec![None; groups.len()];
     let mut live: Vec<(u64, usize)> = Vec::with_capacity(groups.len());
     for (gi, group) in groups.iter().enumerate() {
         // `Some(None)`: the pass proves golden never reaches the group.
@@ -1210,9 +1267,21 @@ fn run_targets(
             wt0.note_prefilter(group);
             continue;
         }
-        if let Some(runs) = store.and_then(|s| consult(s, app, spec, group, &mut wt0)) {
-            slots[gi] = Some(runs);
-            continue;
+        if let Some(store) = store {
+            match consult(store, app, spec, group, &mut wt0) {
+                Consulted::Hit(runs) => {
+                    slots[gi] = Some(runs);
+                    continue;
+                }
+                Consulted::Shared((runs, foot)) if runs.iter().all(Option::is_some) => {
+                    let runs: Vec<DigestedRun> = runs.into_iter().flatten().collect();
+                    record(group, &runs, foot, &mut wt0);
+                    slots[gi] = Some(runs);
+                    continue;
+                }
+                Consulted::Shared(answered) => shared[gi] = Some(answered),
+                Consulted::Missed => {}
+            }
         }
         live.push((activation.flatten().unwrap_or(0), gi));
     }
@@ -1222,7 +1291,12 @@ fn run_targets(
     if threads <= 1 {
         let mut runner = runner();
         for &(_, gi) in &live {
-            slots[gi] = Some(run_group(&mut runner, groups[gi], &mut wt0));
+            slots[gi] = Some(run_group(
+                &mut runner,
+                groups[gi],
+                shared[gi].as_ref(),
+                &mut wt0,
+            ));
         }
     } else {
         let slots_mx = Mutex::new(&mut slots);
@@ -1231,7 +1305,7 @@ fn run_targets(
             let mut runner = runner();
             while let Some(i) = pull() {
                 let gi = live[i].1;
-                let runs = run_group(&mut runner, groups[gi], &mut wt);
+                let runs = run_group(&mut runner, groups[gi], shared[gi].as_ref(), &mut wt);
                 let wait_start = Instant::now();
                 let mut guard = slots_mx.lock().expect("no worker panicked");
                 let wait = micros_since(wait_start);
@@ -1256,34 +1330,50 @@ fn run_targets(
     out
 }
 
-/// Consult the cache for one checkpoint group: `Some(runs)` on a hit
-/// (already folded into `wt`'s telemetry), `None` on a miss or stale
-/// entry (the group must execute).
+/// What the store says about one checkpoint group. Memoized runs are
+/// already folded into the worker's telemetry.
+enum Consulted {
+    /// Every run, from the group's own store.
+    Hit(Vec<DigestedRun>),
+    /// The group missed its own store; sibling stores answer these runs.
+    Shared(Answered),
+    /// The group missed its own store and every run must execute.
+    Missed,
+}
+
+/// Consult the cache for one checkpoint group: its own store first, then,
+/// on a miss or stale entry, its sibling stores.
 fn consult(
     store: &ClientStore,
     app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
     group: &[InjectionTarget],
     wt: &mut WorkerTel<'_>,
-) -> Option<Vec<DigestedRun>> {
+) -> Consulted {
     let addr = group.first().map(|t| t.addr);
     let n = group.len() as u64;
-    match store.lookup(&app.image, group) {
+    let action = match store.lookup(&app.image, group) {
         CacheLookup::Hit(runs) => {
-            let runs = from_cached(runs);
+            let runs: Vec<DigestedRun> = runs.into_iter().map(from_cached).collect();
             wt.note_cache_group(group, &runs);
             wt.note_cache(app.name, &spec.name, "hit", addr, n);
-            Some(runs)
+            return Consulted::Hit(runs);
         }
-        CacheLookup::Stale => {
-            wt.note_cache(app.name, &spec.name, "stale", addr, n);
-            None
-        }
-        CacheLookup::Miss => {
-            wt.note_cache(app.name, &spec.name, "miss", addr, n);
-            None
-        }
-    }
+        CacheLookup::Stale => "stale",
+        CacheLookup::Miss => "miss",
+    };
+    wt.note_cache(app.name, &spec.name, action, addr, n);
+    let Some(sh) = store.share(&app.image, group) else {
+        return Consulted::Missed;
+    };
+    let runs: Vec<Option<DigestedRun>> = sh.runs.into_iter().map(|r| r.map(from_cached)).collect();
+    let answered: Vec<_> = group
+        .iter()
+        .zip(&runs)
+        .filter_map(|(t, run)| Some((t, run.as_ref()?)))
+        .collect();
+    wt.note_shared(&answered, u64::from(answered.len() == group.len()));
+    Consulted::Shared((runs, sh.foot))
 }
 
 /// Shared work-queue threading: spawn `threads` scoped workers, each

@@ -13,7 +13,7 @@ use crate::figure4;
 use crate::hotblocks::{render_hot_blocks, DEFAULT_TOP};
 use crate::random::render_report;
 use crate::tables::render_table1;
-use crate::trace::{ReplayedCampaign, ReplayedTrace};
+use crate::trace::{cache_line, ReplayedCampaign, ReplayedTrace};
 use fisec_apps::AppSpec;
 use fisec_telemetry::{metric, render_phase_table, LogHistogram, PhaseTimes};
 use std::fmt::Write as _;
@@ -158,18 +158,7 @@ pub fn render_html(trace: &ReplayedTrace) -> String {
                 "runs {}  na-prefilter {}  fresh boots {}  restores {}\n",
                 end.runs, end.na_prefilter_runs, end.fresh_boots, end.restores
             );
-            // Memoized (cache-hit) groups get their own line, distinct
-            // from the NA pre-filter's derived groups; absent for
-            // cache-off campaigns so existing report fixtures hold.
-            if end.cache_hit_groups + end.cache_miss_groups + end.cache_stale_groups > 0 {
-                body.push_str(&format!(
-                    "cache: hit groups {} ({} memoized runs)  miss {}  stale {}\n",
-                    end.cache_hit_groups,
-                    end.cache_synth_runs,
-                    end.cache_miss_groups,
-                    end.cache_stale_groups
-                ));
-            }
+            body.push_str(&cache_line(&end));
             let phases = PhaseTimes {
                 micros: [
                     end.boot_micros,

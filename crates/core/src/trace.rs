@@ -346,6 +346,25 @@ fn masked_line(masked: u64, replays: u64) -> String {
     )
 }
 
+/// The cache line of a campaign trailer: memoized groups folded from
+/// the store, a different animal from the NA pre-filter's derived
+/// groups, and the runs sibling stores answered when there were any.
+/// Empty for cache-off campaigns, so their output stays byte-stable.
+pub(crate) fn cache_line(end: &CampaignEndEvent) -> String {
+    if end.cache_hit_groups + end.cache_miss_groups + end.cache_stale_groups == 0 {
+        return String::new();
+    }
+    let shared = if end.cache_shared_runs > 0 {
+        format!("  shared runs {}", end.cache_shared_runs)
+    } else {
+        String::new()
+    };
+    format!(
+        "cache: hit groups {} ({} memoized runs)  miss {}  stale {}{shared}\n",
+        end.cache_hit_groups, end.cache_synth_runs, end.cache_miss_groups, end.cache_stale_groups
+    )
+}
+
 /// Render the summary for a replayed trace: the Table 1 layout per
 /// consecutive same-scheme group of campaigns (byte-identical to the
 /// live `fisec table1` output when the trace is complete), then a
@@ -394,20 +413,7 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
                 end.runs, end.na_prefilter_runs, end.fresh_boots, end.restores
             ));
             out.push_str(&masked_line(end.masked_runs, end.restores));
-            // Cache-synthesized groups are *memoized* results folded
-            // from the store — a different animal from the NA
-            // pre-filter's *derived* groups, so they get their own
-            // line. Omitted entirely for cache-off campaigns to keep
-            // existing traces and golden fixtures byte-stable.
-            if end.cache_hit_groups + end.cache_miss_groups + end.cache_stale_groups > 0 {
-                out.push_str(&format!(
-                    "cache: hit groups {} ({} memoized runs)  miss {}  stale {}\n",
-                    end.cache_hit_groups,
-                    end.cache_synth_runs,
-                    end.cache_miss_groups,
-                    end.cache_stale_groups
-                ));
-            }
+            out.push_str(&cache_line(&end));
             let phases = PhaseTimes {
                 micros: [
                     end.boot_micros,
@@ -488,15 +494,14 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
             sum(|e| e.restores)
         ));
         out.push_str(&masked_line(sum(|e| e.masked_runs), sum(|e| e.restores)));
-        if sum(|e| e.cache_hit_groups + e.cache_miss_groups + e.cache_stale_groups) > 0 {
-            out.push_str(&format!(
-                "cache: hit groups {} ({} memoized runs)  miss {}  stale {}\n",
-                sum(|e| e.cache_hit_groups),
-                sum(|e| e.cache_synth_runs),
-                sum(|e| e.cache_miss_groups),
-                sum(|e| e.cache_stale_groups)
-            ));
-        }
+        out.push_str(&cache_line(&CampaignEndEvent {
+            cache_hit_groups: sum(|e| e.cache_hit_groups),
+            cache_miss_groups: sum(|e| e.cache_miss_groups),
+            cache_stale_groups: sum(|e| e.cache_stale_groups),
+            cache_synth_runs: sum(|e| e.cache_synth_runs),
+            cache_shared_runs: sum(|e| e.cache_shared_runs),
+            ..CampaignEndEvent::default()
+        }));
         let phases = PhaseTimes {
             micros: [
                 sum(|e| e.boot_micros),
@@ -601,6 +606,36 @@ mod tests {
         let s = render_stats(&replay);
         assert!(s.contains("FTPD Client1"), "{s}");
         assert!(s.contains("snapshot engine"), "{s}");
+    }
+
+    #[test]
+    fn cache_line_names_shared_runs_only_when_a_sibling_answered() {
+        let end = |miss, shared| CampaignEndEvent {
+            runs: 1,
+            cache_miss_groups: miss,
+            cache_shared_runs: shared,
+            ..CampaignEndEvent::default()
+        };
+        assert_eq!(cache_line(&end(0, 0)), "", "cache-off campaigns print none");
+        assert_eq!(
+            cache_line(&end(70, 0)),
+            "cache: hit groups 0 (0 memoized runs)  miss 70  stale 0\n"
+        );
+        assert_eq!(
+            cache_line(&end(70, 1222)),
+            "cache: hit groups 0 (0 memoized runs)  miss 70  stale 0  shared runs 1222\n"
+        );
+        // The engine aggregate sums the shared runs of every trailer.
+        let events = vec![
+            header(1),
+            run_ev(0, "NA", 0),
+            TraceEvent::CampaignEnd(end(70, 0)),
+            header(1),
+            run_ev(0, "NA", 0),
+            TraceEvent::CampaignEnd(end(70, 1222)),
+        ];
+        let s = render_stats(&parse_trace(&events).unwrap());
+        assert!(s.contains("miss 140  stale 0  shared runs 1222\n"), "{s}");
     }
 
     #[test]

@@ -12,16 +12,23 @@
 //!     store without touching the others;
 //!   * poking a code byte re-runs the affected groups and the store
 //!     self-heals: the next run is all hits again;
-//!   * switching the encoding scheme never reuses the other scheme's
-//!     entries.
+//!   * switching the encoding scheme never folds the other scheme's
+//!     entries as hits, but a missed group takes every run the other
+//!     scheme's store recorded for the same planted byte, and the
+//!     campaign stays identical to the uncached one in both modes, at
+//!     one and two threads, with the recorder on and off;
+//!   * a sibling store keyed under another context or torn, and a
+//!     sibling entry with a stale footprint, are never shared from.
 
 use fisec_apps::AppSpec;
 use fisec_core::{
-    figure4, run_campaign_cached, tables::render_table1, CampaignCache, CampaignConfig,
-    CampaignResult, EncodingScheme, ExecutionMode,
+    cache, figure4, run_campaign_cached, tables::render_table1, CampaignCache, CampaignConfig,
+    CampaignResult, EncodingScheme, EngineOpts, ExecutionMode,
 };
-use fisec_telemetry::{metric, MetricsShard, Telemetry};
+use fisec_telemetry::{metric, MemorySink, MetricsShard, Telemetry, TraceEvent};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn temp_cache(tag: &str) -> (CampaignCache, PathBuf) {
     let dir = std::env::temp_dir().join(format!("fisec-incremental-{tag}-{}", std::process::id()));
@@ -68,6 +75,11 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
             figure4::render(&figure4::histogram(&x.crash_latencies)),
             figure4::render(&figure4::histogram(&y.crash_latencies)),
             "{what}: {} Figure 4 drifted",
+            x.client
+        );
+        assert_eq!(
+            x.trace_crash_latencies, y.trace_crash_latencies,
+            "{what}: {} trace-derived latencies drifted",
             x.client
         );
         assert_eq!(x.transient_deviations, y.transient_deviations, "{what}");
@@ -248,6 +260,231 @@ fn code_byte_poke_reruns_affected_groups_and_the_store_self_heals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Per run, keyed by (client, address, byte, bit): the outcome, the
+/// crash latency and the recorder's divergence digest (depth, trace
+/// latency), as the trace's run events carry them.
+type RunDigests = BTreeMap<(usize, u32, u8, u8), (String, Option<u64>, Option<u64>, Option<u64>)>;
+
+/// [`run`] with a trace sink: the result, the metrics and every run's
+/// digest.
+fn run_traced(
+    app: &AppSpec,
+    cfg: &CampaignConfig,
+    cache: Option<&CampaignCache>,
+) -> (CampaignResult, MetricsShard, RunDigests) {
+    let sink = Arc::new(MemorySink::new());
+    let tel = Telemetry::new(sink.clone(), false);
+    let result = run_campaign_cached(app, cfg, &tel, cache);
+    let digests = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Run(r) => Some((
+                (r.client, r.addr, r.byte_index, r.bit),
+                (
+                    r.outcome,
+                    r.crash_latency,
+                    r.divergence_depth,
+                    r.trace_latency,
+                ),
+            )),
+            _ => None,
+        })
+        .collect();
+    (result, tel.metrics.snapshot(), digests)
+}
+
+fn with_scheme(cfg: &CampaignConfig, scheme: EncodingScheme) -> CampaignConfig {
+    CampaignConfig { scheme, ..*cfg }
+}
+
+#[test]
+fn a_new_encoding_campaign_shares_the_baseline_runs_and_matches_the_uncached_one() {
+    let app = AppSpec::ftpd();
+    for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
+        for recorder in [false, true] {
+            let newenc = CampaignConfig {
+                mode,
+                scheme: EncodingScheme::NewEncoding,
+                // The oracle boots once per run: branches only keeps it
+                // quick, and snapshot mode covers the whole target set.
+                cond_branches_only: mode == ExecutionMode::FromScratch,
+                engine: EngineOpts {
+                    flight_recorder: recorder,
+                    ..EngineOpts::default()
+                },
+                ..CampaignConfig::default()
+            };
+            let (off, off_m, off_runs) = run_traced(&app, &newenc, None);
+            for threads in [1, 2] {
+                let what = format!("{} recorder={recorder} threads={threads}", mode.name());
+                let newenc = CampaignConfig { threads, ..newenc };
+                let (cache, dir) =
+                    temp_cache(&format!("share-{}-{recorder}-{threads}", mode.name()));
+                run(
+                    &app,
+                    &with_scheme(&newenc, EncodingScheme::Baseline),
+                    Some(&cache),
+                );
+                let (shared, m, shared_runs) = run_traced(&app, &newenc, Some(&cache));
+                assert_identical(&shared, &off, &what);
+                assert_eq!(shared_runs, off_runs, "{what}: run digests drifted");
+                // Nothing hit the new encoding's own (empty) store, every
+                // group missed it, and the siblings answered most runs.
+                assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 0, "{what}");
+                let n_shared = m.counter(metric::CACHE_SHARED_RUNS);
+                assert!(n_shared > 0, "{what}: nothing was shared");
+                assert_eq!(
+                    m.counter(metric::RUNS),
+                    off_m.counter(metric::RUNS),
+                    "{what}"
+                );
+                match mode {
+                    ExecutionMode::Snapshot => assert_eq!(
+                        m.counter(metric::RESTORES) + n_shared,
+                        off_m.counter(metric::RESTORES),
+                        "{what}: a shared run is an activated replay not redone"
+                    ),
+                    ExecutionMode::FromScratch => assert_eq!(
+                        m.counter(metric::FRESH_BOOTS) + n_shared,
+                        off_m.counter(metric::FRESH_BOOTS),
+                        "{what}: a shared run is a boot not redone"
+                    ),
+                }
+                // The new encoding's store now serves itself in full.
+                let (warm, m) = run(&app, &newenc, Some(&cache));
+                assert_identical(&warm, &off, &format!("{what} warm"));
+                assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0, "{what}");
+                assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0, "{what}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_baseline_campaign_after_a_new_encoding_one_shares_too() {
+    let app = AppSpec::ftpd();
+    let base = CampaignConfig::default();
+    let (cache, dir) = temp_cache("share-reverse");
+    let (off, off_m) = run(&app, &base, None);
+    run(
+        &app,
+        &with_scheme(&base, EncodingScheme::NewEncoding),
+        Some(&cache),
+    );
+    let (shared, m) = run(&app, &base, Some(&cache));
+    assert_identical(&shared, &off, "baseline after the new encoding");
+    let n_shared = m.counter(metric::CACHE_SHARED_RUNS);
+    assert!(n_shared > 0, "nothing was shared");
+    assert_eq!(
+        m.counter(metric::RESTORES) + n_shared,
+        off_m.counter(metric::RESTORES)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ftpd's Table 5 split: of the 1,584 activated new-encoding replays of
+/// a cold `table5`, 1,222 plant a byte a baseline run planted and 362
+/// execute.
+#[test]
+fn ftpd_new_encoding_shares_1222_runs_and_executes_362() {
+    let app = AppSpec::ftpd();
+    let base = CampaignConfig {
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let (cache, dir) = temp_cache("share-pin");
+    let (_, m) = run(&app, &base, Some(&cache));
+    assert_eq!(m.counter(metric::RESTORES), 1584);
+    assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0);
+    let (_, m) = run(
+        &app,
+        &with_scheme(&base, EncodingScheme::NewEncoding),
+        Some(&cache),
+    );
+    assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 1222);
+    assert_eq!(m.counter(metric::RESTORES), 362);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_sibling_under_another_context_or_torn_is_never_shared() {
+    let mut app = AppSpec::ftpd();
+    app.clients.truncate(2);
+    let base = CampaignConfig::default();
+    let newenc = with_scheme(&base, EncodingScheme::NewEncoding);
+    let (off, _) = run(&app, &newenc, None);
+    for doctor in ["re-keyed", "torn"] {
+        let (cache, dir) = temp_cache(&format!("share-{doctor}"));
+        run(&app, &base, Some(&cache));
+        for path in cache::store_paths(&dir) {
+            match doctor {
+                "re-keyed" => {
+                    let mut file = cache::read_store(&path).expect("a valid store");
+                    file.context = "another-context".to_string();
+                    cache::write_store(&path, &file).unwrap();
+                }
+                _ => {
+                    let bytes = std::fs::read(&path).unwrap();
+                    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+                }
+            }
+        }
+        let (shared, m) = run(&app, &newenc, Some(&cache));
+        assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0, "{doctor}");
+        assert_identical(&shared, &off, doctor);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_sibling_entry_with_a_stale_footprint_is_never_shared() {
+    let mut app = AppSpec::ftpd();
+    app.clients.truncate(1);
+    let spec = &app.clients[0];
+    let (cache, dir) = temp_cache("share-stale");
+    run(&app, &CampaignConfig::default(), Some(&cache));
+    let golden = fisec_inject::golden_run(&app.image, spec).unwrap();
+    let store = cache.open_client(&app, spec, EncodingScheme::NewEncoding, false, &golden);
+    let file = cache::read_store(&cache::store_paths(&dir)[0]).expect("a valid store");
+    let targets = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, false).targets;
+    let mut checked = 0;
+    for entry in &file.groups {
+        let group: Vec<_> = targets
+            .iter()
+            .filter(|t| t.addr == entry.addr)
+            .copied()
+            .collect();
+        let end = entry.addr + u32::from(group[0].inst_len);
+        // A text byte the entry's runs fetched, outside the injected
+        // instruction: poking it leaves the group key alone.
+        let text = app.image.text_base..app.image.text_base + app.image.text.len() as u32;
+        let Some(byte) = entry
+            .foot
+            .iter()
+            .flat_map(|r| r.start..r.start + r.len)
+            .find(|b| text.contains(b) && !(entry.addr..end).contains(b))
+        else {
+            continue;
+        };
+        assert!(
+            store.share(&app.image, &group).is_some(),
+            "{:#x}",
+            entry.addr
+        );
+        let mut poked = app.image.clone();
+        poked.text[(byte - app.image.text_base) as usize] ^= 0x01;
+        assert!(store.share(&poked, &group).is_none(), "{:#x}", entry.addr);
+        checked += 1;
+    }
+    assert!(
+        checked > 0,
+        "no entry had a footprint outside its instruction"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn scheme_change_never_reuses_the_other_schemes_entries() {
     let app = AppSpec::ftpd();
@@ -262,10 +499,12 @@ fn scheme_change_never_reuses_the_other_schemes_entries() {
     let base_groups = m.counter(metric::CACHE_MISS_GROUPS);
     assert!(base_groups > 0);
 
-    // The other scheme lives in its own store file: zero hits.
+    // The other scheme lives in its own store file: zero hits. Its runs
+    // that plant the byte a baseline run planted are shared, not hits.
     let (_, m) = run(&app, &newenc, Some(&cache));
     assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 0);
     assert!(m.counter(metric::CACHE_MISS_GROUPS) > 0);
+    assert!(m.counter(metric::CACHE_SHARED_RUNS) > 0);
 
     // Both schemes now warm independently.
     let (_, m) = run(&app, &newenc, Some(&cache));

@@ -84,6 +84,9 @@ impl fmt::Display for EncodingScheme {
 }
 
 impl EncodingScheme {
+    /// Every scheme, baseline first.
+    pub const ALL: [EncodingScheme; 2] = [EncodingScheme::Baseline, EncodingScheme::NewEncoding];
+
     /// Short, filename-safe identity tag. The campaign cache keys
     /// memoized results on it (and uses it in store file names), so the
     /// tag for an existing scheme must never change — add new tags for
@@ -98,7 +101,7 @@ impl EncodingScheme {
     /// The scheme whose display label (as trace and ledger headers
     /// record it) or cache tag (as store files record it) is `name`.
     pub fn by_name(name: &str) -> Option<EncodingScheme> {
-        [EncodingScheme::Baseline, EncodingScheme::NewEncoding]
+        EncodingScheme::ALL
             .into_iter()
             .find(|s| s.to_string() == name || s.cache_tag() == name)
     }

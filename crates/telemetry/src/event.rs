@@ -154,6 +154,12 @@ pub struct CampaignEndEvent {
     /// Absent from older traces (they parse with 0).
     #[serde(default)]
     pub masked_runs: u64,
+    /// Runs of missed groups answered by a sibling store (another
+    /// encoding scheme planting the same byte) without executing;
+    /// counted in `runs` as well. Absent from older traces (they parse
+    /// with 0).
+    #[serde(default)]
+    pub cache_shared_runs: u64,
 }
 
 /// Random-campaign (§7 random-injection tier) header: identifies the

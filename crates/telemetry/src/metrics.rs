@@ -39,6 +39,10 @@ pub mod metric {
     /// Counter: runs synthesized from cache hits (also counted in
     /// [`RUNS`]).
     pub const CACHE_SYNTH_RUNS: &str = "cache_synth_runs";
+    /// Counter: runs of groups that missed their own store, answered by
+    /// a sibling store that planted the same byte under another
+    /// encoding scheme (also counted in [`RUNS`]).
+    pub const CACHE_SHARED_RUNS: &str = "cache_shared_runs";
     /// Counter: fresh group results written back to the cache store.
     pub const CACHE_STORES: &str = "cache_stores";
     /// Histogram: host microseconds per run replay.
