@@ -293,12 +293,11 @@ fn at_least_one(r: &mut Flags, spec: &str, default: usize) -> Result<usize, Stri
     }
 }
 
-/// `--no-block-cache` and `--no-trace-cache`: the engine's escape
-/// hatches (results are bit-identical either way).
+/// `--no-block-cache`: the engine's escape hatch (results are
+/// bit-identical either way).
 fn engine(r: &mut Flags) -> EngineOpts {
     EngineOpts {
         block_cache: !r.switch("--no-block-cache"),
-        trace_cache: !r.switch("--no-trace-cache"),
         ..EngineOpts::default()
     }
 }
@@ -1388,14 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_cache_flag_caps_the_engine_at_tier1() {
-        assert!(engine(&mut flags("table1", "")).trace_cache);
-        let e = engine(&mut flags("table1", "--no-trace-cache"));
-        // Orthogonal to --no-block-cache: capping tier 2 keeps tier 1.
-        assert!(!e.trace_cache && e.block_cache);
-    }
-
-    #[test]
     fn profile_baseline_flag_parses_and_requires_profile_events() {
         let mut r = flags("profile", "run.jsonl --baseline old.jsonl");
         let baseline = r.value::<String>("--baseline OLD.jsonl").unwrap();
@@ -1617,7 +1608,6 @@ mod tests {
             stats trace.jsonl
             table1 --app both --no-cache
             table1 --app both --no-cache --no-block-cache
-            table1 --app both --no-cache --no-trace-cache
             table1 --app both --no-cache --from-scratch --trace-out scratch.jsonl
             table1 --app both --no-cache --trace-out snap.jsonl
             table3 --app both --no-cache
@@ -1752,6 +1742,7 @@ mod tests {
             ("ablation --chrome-trace X", "--chrome-trace"),
             ("stats run.jsonl --app ftpd", "--app"),
             ("data-errors --no-cache", "--no-cache"),
+            ("table1 --app ftpd --no-trace-cache", "--no-trace-cache"),
         ] {
             let cmd = line.split(' ').next().unwrap();
             rejects(line, &format!("unknown flag `{flag}` for `fisec {cmd}`"));
@@ -1767,7 +1758,7 @@ mod tests {
     #[test]
     fn each_subcommand_lists_exactly_the_flags_it_reads() {
         let app = "[--app ftpd|sshd|both]";
-        let engine = "[--from-scratch] [--no-block-cache] [--no-trace-cache] [--threads N]";
+        let engine = "[--from-scratch] [--no-block-cache] [--threads N]";
         let observed = "[--recorder] [--propagation] [--profile] [--cache DIR=~/.fisec-cache] \
                         [--no-cache] [--trace-out PATH] [--progress] [--chrome-trace OUT.json]";
         let flip = "[--client N=1] [--addr 0xADDR] [--byte N=0] [--bit N=0] [--new-encoding]";
@@ -1791,8 +1782,8 @@ mod tests {
             (
                 "random",
                 format!(
-                    "{app} [--json] [--progress] [--no-block-cache] [--no-trace-cache] \
-                     [--threads N=1] [--resume LEDGER] [--client N=1] [--runs N=3000] \
+                    "{app} [--json] [--progress] [--no-block-cache] [--threads N=1] \
+                     [--resume LEDGER] [--client N=1] [--runs N=3000] \
                      [--seed S=2001] [--new-encoding] [--from-scratch] [--batch N=500] \
                      [--target-ci WIDTH] [--trace-out LEDGER]"
                 ),
@@ -1836,6 +1827,6 @@ mod tests {
         assert_eq!(listed.len(), COMMANDS.len());
         // Down from 34 flags on each of 18 commands: 612 pairs.
         let pairs: usize = listed.iter().map(|(_, f)| f.matches("[--").count()).sum();
-        assert_eq!(pairs, 123);
+        assert_eq!(pairs, 116);
     }
 }

@@ -109,29 +109,14 @@ fn profile_data(p: &fisec_x86::ExecProfile) -> ProfileData {
         })
         .collect();
     slow.sort_by_key(|s| s.addr);
-    let mut hot_traces: Vec<HotBlock> = p
-        .traces
-        .iter()
-        .map(|(addr, t)| HotBlock {
-            addr: *addr,
-            dispatches: t.dispatches,
-            retired: t.retired,
-        })
-        .collect();
-    hot_traces.sort_by_key(|b| b.addr);
     ProfileData {
         blocks,
-        hot_traces,
         slow,
         stepwise_retired: p.stepwise_retired,
         cache_built: p.cache.built,
         cache_hits: p.cache.hits,
         cache_invalidated: p.cache.invalidated,
         cache_conflict_evictions: p.cache.conflict_evictions,
-        trace_built: p.trace_cache.built,
-        trace_hits: p.trace_cache.hits,
-        trace_side_exits: p.trace_cache.side_exits,
-        trace_invalidated: p.trace_cache.invalidated,
     }
 }
 
@@ -1612,23 +1597,20 @@ mod tests {
     #[test]
     fn propagation_is_invisible_to_outcomes_in_all_four_engine_configs() {
         // The taint tracer is a pure observer: outcomes and crash
-        // latencies must be bit-identical tracer on/off in both
-        // execution modes and across all four {block cache} x {trace
-        // cache} engine configurations.
+        // latencies must be bit-identical tracer on/off in all four
+        // engine configurations: both execution modes, each with the
+        // block cache on and off.
         let app = AppSpec::ftpd();
         let set = enumerate_targets(&app.image, &["pass"], true);
         let targets: Vec<_> = set.targets.iter().take(60).copied().collect();
         let spec = &app.clients[0];
         let tel = Telemetry::disabled();
         for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
-            for (block_cache, trace_cache) in
-                [(true, true), (true, false), (false, true), (false, false)]
-            {
+            for block_cache in [true, false] {
                 let plain = CampaignConfig {
                     mode,
                     engine: EngineOpts {
                         block_cache,
-                        trace_cache,
                         ..EngineOpts::default()
                     },
                     ..CampaignConfig::default()
@@ -1649,8 +1631,7 @@ mod tests {
                 assert_eq!(
                     oa,
                     ob,
-                    "tracer changed outcomes in {} mode (block_cache={block_cache}, \
-                     trace_cache={trace_cache})",
+                    "tracer changed outcomes in {} mode (block_cache={block_cache})",
                     mode.name()
                 );
                 // And the traced runs actually produced digests.

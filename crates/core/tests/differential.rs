@@ -119,30 +119,6 @@ fn full_campaigns_identical_with_and_without_block_cache() {
 }
 
 #[test]
-fn full_campaigns_identical_with_and_without_trace_cache() {
-    // The tier-2 trace engine (superblocks across taken branches) is a
-    // pure speedup on top of the block cache: over the complete ftpd
-    // and sshd campaigns, in both execution modes, every per-run record
-    // must be identical with the trace cache disabled.
-    for app in [AppSpec::ftpd(), AppSpec::sshd()] {
-        for mode in [ExecutionMode::Snapshot, ExecutionMode::FromScratch] {
-            let tier2 = run_campaign(&app, &cfg(EncodingScheme::Baseline, mode));
-            let tier1 = run_campaign(
-                &app,
-                &CampaignConfig {
-                    engine: EngineOpts {
-                        trace_cache: false,
-                        ..EngineOpts::default()
-                    },
-                    ..cfg(EncodingScheme::Baseline, mode)
-                },
-            );
-            assert_campaigns_identical(&tier2, &tier1);
-        }
-    }
-}
-
-#[test]
 fn full_campaigns_identical_with_and_without_flight_recorder() {
     // The flight recorder is a pure observer: over the complete ftpd
     // campaign, in both execution modes, recorder-on results must be

@@ -60,12 +60,6 @@ pub struct EngineOpts {
     /// the `--no-block-cache` escape hatch: the reference per-step
     /// interpreter.
     pub block_cache: bool,
-    /// Promote hot blocks into tier-2 superblock traces (the default;
-    /// only meaningful with `block_cache`). `false` is the
-    /// `--no-trace-cache` escape hatch: tier-1 block dispatch only.
-    /// Outcomes are bit-identical either way (pinned by differential
-    /// tests).
-    pub trace_cache: bool,
     /// Arm the flight recorder on every activated run and diff it
     /// against a golden continuation of the same checkpoint (see
     /// [`divergence`]). Off by default; outcomes are bit-identical
@@ -99,7 +93,6 @@ impl Default for EngineOpts {
     fn default() -> EngineOpts {
         EngineOpts {
             block_cache: true,
-            trace_cache: true,
             flight_recorder: false,
             profiler: false,
             footprint: false,
@@ -130,7 +123,6 @@ impl EngineOpts {
     /// Select the execution engine.
     fn configure(self, p: &mut Process) {
         p.machine.set_block_engine(self.block_cache);
-        p.machine.set_trace_cache(self.trace_cache);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Stopping a session at an instruction budget and resuming it is
 //! exact: the stop, icount, traffic trace and client verdict equal the
-//! uninterrupted session's, for both servers under the stepwise,
-//! block-only and block + trace engines, whether the session resumes in
-//! place or from a checkpoint taken at the stop. The latent-error
+//! uninterrupted session's, for both servers under the stepwise and
+//! block engines, whether the session resumes in place or from a
+//! checkpoint taken at the stop. The latent-error
 //! runner's golden walk stops at each rung this way, so every replay
 //! starts from exactly golden's state at that icount.
 
@@ -15,15 +15,14 @@ use std::sync::OnceLock;
 /// Session budget, far beyond either server's golden session.
 const BUDGET: u64 = 5_000_000;
 
-/// (block cache, trace cache): stepwise, block-only, block + trace.
-const ENGINES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// Block cache off (stepwise) and on.
+const ENGINES: [bool; 2] = [false, true];
 
 type Session = (Stop, u64, Trace, ClientStatus);
 
-fn boot(app: &AppSpec, (block, trace): (bool, bool)) -> Process {
+fn boot(app: &AppSpec, block: bool) -> Process {
     let mut p = Process::load(&app.image, app.clients[0].make()).expect("bundled image loads");
     p.machine.set_block_engine(block);
-    p.machine.set_trace_cache(trace);
     p.set_budget(BUDGET);
     p
 }

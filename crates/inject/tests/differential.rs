@@ -184,59 +184,6 @@ fn sshd_block_engine_agrees_with_step_engine() {
     assert_block_modes_agree(&app, 0, &slice);
 }
 
-/// Run a target slice with the tier-2 trace cache on and off — golden
-/// runs included — and require field-for-field identical
-/// `InjectionRun` records under both encodings. The trace cache is the
-/// superblock layer on top of tier 1, so this pins the tentpole's
-/// bit-identity promise at the injection-run level.
-fn assert_trace_modes_agree(app: &AppSpec, client_idx: usize, slice: &[InjectionTarget]) {
-    let spec = &app.clients[client_idx];
-    let tier2 = EngineOpts {
-        trace_cache: true,
-        ..EngineOpts::default()
-    };
-    let tier1 = EngineOpts {
-        trace_cache: false,
-        ..EngineOpts::default()
-    };
-    let golden_t2 = golden_run_opts(&app.image, spec, tier2).unwrap();
-    let golden_t1 = golden_run_opts(&app.image, spec, tier1).unwrap();
-    assert_eq!(
-        golden_t2, golden_t1,
-        "{} {} golden runs diverged between tier-2 and tier-1 engines",
-        app.name, spec.name
-    );
-    for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
-        for group in by_addr(slice) {
-            let fast = group_runs(app, spec, &golden_t2, group, scheme, tier2);
-            let slow = group_runs(app, spec, &golden_t1, group, scheme, tier1);
-            assert_eq!(
-                fast, slow,
-                "{} {} {:?} group at {:#010x} diverged between tier-2 and tier-1",
-                app.name, spec.name, scheme, group[0].addr
-            );
-        }
-    }
-}
-
-#[test]
-fn ftpd_trace_cache_agrees_with_tier1() {
-    let app = AppSpec::ftpd();
-    let set = enumerate_targets(&app.image, &["pass"], true);
-    let slice: Vec<_> = set.targets.iter().take(3 * 48).copied().collect();
-    assert!(slice.len() >= 96);
-    assert_trace_modes_agree(&app, 0, &slice);
-}
-
-#[test]
-fn sshd_trace_cache_agrees_with_tier1() {
-    let app = AppSpec::sshd();
-    let set = enumerate_targets(&app.image, &["auth_password"], true);
-    let slice: Vec<_> = set.targets.iter().take(2 * 48).copied().collect();
-    assert!(!slice.is_empty());
-    assert_trace_modes_agree(&app, 0, &slice);
-}
-
 /// The flight recorder must be a pure observer: recorder-on runs
 /// produce field-for-field identical `InjectionRun`s, and the recorded
 /// traces themselves are identical between the block and step engines.

@@ -238,56 +238,6 @@ fn group_replay_retains_block_cache() {
     }
 }
 
-/// The tier-2 companion to the retention test above: across an
-/// injection-shaped restore/poke/run group, superblock traces built on
-/// earlier replays must keep serving later ones (the journal drops only
-/// traces covering the flipped byte), and every stop must match a
-/// trace-cache-off reference.
-#[test]
-fn group_replay_retains_trace_cache() {
-    let img = image();
-    let lines: Vec<Vec<u8>> = vec![b"hello\n".to_vec(), b"world\n".to_vec()];
-    let text_len = img.text.len() as u32;
-    let addr_of = |i: u32| img.text_base + (i * 37) % text_len;
-    const RUNS: u32 = 40;
-
-    let mut p = load(&lines, 100_000);
-    p.machine.set_trace_threshold(1);
-    let snap = p.snapshot();
-    let _ = p.run(); // golden run promotes the hot loops
-    let primed = p.machine.trace_stats();
-    assert!(primed.built > 0, "golden run builds traces: {primed:?}");
-
-    let mut stops = Vec::new();
-    for i in 0..RUNS {
-        p.restore(&snap);
-        let orig = p.machine.mem.peek8(addr_of(i)).unwrap();
-        p.machine.mem.poke8(addr_of(i), orig ^ 0x04).unwrap();
-        stops.push(p.run());
-    }
-    let s = p.machine.trace_stats();
-    assert!(
-        s.hits > primed.hits,
-        "replays must be served from retained traces: {primed:?} -> {s:?}"
-    );
-
-    // Tier-1 reference: identical stops, run for run.
-    let mut r = load(&lines, 100_000);
-    r.machine.set_trace_cache(false);
-    let rsnap = r.snapshot();
-    let _ = r.run();
-    for i in 0..RUNS {
-        r.restore(&rsnap);
-        let orig = r.machine.mem.peek8(addr_of(i)).unwrap();
-        r.machine.mem.poke8(addr_of(i), orig ^ 0x04).unwrap();
-        assert_eq!(
-            r.run(),
-            stops[i as usize],
-            "run {i} diverged from the tier-1 engine"
-        );
-    }
-}
-
 /// Deterministic (non-property) check that restore clears decode state:
 /// corrupt an executed instruction's bytes after the snapshot, run a
 /// little (so the corrupted decode lands in the icache), restore, and

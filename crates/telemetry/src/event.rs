@@ -797,14 +797,6 @@ mod tests {
                 cache_built: 96,
                 cache_hits: 11_904,
                 cache_invalidated: 12,
-                hot_traces: vec![HotBlock {
-                    addr: 0x0804_9000,
-                    dispatches: 9_000,
-                    retired: 81_000,
-                }],
-                trace_built: 3,
-                trace_hits: 9_000,
-                trace_side_exits: 41,
                 ..ProfileData::default()
             },
         }));

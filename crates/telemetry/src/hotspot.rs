@@ -42,12 +42,6 @@ pub struct SlowShape {
 pub struct ProfileData {
     /// Per-block tallies, sorted by address.
     pub blocks: Vec<HotBlock>,
-    /// Per-superblock (tier-2 trace) tallies, sorted by entry address.
-    /// The same instructions also appear under their blocks' tallies:
-    /// this vector attributes them to the trace that dispatched them.
-    /// `serde(default)` keeps traces saved before tier 2 readable.
-    #[serde(default)]
-    pub hot_traces: Vec<HotBlock>,
     /// Slow-path sites, sorted by address.
     pub slow: Vec<SlowShape>,
     /// Instructions retired through the precise single-step path.
@@ -61,36 +55,18 @@ pub struct ProfileData {
     /// Resident blocks displaced by inserts into full sets.
     #[serde(default)]
     pub cache_conflict_evictions: u64,
-    /// Tier-2 traces recorded and inserted while profiling.
-    #[serde(default)]
-    pub trace_built: u64,
-    /// Dispatches served from the trace cache.
-    #[serde(default)]
-    pub trace_hits: u64,
-    /// Trace replays that side-exited on a mispredicted guard or a
-    /// self-modification boundary.
-    #[serde(default)]
-    pub trace_side_exits: u64,
-    /// Traces dropped by invalidation.
-    #[serde(default)]
-    pub trace_invalidated: u64,
 }
 
 impl ProfileData {
     /// Is there anything in this profile?
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
-            && self.hot_traces.is_empty()
             && self.slow.is_empty()
             && self.stepwise_retired == 0
             && self.cache_built == 0
             && self.cache_hits == 0
             && self.cache_invalidated == 0
             && self.cache_conflict_evictions == 0
-            && self.trace_built == 0
-            && self.trace_hits == 0
-            && self.trace_side_exits == 0
-            && self.trace_invalidated == 0
     }
 
     /// Total instructions the profile accounts for.
@@ -105,7 +81,6 @@ impl ProfileData {
             return;
         }
         merge_tallies(&mut self.blocks, &other.blocks);
-        merge_tallies(&mut self.hot_traces, &other.hot_traces);
         let mut slow: BTreeMap<u32, SlowShape> =
             self.slow.iter().map(|s| (s.addr, s.clone())).collect();
         for s in &other.slow {
@@ -122,10 +97,6 @@ impl ProfileData {
         self.cache_hits += other.cache_hits;
         self.cache_invalidated += other.cache_invalidated;
         self.cache_conflict_evictions += other.cache_conflict_evictions;
-        self.trace_built += other.trace_built;
-        self.trace_hits += other.trace_hits;
-        self.trace_side_exits += other.trace_side_exits;
-        self.trace_invalidated += other.trace_invalidated;
     }
 
     /// This profile minus `before` — the contribution accumulated since
@@ -133,7 +104,6 @@ impl ProfileData {
     /// the same accumulation (every counter monotone).
     pub fn diff(&self, before: &ProfileData) -> ProfileData {
         let blocks = diff_tallies(&self.blocks, &before.blocks);
-        let hot_traces = diff_tallies(&self.hot_traces, &before.hot_traces);
         let s0: BTreeMap<u32, u64> = before.slow.iter().map(|s| (s.addr, s.count)).collect();
         let slow = self
             .slow
@@ -151,7 +121,6 @@ impl ProfileData {
             .collect();
         ProfileData {
             blocks,
-            hot_traces,
             slow,
             stepwise_retired: self
                 .stepwise_retired
@@ -164,14 +133,6 @@ impl ProfileData {
             cache_conflict_evictions: self
                 .cache_conflict_evictions
                 .saturating_sub(before.cache_conflict_evictions),
-            trace_built: self.trace_built.saturating_sub(before.trace_built),
-            trace_hits: self.trace_hits.saturating_sub(before.trace_hits),
-            trace_side_exits: self
-                .trace_side_exits
-                .saturating_sub(before.trace_side_exits),
-            trace_invalidated: self
-                .trace_invalidated
-                .saturating_sub(before.trace_invalidated),
         }
     }
 }
@@ -327,14 +288,6 @@ mod tests {
             cache_built: 1,
             cache_hits: 10,
             cache_invalidated: 0,
-            hot_traces: vec![HotBlock {
-                addr: 0x2000,
-                dispatches: 2,
-                retired: 16,
-            }],
-            trace_built: 1,
-            trace_hits: 2,
-            trace_side_exits: 1,
             ..ProfileData::default()
         };
         after.merge(&inc);
@@ -343,18 +296,24 @@ mod tests {
     }
 
     #[test]
-    fn profiles_saved_before_tier2_still_deserialize() {
-        // A trace written before the tier-2 fields existed: the
-        // `serde(default)` markers must zero-fill them, not error.
-        let old = r#"{"blocks":[{"addr":4096,"dispatches":2,"retired":10}],"slow":[],
-                      "stepwise_retired":7,"cache_built":2,"cache_hits":3,"cache_invalidated":1}"#;
-        let p: ProfileData = serde_json::from_str(old).unwrap();
-        assert_eq!(p.blocks.len(), 1);
-        assert_eq!(p.stepwise_retired, 7);
-        assert!(p.hot_traces.is_empty());
-        assert_eq!(p.trace_built, 0);
-        assert_eq!(p.trace_hits, 0);
-        assert_eq!(p.cache_conflict_evictions, 0);
+    fn profile_events_with_trace_fields_still_deserialize() {
+        // A `profile` event as builds with a trace cache wrote it: the
+        // decoder looks fields up by name, so `hot_traces` and the
+        // `trace_*` counters are skipped and the rest reads back whole.
+        let line = concat!(
+            r#"{"event":"profile","app":"ftpd","mode":"snapshot","data":{"#,
+            r#""blocks":[{"addr":4096,"dispatches":2,"retired":10},"#,
+            r#"{"addr":8192,"dispatches":1,"retired":3}],"#,
+            r#""hot_traces":[{"addr":4096,"dispatches":1,"retired":8}],"#,
+            r#""slow":[{"addr":4100,"shape":"shl32 r32, imm","count":4}],"#,
+            r#""stepwise_retired":7,"cache_built":2,"cache_hits":3,"cache_invalidated":1,"#,
+            r#""cache_conflict_evictions":0,"trace_built":1,"trace_hits":2,"#,
+            r#""trace_side_exits":1,"trace_invalidated":0}}"#,
+        );
+        let Ok(crate::TraceEvent::Profile(ev)) = crate::TraceEvent::parse_line(line) else {
+            panic!("profile event must parse: {line}");
+        };
+        assert_eq!(ev.data, sample());
     }
 
     #[test]

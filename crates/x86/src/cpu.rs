@@ -19,7 +19,6 @@ use crate::mem::{Memory, MemorySnapshot};
 use crate::profiler::ExecProfile;
 use crate::recorder::{edge_kind, Edge, EdgeKind, FlightRecorder, FlightTrace};
 use crate::taint::{PropagationLog, TaintTracer};
-use crate::trace::{SuperTrace, TraceCache, TraceRec, TraceStats, MAX_TRACE_BLOCKS};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -248,9 +247,9 @@ impl Coverage {
 /// marks every retired EIP and is rewound by [`Machine::restore`]), the
 /// footprint is marked at *block-dispatch* granularity — one range-OR
 /// the first time a basic block is dispatched while this footprint
-/// records, in tier 1 or inside a tier-2 trace (each block carries the
-/// epoch it was last marked under, so later dispatches cost one
-/// compare), one per instruction on the per-step engine — and
+/// records (each block carries the epoch it was last marked under, so
+/// later dispatches cost one compare), one per instruction on the
+/// per-step engine — and
 /// deliberately survives restores, so one footprint accumulates the
 /// union over every replay of a checkpoint group. The campaign cache
 /// keys a group's memoized results on the image bytes inside this
@@ -414,18 +413,6 @@ pub struct Machine {
     /// Dispatch through cached basic blocks (default). When false,
     /// [`Machine::run_until_event`] takes the reference per-step path.
     block_engine: bool,
-    /// Tier-2 superblock cache (see [`crate::trace`]): hot blocks
-    /// linked across taken branches, dispatched as one unit.
-    traces: TraceCache,
-    /// Promote hot blocks into tier-2 traces (default). Only meaningful
-    /// while the block engine is on.
-    trace_cache: bool,
-    /// Rolling branch-history signature mixed into trace keys. Purely a
-    /// cache-key ingredient — never observable in outcomes — so it is
-    /// not snapshot state (restore just resets it).
-    hist: u8,
-    /// In-progress trace recording, when a promotion is underway.
-    trace_rec: Option<TraceRec>,
     trace_buf: Vec<u32>,
     trace_cap: usize,
     trace_next: usize,
@@ -454,8 +441,8 @@ pub struct Machine {
 /// Holds everything needed to rewind a machine to an earlier point of
 /// the same execution: registers, the full address space, the retired
 /// instruction count, armed breakpoints, the EIP trace ring, and the
-/// coverage set when enabled. The decoded caches (instructions, basic
-/// blocks and traces) are *not* part of the snapshot — they are pure
+/// coverage set when enabled. The decoded caches (instructions and
+/// basic blocks) are *not* part of the snapshot — they are pure
 /// performance artifacts; [`Machine::restore`] uses the executable-write
 /// journal to drop exactly the entries covering bytes that changed
 /// since the snapshot was taken.
@@ -510,10 +497,6 @@ impl Machine {
             blocks: BlockCache::default(),
             blocks_gen: 0,
             block_engine: true,
-            traces: TraceCache::default(),
-            trace_cache: true,
-            hist: 0,
-            trace_rec: None,
             trace_buf: Vec::new(),
             trace_cap: 0,
             trace_next: 0,
@@ -570,8 +553,8 @@ impl Machine {
     /// is an ancestor of the current state (the common case: checkpoint,
     /// poke one byte, run, restore, repeat), the journal names every
     /// byte written since it, and each cache drops only the entries
-    /// covering those bytes: blocks and traces whose range holds one,
-    /// decoded instructions whose fetch window does. A snapshot from an
+    /// covering those bytes: blocks whose range holds one, decoded
+    /// instructions whose fetch window does. A snapshot from an
     /// unrelated lineage drops everything. The decoder function itself
     /// is not snapshot state and is left untouched.
     pub fn restore(&mut self, snap: &MachineSnapshot) {
@@ -583,24 +566,16 @@ impl Machine {
             // and the restore reverts every write after `snap_gen`.
             let dirty = self.mem.exec_writes_since(self.blocks_gen.min(snap_gen));
             self.blocks.invalidate_writes(dirty);
-            self.traces.invalidate_writes(dirty);
             let dirty = self.mem.exec_writes_since(self.icache_gen.min(snap_gen));
             icache_drop_windows(&mut self.icache, dirty);
         } else {
             // Restoring across lineages (or forward past unseen writes):
             // the byte diff cannot be attributed, drop everything.
             self.blocks.clear();
-            self.traces.clear();
             self.icache.clear();
         }
         self.blocks_gen = snap_gen;
         self.icache_gen = snap_gen;
-        // A recording in progress would stitch pre-rewind blocks onto
-        // whatever executes next; abort it. The branch-history signature
-        // restarts too, so every replay of a checkpoint group sees the
-        // same trace-key sequence.
-        self.trace_rec = None;
-        self.hist = 0;
         self.cpu.clone_from(&snap.cpu);
         self.mem.restore(&snap.mem);
         self.icount = snap.icount;
@@ -658,8 +633,8 @@ impl Machine {
     /// since [`Machine::enable_coverage`]; `None` when it never retired
     /// or coverage is off. The count is 1-based — the icount *of* that
     /// instruction — so the machine's icount just before it first
-    /// executed is one less. Block, trace and per-step engines record
-    /// identical values.
+    /// executed is one less. Block and per-step engines record identical
+    /// values.
     pub fn first_retire(&self, eip: u32) -> Option<u64> {
         self.coverage.as_ref()?.retires(eip).map(|(first, _)| first)
     }
@@ -667,8 +642,8 @@ impl Machine {
     /// The icount of the last retirement of the instruction at `eip`
     /// since [`Machine::enable_coverage`], counted like
     /// [`Machine::first_retire`]; `None` when it never retired or
-    /// coverage is off. Block, trace and per-step engines record
-    /// identical values.
+    /// coverage is off. Block and per-step engines record identical
+    /// values.
     pub fn last_retire(&self, eip: u32) -> Option<u64> {
         self.coverage.as_ref()?.retires(eip).map(|(_, last)| last)
     }
@@ -705,8 +680,6 @@ impl Machine {
         self.decoder = decoder;
         self.icache.clear();
         self.blocks.clear();
-        self.traces.clear();
-        self.trace_rec = None;
     }
 
     /// Choose the execution engine for [`Machine::run_until_event`]:
@@ -717,8 +690,6 @@ impl Machine {
     pub fn set_block_engine(&mut self, enabled: bool) {
         if !enabled {
             self.blocks.clear();
-            self.traces.clear();
-            self.trace_rec = None;
         }
         self.block_engine = enabled;
     }
@@ -732,35 +703,6 @@ impl Machine {
     /// Cumulative basic-block cache counters.
     pub fn block_stats(&self) -> BlockStats {
         self.blocks.stats()
-    }
-
-    /// Choose whether hot blocks are promoted into tier-2 superblock
-    /// traces (see [`crate::trace`]); on by default. Turning it off
-    /// drops every cached trace. Outcomes are bit-identical either way —
-    /// the flag exists as an escape hatch and for differential testing.
-    pub fn set_trace_cache(&mut self, enabled: bool) {
-        if !enabled {
-            self.traces.clear();
-            self.trace_rec = None;
-        }
-        self.trace_cache = enabled;
-    }
-
-    /// Whether tier-2 trace dispatch is enabled (see
-    /// [`Machine::set_trace_cache`]).
-    pub fn trace_cache(&self) -> bool {
-        self.trace_cache
-    }
-
-    /// Cumulative trace-cache counters.
-    pub fn trace_stats(&self) -> TraceStats {
-        self.traces.stats()
-    }
-
-    /// Lower (or raise) the tier-2 promotion threshold — tests use `1`
-    /// to form traces on the second dispatch of a block.
-    pub fn set_trace_threshold(&mut self, threshold: u16) {
-        self.traces.set_threshold(threshold);
     }
 
     /// Record the EIP of every retired instruction into a ring buffer of
@@ -816,8 +758,9 @@ impl Machine {
     /// `seed: None` selects observe-all mode — every instruction runs
     /// the transfer function, nothing is ever seeded — which the
     /// clean-run property tests use. Pure observation: architectural
-    /// state, outcomes, icounts, coverage and traces are bit-identical
-    /// with it on or off. Like the flight recorder it is per-run:
+    /// state, outcomes, icounts, coverage and the EIP trace are
+    /// bit-identical with it on or off. Like the flight recorder it is
+    /// per-run:
     /// [`Machine::restore`] drops it.
     pub fn enable_taint(&mut self, seed: Option<u32>, horizon: u64) {
         self.taint = Some(Box::new(TaintTracer::new(seed, horizon)));
@@ -835,8 +778,8 @@ impl Machine {
     }
 
     /// Whether no per-instruction observer is attached (coverage, EIP
-    /// trace, flight recorder, profiler), so blocks and traces may run
-    /// on the uninstrumented fast path. Live taint is decided per code
+    /// trace, flight recorder, profiler), so blocks may run on the
+    /// uninstrumented fast path. Live taint is decided per code
     /// range by [`Machine::taint_wants`].
     #[inline]
     fn uninstrumented(&self) -> bool {
@@ -848,8 +791,8 @@ impl Machine {
 
     /// Does the propagation tracer need the instrumented path for the
     /// code range `[lo, hi)`? False whenever the shadow is empty and the
-    /// seed lies outside the range — those blocks/traces cannot touch
-    /// taint and stay on the fast path.
+    /// seed lies outside the range — those blocks cannot touch taint and
+    /// stay on the fast path.
     #[inline]
     fn taint_wants(&self, lo: u32, hi: u64) -> bool {
         match &self.taint {
@@ -873,13 +816,11 @@ impl Machine {
     /// on every block dispatch, slow-path execution and single-stepped
     /// instruction is tallied, and block-cache counters are measured as
     /// a delta from this point. Pure observation — architectural state,
-    /// outcomes, icounts and traces are bit-identical with it on or off.
+    /// outcomes, icounts and the EIP trace are bit-identical with it on
+    /// or off.
     /// Unlike the flight recorder it survives [`Machine::restore`].
     pub fn enable_profiler(&mut self) {
-        self.profile = Some(Box::new(ExecProfile::begin(
-            self.blocks.stats(),
-            self.traces.stats(),
-        )));
+        self.profile = Some(Box::new(ExecProfile::begin(self.blocks.stats())));
     }
 
     /// Stop the profiler and take the collected [`ExecProfile`], with
@@ -887,9 +828,8 @@ impl Machine {
     /// `None` when profiling was never enabled.
     pub fn take_exec_profile(&mut self) -> Option<ExecProfile> {
         let stats = self.blocks.stats();
-        let tstats = self.traces.stats();
         self.profile.take().map(|mut p| {
-            p.seal(stats, tstats);
+            p.seal(stats);
             *p
         })
     }
@@ -952,21 +892,12 @@ impl Machine {
         self.breakpoints.get(i).is_some_and(|&b| (b as u64) < end)
     }
 
-    /// Is a breakpoint armed anywhere in `[lo, hi)`? Unlike
-    /// [`Machine::breakpoint_inside`] this includes `lo` itself: only
-    /// the trace's first block had its entry cleared by the dispatch
-    /// loop's pre-check, and a linked successor may start *below* that
-    /// entry, so the whole footprint is screened inclusively.
-    fn breakpoint_in_range(&self, lo: u32, hi: u64) -> bool {
-        let i = self.breakpoints.partition_point(|&b| b < lo);
-        self.breakpoints.get(i).is_some_and(|&b| (b as u64) < hi)
-    }
-
     /// Run until a breakpoint, syscall, fault, or `max_steps` instructions.
     ///
     /// Dispatches cached basic blocks (see [`crate::block`]) unless the
     /// per-step engine was selected via [`Machine::set_block_engine`];
-    /// both produce bit-identical outcomes, icounts, coverage and traces.
+    /// both produce bit-identical outcomes, icounts, coverage and EIP
+    /// traces.
     pub fn run_until_event(&mut self, max_steps: u64) -> RunOutcome {
         if self.block_engine {
             self.run_blocks(max_steps)
@@ -1001,49 +932,16 @@ impl Machine {
     /// block, the budget expiring mid-block, or an instruction that reads
     /// the live icount (`rdtsc`) — so every outcome matches
     /// [`Machine::run_stepwise`] exactly.
-    ///
-    /// On top of that sits tier 2 (see [`crate::trace`]): re-dispatched
-    /// blocks heat up and get recorded, together with their observed
-    /// successors across taken branches, into superblock traces replayed
-    /// as one dispatch. A trace is taken only when its full retirement
-    /// fits the remaining budget and no breakpoint lies anywhere in its
-    /// footprint, so every precise-stop obligation is met by declining
-    /// the trace, not by stopping inside one.
     fn run_blocks(&mut self, max_steps: u64) -> RunOutcome {
         self.sync_blocks();
         let mut steps = 0u64;
         loop {
             let eip = self.cpu.eip;
             if self.at_breakpoint(eip) {
-                self.finish_trace_rec();
                 return RunOutcome::Breakpoint(eip);
             }
             if steps >= max_steps {
-                self.finish_trace_rec();
                 return RunOutcome::Budget;
-            }
-            // Tier-2 dispatch. Heat only accumulates on a genuine miss:
-            // a resident trace declined for budget/breakpoint reasons
-            // must not re-record, and record mode itself runs tier 1.
-            let mut trace_missed = self.trace_cache && self.trace_rec.is_none();
-            if trace_missed {
-                if let Some(t) = self.traces.get(eip, self.hist) {
-                    trace_missed = false;
-                    // Like breakpoints, live taint declines the trace
-                    // rather than observing inside one: a taken trace is
-                    // thereby provably taint-free (shadow empty, seed
-                    // outside its footprint), so tier-2 replay needs no
-                    // hooks at all.
-                    if t.total_insts <= max_steps - steps
-                        && !self.breakpoint_in_range(t.lo, t.hi)
-                        && !self.taint_wants(t.lo, t.hi)
-                    {
-                        if let Some(out) = self.exec_trace(&t, &mut steps) {
-                            return out;
-                        }
-                        continue;
-                    }
-                }
             }
             let block = match self.blocks.get(eip) {
                 Some(b) => b,
@@ -1052,7 +950,6 @@ impl Machine {
                     // Entry fetch fault: same as step()'s fetch_decode
                     // failure (no icount, no coverage mark).
                     Err(f) => {
-                        self.finish_trace_rec();
                         if self.recorder.is_some() {
                             self.record_edge(EdgeKind::Fault, eip, 0, self.icount);
                         }
@@ -1067,9 +964,6 @@ impl Machine {
                 || (block.insts.len() as u64) > max_steps - steps
                 || self.breakpoint_inside(block.entry, block.end)
             {
-                // Single-step fallback breaks the block-at-a-time shape
-                // a trace replays; end any recording at this seam.
-                self.finish_trace_rec();
                 steps += 1;
                 match self.step() {
                     StepEvent::Executed => continue,
@@ -1077,18 +971,8 @@ impl Machine {
                     StepEvent::Fault(f) => return RunOutcome::Fault(f),
                 }
             }
-            if trace_missed && self.traces.heat_up(eip, self.hist) {
-                // Promoted: record this dispatch and its successors.
-                self.trace_rec = Some(TraceRec {
-                    entry: eip,
-                    hist: self.hist,
-                    blocks: Vec::new(),
-                    total: 0,
-                });
-            }
             let fast =
                 !block.writes && self.uninstrumented() && !self.taint_wants(block.entry, block.end);
-            let mut resident = false;
             loop {
                 let gen = self.mem.exec_gen();
                 let (executed, event) = if fast {
@@ -1115,133 +999,14 @@ impl Machine {
                             && steps + block.insts.len() as u64 <= max_steps
                             && self.mem.exec_gen() == gen
                         {
-                            resident = true;
                             self.blocks.note_resident_hit();
                             continue;
                         }
-                        let clean =
-                            executed == block.insts.len() as u64 && self.mem.exec_gen() == gen;
-                        self.trace_append(&block, clean, resident);
-                        self.hist = hist_step(self.hist, self.cpu.eip);
                         break;
                     }
-                    StepEvent::Syscall(n) => {
-                        // A syscall terminator retires the whole block
-                        // cleanly, so the recording stays alive: traces
-                        // span syscalls, resuming at the return address
-                        // on the next run. (Staleness across the pause
-                        // is covered by sync_blocks aborting recordings
-                        // on any generation change.)
-                        let clean = executed == block.insts.len() as u64;
-                        self.trace_append(&block, clean, resident);
-                        self.hist = hist_step(self.hist, self.cpu.eip);
-                        return RunOutcome::Syscall(n);
-                    }
-                    StepEvent::Fault(f) => {
-                        self.finish_trace_rec();
-                        return RunOutcome::Fault(f);
-                    }
+                    StepEvent::Syscall(n) => return RunOutcome::Syscall(n),
+                    StepEvent::Fault(f) => return RunOutcome::Fault(f),
                 }
-            }
-        }
-    }
-
-    /// Replay a tier-2 trace: execute its linked blocks back-to-back,
-    /// guarding each edge by comparing the live EIP against the next
-    /// block's recorded entry. Returns the terminal outcome, or `None`
-    /// when the dispatch loop should continue (full completion, a
-    /// mispredicted guard, or a self-modification boundary — in each
-    /// case everything retired so far is exactly what tier 1 would have
-    /// retired).
-    fn exec_trace(&mut self, t: &SuperTrace, steps: &mut u64) -> Option<RunOutcome> {
-        // No taint term: live taint declines a trace before it runs
-        // (see `run_blocks`), so every trace that runs is taint-free.
-        let fast = self.uninstrumented();
-        // A trace whose every block was marked under this epoch skips
-        // the per-block footprint check.
-        let marking =
-            self.footprint.is_some() && t.marked.load(Ordering::Relaxed) != self.fp_epoch.0;
-        let mut retired = 0u64;
-        for (i, block) in t.blocks.iter().enumerate() {
-            if i > 0 && self.cpu.eip != block.entry {
-                // Guard mispredicted: side-exit to tier 1. The previous
-                // block already stepped the history with the divergent
-                // target, so re-dispatch sees a coherent key.
-                self.traces.note_side_exit();
-                return None;
-            }
-            if marking {
-                self.mark_footprint(block);
-                if i + 1 == t.blocks.len() {
-                    t.marked.store(self.fp_epoch.0, Ordering::Relaxed);
-                }
-            }
-            let gen = self.mem.exec_gen();
-            let (executed, event) = if fast && !block.writes {
-                self.exec_block_fast(block)
-            } else {
-                self.exec_block(block)
-            };
-            *steps += executed;
-            retired += executed;
-            if let Some(p) = &mut self.profile {
-                p.note_block(block.entry, executed);
-            }
-            match event {
-                StepEvent::Executed => {
-                    self.hist = hist_step(self.hist, self.cpu.eip);
-                    if executed != block.insts.len() as u64 || self.mem.exec_gen() != gen {
-                        // The block self-modified: exec_block already
-                        // stopped at the write boundary and resynced the
-                        // caches (dropping stale traces); side-exit.
-                        self.traces.note_side_exit();
-                        return None;
-                    }
-                }
-                StepEvent::Syscall(n) => {
-                    self.hist = hist_step(self.hist, self.cpu.eip);
-                    if let Some(p) = &mut self.profile {
-                        p.note_trace(t.entry, retired);
-                    }
-                    return Some(RunOutcome::Syscall(n));
-                }
-                StepEvent::Fault(f) => return Some(RunOutcome::Fault(f)),
-            }
-        }
-        if let Some(p) = &mut self.profile {
-            p.note_trace(t.entry, retired);
-        }
-        None
-    }
-
-    /// Append a cleanly completed block to the in-progress trace
-    /// recording (if any), finalizing at the length bound. Non-clean
-    /// completions (a mid-block self-modification stop) and
-    /// resident-looped blocks end the recording instead: neither shape
-    /// replays under a trace's one-pass-per-block guards.
-    fn trace_append(&mut self, block: &Arc<Block>, clean: bool, resident: bool) {
-        let Some(rec) = &mut self.trace_rec else {
-            return;
-        };
-        if !clean || resident {
-            self.finish_trace_rec();
-            return;
-        }
-        rec.total += block.insts.len() as u64;
-        rec.blocks.push(Arc::clone(block));
-        if rec.blocks.len() >= MAX_TRACE_BLOCKS {
-            self.finish_trace_rec();
-        }
-    }
-
-    /// End any in-progress trace recording: recordings that linked at
-    /// least two blocks are inserted, shorter ones are dropped (tier 1
-    /// already dispatches single blocks, and its resident-loop path
-    /// covers the self-looping ones).
-    fn finish_trace_rec(&mut self) {
-        if let Some(rec) = self.trace_rec.take() {
-            if rec.blocks.len() >= 2 {
-                self.traces.insert(rec);
             }
         }
     }
@@ -1257,16 +1022,11 @@ impl Machine {
         if gen > self.blocks_gen {
             let dirty = self.mem.exec_writes_since(self.blocks_gen);
             self.blocks.invalidate_writes(dirty);
-            self.traces.invalidate_writes(dirty);
         } else {
             // Generation moved backwards outside restore(): the diff
             // cannot be attributed, drop everything.
             self.blocks.clear();
-            self.traces.clear();
         }
-        // Any recording in progress may hold a just-staled block; the
-        // write seam ends it.
-        self.trace_rec = None;
         self.blocks_gen = gen;
     }
 
@@ -1326,10 +1086,9 @@ impl Machine {
     /// Mark `block`'s byte range in the footprint on its first dispatch
     /// under the current recording epoch; later dispatches cost one
     /// compare. The whole block is marked even when execution stops
-    /// inside it — a valid superset. Every dispatch point of an
-    /// execution (tier-1 lookup or a block replayed inside a trace)
-    /// passes through here, so the marks do not depend on how warm the
-    /// caches were when recording began.
+    /// inside it — a valid superset. Every block dispatch passes through
+    /// here, so the marks do not depend on how warm the caches were when
+    /// recording began.
     #[inline]
     fn mark_footprint(&mut self, block: &Block) {
         if let Some(fp) = &mut self.footprint {
@@ -2563,14 +2322,6 @@ pub(crate) enum Flow {
     Next,
     Jump(u32),
     Syscall(u8),
-}
-
-/// Advance the rolling branch-history signature with the next dispatch
-/// address (a cheap shift-xor — only trace-key quality depends on it,
-/// never an outcome).
-#[inline]
-fn hist_step(h: u8, eip: u32) -> u8 {
-    (h << 1) ^ ((eip >> 2) as u8)
 }
 
 /// 32-bit ALU step shared by the lowered `AluRR`/`AluRI`/`AluMI` forms:

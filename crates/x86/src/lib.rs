@@ -47,7 +47,6 @@ pub mod mem;
 pub mod profiler;
 pub mod recorder;
 pub mod taint;
-pub mod trace;
 
 pub use block::{Block, BlockStats};
 pub use cpu::{Cpu, Footprint, Machine, MachineSnapshot, RunOutcome, StepEvent};
@@ -62,7 +61,6 @@ pub use mem::{Memory, Perms, Region};
 pub use profiler::{op_shape, BlockTally, ExecProfile, SlowSite};
 pub use recorder::{Edge, EdgeKind, FlightTrace};
 pub use taint::{PropEvent, PropKind, PropagationLog, TaintTracer, DEFAULT_TAINT_HORIZON};
-pub use trace::{SuperTrace, TraceStats};
 
 /// EFLAGS bit positions used by the interpreter.
 pub mod eflags {

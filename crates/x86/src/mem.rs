@@ -544,8 +544,8 @@ impl Memory {
     }
 
     /// Current generation of executable bytes (see [`Memory::poke8`]).
-    /// Inlined: the block and trace executors re-check it on every
-    /// dispatch and after every potentially writing µop.
+    /// Inlined: the block executor re-checks it on every dispatch and
+    /// after every potentially writing µop.
     #[inline]
     pub fn exec_gen(&self) -> u64 {
         self.exec_gen

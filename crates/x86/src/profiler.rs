@@ -7,9 +7,8 @@
 //! many instructions it retired; per address, which decoded shapes still
 //! fall through [`UOp::Slow`](crate::block) to the generic `exec` path;
 //! and the block-cache hit/build/invalidation traffic since profiling
-//! began. That ranked view is the input the tier-2 superblock work needs
-//! (ROADMAP): the top blocks are the linking candidates, the slow-shape
-//! tally is the lowering backlog.
+//! began. In that ranked view the top blocks are where dispatch cost
+//! concentrates, and the slow-shape tally is the µop-lowering backlog.
 //!
 //! The profiler is pure observation: it never touches architectural
 //! state, so campaign outcomes are bit-identical with it on or off
@@ -21,7 +20,6 @@
 
 use crate::block::BlockStats;
 use crate::inst::{Inst, OpSize, Operand};
-use crate::trace::TraceStats;
 use std::collections::HashMap;
 
 /// Dispatch/retire tallies for one basic block (keyed by entry EIP).
@@ -45,16 +43,24 @@ pub struct SlowSite {
     pub count: u64,
 }
 
+/// Trace-cache counters of an engine that has no trace cache: both are
+/// always zero. They remain only because the benchmark's layer ledger
+/// still reads them; ROADMAP item 6 drops the ledger rows and this
+/// struct together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceStats {
+    /// Always zero.
+    pub hits: u64,
+    /// Always zero.
+    pub side_exits: u64,
+}
+
 /// The collected profile: per-block tallies, slow-path sites, the
 /// stepwise-retirement residue and the block-cache counter delta.
 #[derive(Debug, Clone, Default)]
 pub struct ExecProfile {
     /// Per-block dispatch/retire tallies keyed by entry EIP.
     pub blocks: HashMap<u32, BlockTally>,
-    /// Per-superblock dispatch/retire tallies keyed by trace entry EIP
-    /// (tier-2; the same instructions also appear under their blocks'
-    /// tallies, so this is attribution, not additional retirement).
-    pub traces: HashMap<u32, BlockTally>,
     /// Slow-path sites keyed by instruction address.
     pub slow: HashMap<u32, SlowSite>,
     /// Instructions retired through the precise single-step path (the
@@ -64,21 +70,17 @@ pub struct ExecProfile {
     /// Block-cache counters observed while profiling (delta between
     /// enable and [`crate::Machine::take_exec_profile`]).
     pub cache: BlockStats,
-    /// Trace-cache counters observed while profiling (same delta
-    /// window): built/hit/side-exit attribution for tier 2.
+    /// Always zero (see [`TraceStats`]).
     pub trace_cache: TraceStats,
     baseline: BlockStats,
-    trace_baseline: TraceStats,
 }
 
 impl ExecProfile {
     /// Start a profile whose cache counters are measured relative to
-    /// `baseline` / `trace_baseline` (the machine's [`BlockStats`] and
-    /// [`TraceStats`] at enable time).
-    pub fn begin(baseline: BlockStats, trace_baseline: TraceStats) -> ExecProfile {
+    /// `baseline` (the machine's [`BlockStats`] at enable time).
+    pub fn begin(baseline: BlockStats) -> ExecProfile {
         ExecProfile {
             baseline,
-            trace_baseline,
             ..ExecProfile::default()
         }
     }
@@ -87,15 +89,6 @@ impl ExecProfile {
     #[inline]
     pub fn note_block(&mut self, entry: u32, retired: u64) {
         let t = self.blocks.entry(entry).or_default();
-        t.dispatches += 1;
-        t.retired += retired;
-    }
-
-    /// Record one completed tier-2 trace dispatch that retired `retired`
-    /// instructions across its linked blocks.
-    #[inline]
-    pub fn note_trace(&mut self, entry: u32, retired: u64) {
-        let t = self.traces.entry(entry).or_default();
         t.dispatches += 1;
         t.retired += retired;
     }
@@ -118,9 +111,8 @@ impl ExecProfile {
     }
 
     /// Finalize against the machine's current cache counters, filling
-    /// [`ExecProfile::cache`] and [`ExecProfile::trace_cache`] with the
-    /// deltas since [`ExecProfile::begin`].
-    pub(crate) fn seal(&mut self, now: BlockStats, traces_now: TraceStats) {
+    /// [`ExecProfile::cache`] with the delta since [`ExecProfile::begin`].
+    pub(crate) fn seal(&mut self, now: BlockStats) {
         self.cache = BlockStats {
             built: now.built.saturating_sub(self.baseline.built),
             hits: now.hits.saturating_sub(self.baseline.hits),
@@ -129,17 +121,6 @@ impl ExecProfile {
                 .conflict_evictions
                 .saturating_sub(self.baseline.conflict_evictions),
             cached: now.cached,
-        };
-        self.trace_cache = TraceStats {
-            built: traces_now.built.saturating_sub(self.trace_baseline.built),
-            hits: traces_now.hits.saturating_sub(self.trace_baseline.hits),
-            side_exits: traces_now
-                .side_exits
-                .saturating_sub(self.trace_baseline.side_exits),
-            invalidated: traces_now
-                .invalidated
-                .saturating_sub(self.trace_baseline.invalidated),
-            cached: traces_now.cached,
         };
     }
 }
@@ -196,7 +177,7 @@ mod tests {
 
     #[test]
     fn tallies_accumulate_per_block() {
-        let mut p = ExecProfile::begin(BlockStats::default(), TraceStats::default());
+        let mut p = ExecProfile::begin(BlockStats::default());
         p.note_block(0x1000, 5);
         p.note_block(0x1000, 5);
         p.note_block(0x2000, 1);
@@ -209,7 +190,7 @@ mod tests {
 
     #[test]
     fn slow_sites_compute_shape_once() {
-        let mut p = ExecProfile::begin(BlockStats::default(), TraceStats::default());
+        let mut p = ExecProfile::begin(BlockStats::default());
         let mut i = Inst::new(Op::Shl);
         i.dst = Some(Operand::Reg(Reg32::Eax));
         i.src = Some(Operand::Imm(3));
@@ -240,47 +221,24 @@ mod tests {
 
     #[test]
     fn seal_takes_the_cache_delta() {
-        let mut p = ExecProfile::begin(
-            BlockStats {
-                built: 10,
-                hits: 100,
-                invalidated: 5,
-                conflict_evictions: 1,
-                cached: 7,
-            },
-            TraceStats {
-                built: 2,
-                hits: 20,
-                side_exits: 1,
-                invalidated: 0,
-                cached: 2,
-            },
-        );
-        p.seal(
-            BlockStats {
-                built: 12,
-                hits: 150,
-                invalidated: 6,
-                conflict_evictions: 4,
-                cached: 9,
-            },
-            TraceStats {
-                built: 5,
-                hits: 90,
-                side_exits: 3,
-                invalidated: 1,
-                cached: 4,
-            },
-        );
+        let mut p = ExecProfile::begin(BlockStats {
+            built: 10,
+            hits: 100,
+            invalidated: 5,
+            conflict_evictions: 1,
+            cached: 7,
+        });
+        p.seal(BlockStats {
+            built: 12,
+            hits: 150,
+            invalidated: 6,
+            conflict_evictions: 4,
+            cached: 9,
+        });
         assert_eq!(p.cache.built, 2);
         assert_eq!(p.cache.hits, 50);
         assert_eq!(p.cache.invalidated, 1);
         assert_eq!(p.cache.conflict_evictions, 3);
         assert_eq!(p.cache.cached, 9);
-        assert_eq!(p.trace_cache.built, 3);
-        assert_eq!(p.trace_cache.hits, 70);
-        assert_eq!(p.trace_cache.side_exits, 2);
-        assert_eq!(p.trace_cache.invalidated, 1);
-        assert_eq!(p.trace_cache.cached, 4);
     }
 }

@@ -244,7 +244,7 @@ impl TaintTracer {
     /// Does the tracer need the instrumented path for a code range?
     /// Taint can only be born at the seed address and only propagate
     /// while the shadow is non-empty, so everything else may take the
-    /// fast path / a tier-2 trace untouched.
+    /// fast path untouched.
     #[inline]
     pub fn wants_range(&self, lo: u32, hi: u64) -> bool {
         if self.frozen {
