@@ -2,7 +2,7 @@
 
 /// Accumulates raw bytes and yields complete `\n`-terminated lines with
 /// the terminator (and any preceding `\r`) stripped.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LineBuf {
     buf: Vec<u8>,
 }

@@ -556,7 +556,7 @@ enum FtpState {
 }
 
 /// Scripted FTP client implementing the paper's four access patterns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FtpClient {
     pattern: FtpPattern,
     state: FtpState,
@@ -692,6 +692,10 @@ impl ClientDriver for FtpClient {
         while let Some(line) = self.lines.pop_line() {
             self.handle_line(&line, out);
         }
+    }
+
+    fn same_state(&self, earlier: &dyn ClientDriver) -> bool {
+        earlier.as_any().downcast_ref::<FtpClient>() == Some(self)
     }
 
     fn status(&self) -> ClientStatus {

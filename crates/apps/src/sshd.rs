@@ -458,7 +458,7 @@ enum SshState {
 }
 
 /// Scripted SSH client implementing the paper's two access patterns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SshClient {
     pattern: SshPattern,
     state: SshState,
@@ -587,6 +587,10 @@ impl ClientDriver for SshClient {
         while let Some(line) = self.lines.pop_line() {
             self.handle_line(&line, out);
         }
+    }
+
+    fn same_state(&self, earlier: &dyn ClientDriver) -> bool {
+        earlier.as_any().downcast_ref::<SshClient>() == Some(self)
     }
 
     fn status(&self) -> ClientStatus {

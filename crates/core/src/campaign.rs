@@ -404,6 +404,15 @@ fn outcome_index(outcome: OutcomeClass) -> usize {
         .expect("every OutcomeClass variant appears in OutcomeClass::ALL")
 }
 
+/// Count an executed run's fast-forward, if it took one.
+pub(crate) fn count_fast_forward(shard: &mut MetricsShard, meta: &RunMeta) {
+    shard.inc(
+        metric::FAST_FORWARDED_RUNS,
+        u64::from(meta.skipped_insts > 0),
+    );
+    shard.inc(metric::SKIPPED_GUEST_INSTS, meta.skipped_insts);
+}
+
 pub(crate) fn micros_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
@@ -556,6 +565,7 @@ impl<'a> WorkerTel<'a> {
         self.shard.inc(metric::FRESH_BOOTS, 1);
         self.shard.observe(metric::REPLAY_MICROS, micros);
         self.shard.observe(metric::ICOUNT, meta.icount);
+        count_fast_forward(&mut self.shard, &meta);
         self.shard.phase_add(Phase::Boot, gmeta.boot_micros);
         self.shard.phase_add(Phase::Replay, meta.run_micros);
         self.shard.phase_add(Phase::Classify, meta.classify_micros);
@@ -608,6 +618,7 @@ impl<'a> WorkerTel<'a> {
         for ((run, meta, div, prop), target) in runs.iter().zip(targets) {
             self.shard.observe(metric::REPLAY_MICROS, meta.run_micros);
             self.shard.observe(metric::ICOUNT, meta.icount);
+            count_fast_forward(&mut self.shard, meta);
             self.shard.phase_add(Phase::Replay, meta.run_micros);
             self.shard.phase_add(Phase::Classify, meta.classify_micros);
             self.observe_divergence(run, *div);
@@ -1067,6 +1078,8 @@ pub fn run_campaign_cached(
                 cache_synth_runs: ctr(metric::CACHE_SYNTH_RUNS),
                 masked_runs: ctr(metric::MASKED_RUNS),
                 cache_shared_runs: ctr(metric::CACHE_SHARED_RUNS),
+                fast_forwarded_runs: ctr(metric::FAST_FORWARDED_RUNS),
+                skipped_guest_insts: ctr(metric::SKIPPED_GUEST_INSTS),
             }));
         }
         tel.sink.flush();

@@ -30,7 +30,7 @@
 //!   ([`crate::stats`]), and [`RandomConfig::target_ci`] keeps sampling
 //!   until the Wilson interval is narrower than a requested width.
 
-use crate::campaign::{micros_since, run_work_queue, ExecutionMode};
+use crate::campaign::{count_fast_forward, micros_since, run_work_queue, ExecutionMode};
 use crate::stats::{clopper_pearson95, wilson95, Ci};
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
@@ -708,6 +708,9 @@ fn run_random_inner(
         return Ok(stats_of(init_tallies, init_hists));
     }
 
+    // The registry may span several campaigns: the trailer's counters
+    // are the delta over this one.
+    let before = tel.events_enabled().then(|| tel.metrics.snapshot());
     let mut main = MetricsShard::new();
     let boot_start = Instant::now();
     let golden = golden_run_opts(&app.image, client, cfg.engine)
@@ -804,6 +807,7 @@ fn run_random_inner(
                     shard.inc(metric::RUNS, 1);
                     shard.observe(metric::REPLAY_MICROS, meta.run_micros);
                     shard.observe(metric::ICOUNT, meta.icount);
+                    count_fast_forward(&mut shard, &meta);
                     shard.phase_add(Phase::Replay, meta.run_micros);
                     shard.phase_add(Phase::Classify, meta.classify_micros);
                 }
@@ -836,7 +840,9 @@ fn run_random_inner(
 
     let (tallies, hists) = committer.into_state();
     let stats = stats_of(tallies, hists);
-    if tel.events_enabled() {
+    if let Some(before) = before {
+        let after = tel.metrics.snapshot();
+        let ctr = |n| after.counter(n).saturating_sub(before.counter(n));
         let w = stats.wilson95();
         let cp = stats.clopper_pearson95();
         tel.sink.emit(&TraceEvent::RandomEnd(RandomEndEvent {
@@ -851,6 +857,8 @@ fn run_random_inner(
             wilson_high: w.high,
             cp_low: cp.low,
             cp_high: cp.high,
+            fast_forwarded_runs: ctr(metric::FAST_FORWARDED_RUNS),
+            skipped_guest_insts: ctr(metric::SKIPPED_GUEST_INSTS),
         }));
         tel.sink.flush();
     }

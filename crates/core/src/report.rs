@@ -13,7 +13,9 @@ use crate::figure4;
 use crate::hotblocks::{render_hot_blocks, DEFAULT_TOP};
 use crate::random::render_report;
 use crate::tables::render_table1;
-use crate::trace::{cache_line, ReplayedCampaign, ReplayedTrace};
+use crate::trace::{
+    cache_line, fast_forward_line, random_wall_line, ReplayedCampaign, ReplayedTrace,
+};
 use fisec_apps::AppSpec;
 use fisec_telemetry::{metric, render_phase_table, LogHistogram, PhaseTimes};
 use std::fmt::Write as _;
@@ -158,6 +160,7 @@ pub fn render_html(trace: &ReplayedTrace) -> String {
                 "runs {}  na-prefilter {}  fresh boots {}  restores {}\n",
                 end.runs, end.na_prefilter_runs, end.fresh_boots, end.restores
             );
+            body.push_str(&fast_forward_line(&end));
             body.push_str(&cache_line(&end));
             let phases = PhaseTimes {
                 micros: [
@@ -252,15 +255,7 @@ pub fn render_html(trace: &ReplayedTrace) -> String {
     for r in &trace.random {
         let mut body = render_report(&r.stats);
         match &r.end {
-            Some(end) => {
-                let secs = end.wall_micros as f64 / 1e6;
-                let rate = if secs > 0.0 {
-                    r.stats.result.runs as f64 / secs
-                } else {
-                    0.0
-                };
-                let _ = writeln!(body, "wall {secs:.1}s ({rate:.0} runs/s)");
-            }
+            Some(end) => body.push_str(&random_wall_line(r.stats.result.runs, end)),
             None => {
                 let _ = writeln!(
                     body,

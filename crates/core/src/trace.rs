@@ -346,6 +346,37 @@ fn masked_line(masked: u64, replays: u64) -> String {
     )
 }
 
+/// What a trailer says about fast-forwarded runs; empty when none skipped
+/// anything (the per-step engine, older traces), so their output stays
+/// byte-stable.
+pub(crate) fn fast_forward_note(runs: u64, insts: u64) -> String {
+    if runs == 0 {
+        return String::new();
+    }
+    format!("fast-forwarded {runs} runs ({insts} guest instructions of proven hang loops skipped)")
+}
+
+/// The stats line for a campaign trailer's fast-forwarded runs; empty
+/// when there were none.
+pub(crate) fn fast_forward_line(end: &CampaignEndEvent) -> String {
+    let mut line = fast_forward_note(end.fast_forwarded_runs, end.skipped_guest_insts);
+    if !line.is_empty() {
+        line.push('\n');
+    }
+    line
+}
+
+/// The trailer line of a random ledger: wall clock and throughput, then
+/// the fast-forward note when there is one. One line, so a report and
+/// its replay still differ only in their last two lines.
+pub(crate) fn random_wall_line(runs: usize, end: &RandomEndEvent) -> String {
+    let secs = end.wall_micros as f64 / 1e6;
+    let rate = if secs > 0.0 { runs as f64 / secs } else { 0.0 };
+    let note = fast_forward_note(end.fast_forwarded_runs, end.skipped_guest_insts);
+    let sep = if note.is_empty() { "" } else { "  " };
+    format!("wall {secs:.1}s ({rate:.0} runs/s){sep}{note}\n")
+}
+
 /// The cache line of a campaign trailer: memoized groups folded from
 /// the store, a different animal from the NA pre-filter's derived
 /// groups, and the runs sibling stores answered when there were any.
@@ -413,6 +444,7 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
                 end.runs, end.na_prefilter_runs, end.fresh_boots, end.restores
             ));
             out.push_str(&masked_line(end.masked_runs, end.restores));
+            out.push_str(&fast_forward_line(&end));
             out.push_str(&cache_line(&end));
             let phases = PhaseTimes {
                 micros: [
@@ -494,6 +526,11 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
             sum(|e| e.restores)
         ));
         out.push_str(&masked_line(sum(|e| e.masked_runs), sum(|e| e.restores)));
+        out.push_str(&fast_forward_line(&CampaignEndEvent {
+            fast_forwarded_runs: sum(|e| e.fast_forwarded_runs),
+            skipped_guest_insts: sum(|e| e.skipped_guest_insts),
+            ..CampaignEndEvent::default()
+        }));
         out.push_str(&cache_line(&CampaignEndEvent {
             cache_hit_groups: sum(|e| e.cache_hit_groups),
             cache_miss_groups: sum(|e| e.cache_miss_groups),
@@ -518,15 +555,7 @@ pub fn render_stats(trace: &ReplayedTrace) -> String {
     for r in &trace.random {
         out.push_str(&render_report(&r.stats));
         match &r.end {
-            Some(end) => {
-                let secs = end.wall_micros as f64 / 1e6;
-                let rate = if secs > 0.0 {
-                    r.stats.result.runs as f64 / secs
-                } else {
-                    0.0
-                };
-                out.push_str(&format!("wall {secs:.1}s ({rate:.0} runs/s)\n"));
-            }
+            Some(end) => out.push_str(&random_wall_line(r.stats.result.runs, end)),
             None => {
                 out.push_str(&format!(
                     "RESUMABLE ledger: {} of {} runs committed, no trailer \
@@ -723,8 +752,9 @@ mod tests {
         }))
     }
 
-    #[test]
-    fn random_ledger_replays_to_the_campaign_report() {
+    /// A complete four-run ledger whose trailer reports `fast_forwarded`
+    /// runs skipping `skipped` instructions.
+    fn random_ledger(fast_forwarded: u64, skipped: u64) -> Vec<TraceEvent> {
         let end = TraceEvent::RandomEnd(RandomEndEvent {
             runs: 4,
             no_effect: 2,
@@ -737,14 +767,20 @@ mod tests {
             wilson_high: 0.7,
             cp_low: 0.0,
             cp_high: 0.8,
+            fast_forwarded_runs: fast_forwarded,
+            skipped_guest_insts: skipped,
         });
-        let events = vec![
+        vec![
             random_header(4),
             random_batch(0, 2, 1, 0),
             random_batch(2, 4, 1, 1),
             end,
-        ];
-        let replay = parse_trace(&events).unwrap();
+        ]
+    }
+
+    #[test]
+    fn random_ledger_replays_to_the_campaign_report() {
+        let replay = parse_trace(&random_ledger(0, 0)).unwrap();
         assert!(replay.campaigns.is_empty());
         assert_eq!(replay.random.len(), 1);
         let r = &replay.random[0];
@@ -754,8 +790,52 @@ mod tests {
         let s = render_stats(&replay);
         assert!(s.contains("== random injection: ftpd"), "{s}");
         assert!(s.contains("Wilson 95%"), "{s}");
-        assert!(s.contains("wall 2.0s (2 runs/s)"), "{s}");
+        assert!(s.contains("wall 2.0s (2 runs/s)\n"), "{s}");
         assert!(!s.contains("RESUMABLE"), "{s}");
+    }
+
+    #[test]
+    fn fast_forwards_print_one_line_only_when_a_run_skipped() {
+        // A trailer older than the fields parses with zeros and prints
+        // no fast-forward text at all.
+        let line = r#"{"event":"campaign_end","wall_micros":1,"boot_micros":0,"snapshot_micros":0,"replay_micros":0,"classify_micros":0,"reassemble_micros":0,"runs":1,"na_prefilter_runs":0,"restores":1,"fresh_boots":1}"#;
+        let TraceEvent::CampaignEnd(old) = TraceEvent::parse_line(line).unwrap() else {
+            panic!("a campaign_end line");
+        };
+        assert_eq!((old.fast_forwarded_runs, old.skipped_guest_insts), (0, 0));
+        assert_eq!(fast_forward_line(&old), "");
+        let end = |runs, insts| CampaignEndEvent {
+            runs: 10,
+            fast_forwarded_runs: runs,
+            skipped_guest_insts: insts,
+            ..CampaignEndEvent::default()
+        };
+        let note =
+            "fast-forwarded 3 runs (1060396 guest instructions of proven hang loops skipped)";
+        assert_eq!(fast_forward_line(&end(3, 1_060_396)), format!("{note}\n"));
+        // The engine aggregate sums every trailer's.
+        let events = vec![
+            header(1),
+            run_ev(0, "FSV", 0),
+            TraceEvent::CampaignEnd(end(2, 1_000_000)),
+            header(1),
+            run_ev(0, "FSV", 0),
+            TraceEvent::CampaignEnd(end(1, 60_396)),
+        ];
+        let s = render_stats(&parse_trace(&events).unwrap());
+        assert!(s.contains(&format!("\n{note}\n")), "{s}");
+        // A ledger's trailer carries it on its wall line, so a report
+        // and its replay still differ in their last two lines only.
+        let s = render_stats(&parse_trace(&random_ledger(0, 0)).unwrap());
+        assert!(s.ends_with("wall 2.0s (2 runs/s)\n\n"), "{s}");
+        let s = render_stats(&parse_trace(&random_ledger(1, 393_000)).unwrap());
+        assert!(
+            s.ends_with(
+                "wall 2.0s (2 runs/s)  fast-forwarded 1 runs \
+                 (393000 guest instructions of proven hang loops skipped)\n\n"
+            ),
+            "{s}"
+        );
     }
 
     #[test]
@@ -785,6 +865,8 @@ mod tests {
             wilson_high: 0.0,
             cp_low: 0.0,
             cp_high: 0.0,
+            fast_forwarded_runs: 0,
+            skipped_guest_insts: 0,
         });
         assert!(parse_trace(std::slice::from_ref(&end)).is_err());
         // A gap in the checkpoint stream.

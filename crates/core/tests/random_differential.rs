@@ -17,7 +17,7 @@ use fisec_core::random::{
 };
 use fisec_core::{trace, EncodingScheme, ExecutionMode};
 use fisec_inject::{golden_run, EngineOpts, FirstFetchPass};
-use fisec_telemetry::{metric, JsonlSink, NullSink, Phase, Telemetry};
+use fisec_telemetry::{metric, JsonlSink, MemorySink, NullSink, Phase, Telemetry, TraceEvent};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -129,6 +129,45 @@ fn random_campaign_reports_phases_and_shortcut_counts() {
     for phase in [Phase::Boot, Phase::Snapshot, Phase::Replay] {
         assert!(phases.get(phase) > 0, "{phase:?} was never charged");
     }
+}
+
+/// Seed 2001's 4,000 ftpd draws replay 24 budget-bound sessions; 13 of
+/// them are proven loops (9 exact cycles, 4 output loops) and skip their
+/// whole periods. The per-step engine skips none, and the two campaigns
+/// agree on every tally and icount histogram.
+#[test]
+fn hang_fast_forward_counts_are_pinned() {
+    let app = AppSpec::ftpd();
+    let campaign = |block_cache: bool| {
+        let cfg = RandomConfig {
+            runs: 4000,
+            seed: 2001,
+            engine: EngineOpts {
+                block_cache,
+                ..EngineOpts::default()
+            },
+            ..RandomConfig::default()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let stats = run_random_streaming(&app, &cfg, &Telemetry::new(sink.clone(), false)).unwrap();
+        let end = sink
+            .events()
+            .into_iter()
+            .find_map(|e| match e {
+                TraceEvent::RandomEnd(end) => Some(end),
+                _ => None,
+            })
+            .expect("the campaign ends with a trailer");
+        (stats, end.fast_forwarded_runs, end.skipped_guest_insts)
+    };
+    let (blocks, runs, skipped) = campaign(true);
+    assert_eq!(runs, 13);
+    assert!(skipped > 13 * 300_000, "{skipped}");
+    let (steps, runs, skipped) = campaign(false);
+    assert_eq!((runs, skipped), (0, 0));
+    assert_eq!(blocks.result, steps.result);
+    assert_eq!(blocks.hists, steps.hists);
+    assert_eq!(render_report(&blocks), render_report(&steps));
 }
 
 /// The draw stream is a pure function of (seed, index, text_len):

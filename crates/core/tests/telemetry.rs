@@ -126,3 +126,39 @@ fn jsonl_trace_round_trips_to_identical_table1() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Table 5's cache-off campaigns replay ten budget-bound runs, and every
+/// one is a proven loop that skips its whole periods: ftpd Client1/3
+/// cycle at 0x0804915e (byte 1, bit 7), ftpd Client4 and sshd Client1/2
+/// loop on output (0x08048dbd byte 0 bit 1, 0x08049128 byte 2 bit 0),
+/// under either scheme. The trailer counts them in both modes; the
+/// per-step engine counts none.
+#[test]
+fn cache_off_table5_fast_forwards_every_hang() {
+    let fast_forwarded = |app: &AppSpec, scheme, mode, block_cache| {
+        let mut cfg = cfg(mode);
+        cfg.scheme = scheme;
+        cfg.engine.block_cache = block_cache;
+        let sink = Arc::new(MemorySink::new());
+        run_campaign_cached(app, &cfg, &Telemetry::new(sink.clone(), false), None);
+        sink.events()
+            .into_iter()
+            .find_map(|e| match e {
+                TraceEvent::CampaignEnd(end) => Some(end.fast_forwarded_runs),
+                _ => None,
+            })
+            .expect("the campaign ends with a trailer")
+    };
+    for (app, want) in [(AppSpec::ftpd(), 3), (AppSpec::sshd(), 2)] {
+        for scheme in [EncodingScheme::Baseline, EncodingScheme::NewEncoding] {
+            let snapshot = ExecutionMode::Snapshot;
+            assert_eq!(fast_forwarded(&app, scheme, snapshot, true), want);
+            assert_eq!(fast_forwarded(&app, scheme, snapshot, false), 0);
+        }
+        let scratch = ExecutionMode::FromScratch;
+        assert_eq!(
+            fast_forwarded(&app, EncodingScheme::Baseline, scratch, true),
+            want
+        );
+    }
+}

@@ -486,14 +486,16 @@ impl<'a> LatentRunner<'a> {
                 let stop = p.run();
                 let run_micros = micros_since(start);
                 scratch.text[err.offset] = orig;
-                Ok(classify_latent(
+                let (run, mut meta) = classify_latent(
                     golden,
                     stop,
                     p.client_status(),
                     p.trace(),
                     p.icount(),
                     run_micros,
-                ))
+                );
+                meta.skipped_insts = p.machine.fast_forwarded_insts();
+                Ok((run, meta))
             }
         }
     }
@@ -745,16 +747,19 @@ fn replay(
         .poke8(addr, err.corrupted)
         .expect("text byte is mapped: offset was bounds-checked");
     let start = Instant::now();
+    let skipped_before = process.machine.fast_forwarded_insts();
     let stop = process.run();
     let run_micros = micros_since(start);
-    classify_latent(
+    let (run, mut meta) = classify_latent(
         golden,
         stop,
         process.client_status(),
         process.trace(),
         process.icount(),
         run_micros,
-    )
+    );
+    meta.skipped_insts = process.machine.fast_forwarded_insts() - skipped_before;
+    (run, meta)
 }
 
 /// A draw on a never-fetched byte: golden, classified, with no run time.
@@ -782,6 +787,7 @@ fn classify_latent(
         icount,
         run_micros,
         classify_micros: micros_since(classify_start),
+        ..RunMeta::default()
     };
     (run, meta)
 }

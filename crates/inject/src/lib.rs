@@ -219,6 +219,10 @@ pub struct RunMeta {
     pub run_micros: u64,
     /// Host microseconds classifying the outcome against golden.
     pub classify_micros: u64,
+    /// Guest instructions the run retired without executing them: whole
+    /// periods of a proven hang loop (see [`fisec_x86::cycle`]), counted
+    /// in `icount` as well. 0 for a run that executed every instruction.
+    pub skipped_insts: u64,
 }
 
 /// Per-boot metadata shared by the runs of one [`GroupOutcome`]: a
@@ -459,6 +463,7 @@ fn flip_and_run(
 ) -> (GroupRun, bool) {
     let run_start = Instant::now();
     let activation_icount = p.icount();
+    let skipped_before = p.machine.fast_forwarded_insts();
     plant(p, target, scheme);
     if golden_ref.is_some() {
         p.machine.enable_flight_recorder(RECORDER_EDGES);
@@ -516,6 +521,7 @@ fn flip_and_run(
         icount: end.saturating_sub(activation_icount),
         run_micros,
         classify_micros: micros_since(classify_start),
+        skipped_insts: p.machine.fast_forwarded_insts() - skipped_before,
     };
     ((run, meta, report, prop), masked)
 }

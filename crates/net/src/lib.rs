@@ -12,6 +12,7 @@
 //!   clients of §5.2/§5.3 live in `fisec-apps` and implement this trait);
 //! * [`Trace`] — the normalized message log with a diff utility.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -62,6 +63,17 @@ pub trait ClientDriver: CloneClient {
 
     /// Current verdict.
     fn status(&self) -> ClientStatus;
+
+    /// Whether this client stands in the state of `earlier`, a clone of
+    /// it taken earlier in the same session: whether it would answer the
+    /// same server bytes the same way from here on. Lets a process skip
+    /// the periods of an output loop that returns both sides to where
+    /// they stood (see `fisec_os::Process::run`). The default says the
+    /// states are not comparable, which keeps every loop through this
+    /// client running in full.
+    fn same_state(&self, _earlier: &dyn ClientDriver) -> bool {
+        false
+    }
 }
 
 /// Object-safe cloning for boxed [`ClientDriver`]s, so [`Channel`] (and
@@ -71,11 +83,19 @@ pub trait ClientDriver: CloneClient {
 pub trait CloneClient {
     /// Clone into a fresh box.
     fn clone_box(&self) -> Box<dyn ClientDriver>;
+
+    /// The client as [`Any`], for a [`ClientDriver::same_state`] that
+    /// downcasts its argument.
+    fn as_any(&self) -> &dyn Any;
 }
 
 impl<T: ClientDriver + Clone + 'static> CloneClient for T {
     fn clone_box(&self) -> Box<dyn ClientDriver> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -103,6 +123,25 @@ pub struct Channel {
     client: Box<dyn ClientDriver>,
     to_server: VecDeque<u8>,
     trace: Vec<Message>,
+}
+
+/// What decides a [`Channel`]'s future, captured at one instant: the
+/// client state machine and the bytes queued for the server, plus how
+/// many transfers the trace held (the trace only grows).
+#[derive(Clone)]
+pub struct ChannelMark {
+    client: Box<dyn ClientDriver>,
+    to_server: VecDeque<u8>,
+    transfers: usize,
+}
+
+impl fmt::Debug for ChannelMark {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ChannelMark")
+            .field("queued", &self.to_server.len())
+            .field("transfers", &self.transfers)
+            .finish()
+    }
 }
 
 impl fmt::Debug for Channel {
@@ -164,6 +203,32 @@ impl Channel {
             bytes: bytes.clone(),
         });
         self.to_server.extend(bytes);
+    }
+
+    /// Capture what decides the channel's future.
+    pub fn mark(&self) -> ChannelMark {
+        ChannelMark {
+            client: self.client.clone(),
+            to_server: self.to_server.clone(),
+            transfers: self.trace.len(),
+        }
+    }
+
+    /// Whether the channel stands where `mark` was taken: the same bytes
+    /// queued, and a client that reports the same state
+    /// ([`ClientDriver::same_state`]).
+    pub fn same_state(&self, mark: &ChannelMark) -> bool {
+        self.to_server == mark.to_server && self.client.same_state(mark.client.as_ref())
+    }
+
+    /// Record `times` more copies of the transfers recorded since `mark`:
+    /// the trace of `times` more periods of a loop that returned the
+    /// channel to `mark`'s state.
+    pub fn repeat_since(&mut self, mark: &ChannelMark, times: u64) {
+        let period = self.trace[mark.transfers..].to_vec();
+        for _ in 0..times {
+            self.trace.extend_from_slice(&period);
+        }
     }
 
     /// The client's verdict.

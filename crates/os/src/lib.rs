@@ -13,8 +13,8 @@
 //! ("not counting those executed inside the kernel").
 
 use fisec_asm::Image;
-use fisec_net::{Channel, ClientDriver, ClientStatus, ReadOutcome, Trace};
-use fisec_x86::{Cpu, Fault, Machine, Memory, Perms, Region, RunOutcome};
+use fisec_net::{Channel, ChannelMark, ClientDriver, ClientStatus, ReadOutcome, Trace};
+use fisec_x86::{Cpu, CycleWatch, Fault, Machine, Memory, Perms, Region, RunOutcome, Watch};
 use std::fmt;
 
 /// Stack top (grows down). A guard gap below the stack region makes large
@@ -107,6 +107,23 @@ pub struct Process {
     /// Syscalls serviced: the only way the process touches its channel
     /// or exit status.
     syscalls: u64,
+    /// The output-loop watch of [`Process::run`]. Not snapshot state.
+    loops: LoopWatch,
+}
+
+/// Instructions into a [`Process::run`] call before it watches its
+/// syscall boundaries for an output loop: longer than any bundled
+/// server's golden session, so only a run that is already a suspect hang
+/// pays for it.
+pub const OUTPUT_LOOP_WATCH_FROM: u64 = 1 << 16;
+
+/// The output-loop rule's tortoise: the machine's mark (inside the
+/// watch) plus the channel's and the syscall count at the same instant.
+#[derive(Debug, Default)]
+struct LoopWatch {
+    cycle: CycleWatch,
+    channel: Option<ChannelMark>,
+    syscalls: u64,
 }
 
 /// Default instruction budget per connection. Generous: a normal
@@ -181,6 +198,7 @@ impl Process {
             exit_code: None,
             budget: DEFAULT_BUDGET,
             syscalls: 0,
+            loops: LoopWatch::default(),
         })
     }
 
@@ -245,6 +263,11 @@ impl Process {
         })
     }
 
+    /// Syscalls serviced so far.
+    pub fn syscalls(&self) -> u64 {
+        self.syscalls
+    }
+
     /// Instructions retired so far.
     pub fn icount(&self) -> u64 {
         self.machine.icount
@@ -274,7 +297,23 @@ impl Process {
     }
 
     /// Run until exit, crash, hang, or breakpoint.
+    ///
+    /// Once the call has run [`OUTPUT_LOOP_WATCH_FROM`] instructions and
+    /// while the machine may fast-forward
+    /// ([`Machine::may_fast_forward`]), every syscall boundary steps a
+    /// cycle watch over the machine, the client's state and the bytes
+    /// queued for the server. When all of them stand where they stood one
+    /// period earlier, the rest of the run repeats that period until the
+    /// budget: the whole periods that fit are retired at once, with their
+    /// syscalls and their transfers, and the remainder runs to the exact
+    /// budget stop (see [`fisec_x86::cycle`]).
     pub fn run(&mut self) -> Stop {
+        let mut watch_from = if self.machine.may_fast_forward() {
+            self.machine.icount.saturating_add(OUTPUT_LOOP_WATCH_FROM)
+        } else {
+            u64::MAX
+        };
+        self.loops.cycle.reset();
         loop {
             if let Some(code) = self.exit_code {
                 return Stop::Exited(code);
@@ -291,12 +330,48 @@ impl Process {
                     if let Some(stop) = self.syscall() {
                         return stop;
                     }
+                    if self.machine.icount >= watch_from && self.skip_output_loop() {
+                        watch_from = u64::MAX;
+                    }
                 }
                 RunOutcome::Syscall(_) => {
                     // int n (n != 0x80) faults in Machine::step already.
                     unreachable!("only int 0x80 surfaces as a syscall");
                 }
             }
+        }
+    }
+
+    /// Step the output-loop watch at a syscall boundary. On a proven
+    /// loop, retire the whole periods that fit in the budget, with their
+    /// syscalls and transfers, and return whether all of them were: the
+    /// watch is then done for this run. (The taint tracer's horizon can
+    /// leave some to run; see [`Machine::fast_forward`].)
+    fn skip_output_loop(&mut self) -> bool {
+        let LoopWatch {
+            cycle,
+            channel,
+            syscalls,
+        } = &mut self.loops;
+        let live = &self.channel;
+        let watch = self.machine.watch_cycle(cycle, || {
+            channel.as_ref().is_some_and(|mark| live.same_state(mark))
+        });
+        match watch {
+            Watch::Repeat(period) => {
+                let mark = channel.take().expect("a repeat follows a mark");
+                let fit = self.budget.saturating_sub(self.machine.icount) / period;
+                let times = self.machine.fast_forward(cycle, fit);
+                self.syscalls += times * (self.syscalls - *syscalls);
+                self.channel.repeat_since(&mark, times);
+                times == fit
+            }
+            Watch::Moved => {
+                *channel = Some(self.channel.mark());
+                *syscalls = self.syscalls;
+                false
+            }
+            Watch::Waiting => false,
         }
     }
 

@@ -160,6 +160,15 @@ pub struct CampaignEndEvent {
     /// with 0).
     #[serde(default)]
     pub cache_shared_runs: u64,
+    /// Executed runs that skipped whole periods of a proven hang loop
+    /// (0 under the per-step engine). Absent from older traces (they
+    /// parse with 0).
+    #[serde(default)]
+    pub fast_forwarded_runs: u64,
+    /// Guest instructions those runs retired without executing them.
+    /// Absent from older traces (they parse with 0).
+    #[serde(default)]
+    pub skipped_guest_insts: u64,
 }
 
 /// Random-campaign (§7 random-injection tier) header: identifies the
@@ -238,6 +247,15 @@ pub struct RandomEndEvent {
     pub cp_low: f64,
     /// Clopper-Pearson 95% upper bound.
     pub cp_high: f64,
+    /// Runs of this invocation that skipped whole periods of a proven
+    /// hang loop (0 under the per-step engine). Absent from older
+    /// ledgers (they parse with 0).
+    #[serde(default)]
+    pub fast_forwarded_runs: u64,
+    /// Guest instructions those runs retired without executing them.
+    /// Absent from older ledgers (they parse with 0).
+    #[serde(default)]
+    pub skipped_guest_insts: u64,
 }
 
 /// One node of the hierarchical span trace (campaign →
@@ -731,6 +749,8 @@ mod tests {
             wilson_high: 1.2e-4,
             cp_low: 8.1e-5,
             cp_high: 1.2e-4,
+            fast_forwarded_runs: 12,
+            skipped_guest_insts: 4_200_000,
         });
         for ev in [hdr, batch, end] {
             let line = ev.to_json_line();

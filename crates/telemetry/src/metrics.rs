@@ -28,6 +28,10 @@ pub mod metric {
     /// Counter: replays that re-joined golden one instruction after the
     /// flip and were classified without running their suffix.
     pub const MASKED_RUNS: &str = "masked_runs";
+    /// Counter: runs that skipped whole periods of a proven hang loop.
+    pub const FAST_FORWARDED_RUNS: &str = "fast_forwarded_runs";
+    /// Counter: guest instructions those runs retired without executing.
+    pub const SKIPPED_GUEST_INSTS: &str = "skipped_guest_insts";
     /// Counter: checkpoint groups folded in from the incremental
     /// campaign cache without executing.
     pub const CACHE_HIT_GROUPS: &str = "cache_hit_groups";

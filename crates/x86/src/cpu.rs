@@ -9,6 +9,7 @@
 //! is measured with it.
 
 use crate::block::{AluK, Block, BlockCache, BlockStats, LInst, UOp, MAX_BLOCK_INSTS};
+use crate::cycle::{CycleWatch, Observed, Watch, CYCLE_WATCH_FROM};
 use crate::decode::decode;
 use crate::eflags::{AF, CF, DF, OF, PF, RESERVED1, SF, ZF};
 use crate::flags;
@@ -434,6 +435,16 @@ pub struct Machine {
     profile: Option<Box<ExecProfile>>,
     decoder: fn(&[u8]) -> Inst,
     restores: u64,
+    /// The block engine's cycle watch (see [`crate::cycle`]), reset at
+    /// the start of every call. Not snapshot state.
+    cycle: CycleWatch,
+    /// Single-step fallbacks the block engine has taken. A mark records
+    /// it, so no cycle spans one: an `rdtsc` block reads the live icount,
+    /// which a skip would change. Monotonic, not snapshot state.
+    fallbacks: u64,
+    /// Instructions retired by [`Machine::fast_forward`]. Monotonic, not
+    /// snapshot state.
+    fast_forwarded: u64,
 }
 
 /// Architectural state captured by [`Machine::snapshot`].
@@ -508,6 +519,9 @@ impl Machine {
             profile: None,
             decoder: decode,
             restores: 0,
+            cycle: CycleWatch::default(),
+            fallbacks: 0,
+            fast_forwarded: 0,
         }
     }
 
@@ -609,6 +623,66 @@ impl Machine {
     /// the telemetry layer reports it as replay work performed.
     pub fn restore_count(&self) -> u64 {
         self.restores
+    }
+
+    /// Whether a proven cycle may be skipped (see [`crate::cycle`]): the
+    /// block engine runs, no breakpoint is armed, and no coverage, EIP
+    /// trace or flight recorder is attached. The profiler and the taint
+    /// tracer may be: a skip tallies and logs the periods it retires. The
+    /// footprint may record too: a loop's blocks are all marked on its
+    /// first period.
+    pub fn may_fast_forward(&self) -> bool {
+        self.block_engine
+            && self.breakpoints.is_empty()
+            && self.coverage.is_none()
+            && self.trace_cap == 0
+            && self.recorder.is_none()
+    }
+
+    /// Step `watch` at the current state; `same_rest` compares the
+    /// embedder's own state and is asked only when the machine's
+    /// matches (see [`CycleWatch`]).
+    pub fn watch_cycle(&self, watch: &mut CycleWatch, same_rest: impl FnOnce() -> bool) -> Watch {
+        let observed = Observed {
+            profile: self.profile.as_deref(),
+            taint: self.taint.as_deref(),
+            blocks: &self.blocks,
+        };
+        watch.step(
+            &self.cpu,
+            &self.mem,
+            self.icount,
+            self.fallbacks,
+            &observed,
+            same_rest,
+        )
+    }
+
+    /// Retire up to `periods` whole periods of the cycle `watch` has just
+    /// proved ([`Watch::Repeat`]) without executing them, and reset the
+    /// watch. The icount advances, the profiler tallies the periods and
+    /// the taint tracer logs them; every other part of the state stands
+    /// as it is. Fewer periods are retired when the taint tracer's
+    /// horizon falls inside them. Returns the periods retired.
+    pub fn fast_forward(&mut self, watch: &mut CycleWatch, periods: u64) -> u64 {
+        let period = watch.period(self.icount);
+        let periods = watch.repeat_observers(
+            self.icount,
+            self.profile.as_deref_mut(),
+            &self.blocks,
+            self.taint.as_deref_mut(),
+            periods,
+        );
+        self.icount += periods * period;
+        self.fast_forwarded += periods * period;
+        periods
+    }
+
+    /// Instructions [`Machine::fast_forward`] has retired on this
+    /// machine. Monotonic across restores, like
+    /// [`Machine::restore_count`].
+    pub fn fast_forwarded_insts(&self) -> u64 {
+        self.fast_forwarded
     }
 
     /// Record the distinct EIPs executed from now on, each with the
@@ -932,13 +1006,27 @@ impl Machine {
     /// block, the budget expiring mid-block, or an instruction that reads
     /// the live icount (`rdtsc`) — so every outcome matches
     /// [`Machine::run_stepwise`] exactly.
+    ///
+    /// Once the call has run [`CYCLE_WATCH_FROM`] instructions, every
+    /// dispatch also steps the cycle watch when the run may skip
+    /// ([`Machine::may_fast_forward`]); a proven cycle skips its whole
+    /// periods and the rest runs to the budget (see [`crate::cycle`]).
     fn run_blocks(&mut self, max_steps: u64) -> RunOutcome {
         self.sync_blocks();
         let mut steps = 0u64;
+        let mut watch_from = if self.may_fast_forward() {
+            CYCLE_WATCH_FROM
+        } else {
+            u64::MAX
+        };
+        self.cycle.reset();
         loop {
             let eip = self.cpu.eip;
             if self.at_breakpoint(eip) {
                 return RunOutcome::Breakpoint(eip);
+            }
+            if steps >= watch_from {
+                self.skip_cycle(&mut steps, max_steps, &mut watch_from);
             }
             if steps >= max_steps {
                 return RunOutcome::Budget;
@@ -964,6 +1052,8 @@ impl Machine {
                 || (block.insts.len() as u64) > max_steps - steps
                 || self.breakpoint_inside(block.entry, block.end)
             {
+                self.fallbacks += 1;
+                self.cycle.reset();
                 steps += 1;
                 match self.step() {
                     StepEvent::Executed => continue,
@@ -987,18 +1077,25 @@ impl Machine {
                 match event {
                     StepEvent::Executed => {
                         // Resident-loop fast path: a block whose
-                        // terminator jumps back to its own entry (tight
-                        // spin/poll loops — the dominant shape of
-                        // budget-bounded hang runs) re-executes without
-                        // paying the dispatch costs again. Sound because
+                        // terminator jumps back to its own entry (a spin
+                        // or poll loop of one block; most hang loops span
+                        // several) re-executes without paying the
+                        // dispatch costs again. Sound because
                         // breakpoints cannot change while we run (entry
                         // and interior were already cleared above) and a
                         // self-modification would have changed the
-                        // generation.
+                        // generation. Each iteration is a dispatch to the
+                        // cycle watch; after a skip, the outer loop's
+                        // budget check takes over.
                         if self.cpu.eip == block.entry
                             && steps + block.insts.len() as u64 <= max_steps
                             && self.mem.exec_gen() == gen
                         {
+                            if steps >= watch_from
+                                && self.skip_cycle(&mut steps, max_steps, &mut watch_from)
+                            {
+                                break;
+                            }
                             self.blocks.note_resident_hit();
                             continue;
                         }
@@ -1009,6 +1106,53 @@ impl Machine {
                 }
             }
         }
+    }
+
+    /// Step the block engine's cycle watch at a dispatch, `steps` into a
+    /// call of `max_steps`. On a proven cycle, skip the whole periods
+    /// that fit in the rest of the budget (see [`Machine::fast_forward`])
+    /// and return whether any were; once all of them were, the watch is
+    /// done for this call and `watch_from` says so. Inline: a drifting
+    /// loop pays its compares here on every dispatch.
+    #[inline]
+    fn skip_cycle(&mut self, steps: &mut u64, max_steps: u64, watch_from: &mut u64) -> bool {
+        let observed = Observed {
+            profile: self.profile.as_deref(),
+            taint: self.taint.as_deref(),
+            blocks: &self.blocks,
+        };
+        let watch = self.cycle.step(
+            &self.cpu,
+            &self.mem,
+            self.icount,
+            self.fallbacks,
+            &observed,
+            || true,
+        );
+        let Watch::Repeat(period) = watch else {
+            return false;
+        };
+        self.skip_periods(period, steps, max_steps, watch_from)
+    }
+
+    /// The proven-cycle half of [`Machine::skip_cycle`].
+    #[cold]
+    fn skip_periods(
+        &mut self,
+        period: u64,
+        steps: &mut u64,
+        max_steps: u64,
+        watch_from: &mut u64,
+    ) -> bool {
+        let fit = (max_steps - *steps) / period;
+        let mut cycle = std::mem::take(&mut self.cycle);
+        let periods = self.fast_forward(&mut cycle, fit);
+        self.cycle = cycle;
+        *steps += periods * period;
+        if periods == fit {
+            *watch_from = u64::MAX;
+        }
+        periods > 0
     }
 
     /// Bring the block cache in line with the current executable bytes:

@@ -38,6 +38,7 @@
 
 pub mod block;
 pub mod cpu;
+pub mod cycle;
 pub mod decode;
 pub mod disasm;
 pub mod encode;
@@ -50,6 +51,7 @@ pub mod taint;
 
 pub use block::{Block, BlockStats};
 pub use cpu::{Cpu, Footprint, Machine, MachineSnapshot, RunOutcome, StepEvent};
+pub use cycle::{CycleWatch, Watch, CYCLE_WATCH_FROM};
 pub use decode::decode;
 pub use disasm::{disassemble, fmt_att, DisasmLine};
 pub use encode::encode;

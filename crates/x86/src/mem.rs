@@ -7,12 +7,20 @@
 
 use crate::inst::Fault;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Restore granularity: `Memory::restore` copies back whole pages of
 /// `1 << PAGE_SHIFT` bytes.
 const PAGE_SHIFT: u32 = 10;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// The byte range of page `page` within a region of `len` bytes (its
+/// last page may be short).
+fn page_range(page: usize, len: usize) -> Range<usize> {
+    let lo = page << PAGE_SHIFT;
+    lo..(lo + PAGE_SIZE).min(len)
+}
 
 /// Source of [`Memory`] identities (a snapshot restores page-wise only
 /// into the memory it was captured from).
@@ -224,6 +232,21 @@ impl MemorySnapshot {
     }
 }
 
+/// Some pages of a [`Memory`] as they stood at one instant, and the
+/// capture stamp every later write stamps above: what
+/// [`Memory::same_since`] compares the live contents against. Only the
+/// pages written between the previous capture and this one are copied
+/// (see [`Memory::recapture`]), so a loop's capture holds the pages the
+/// loop writes, not the address space.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageCapture {
+    stamp: u64,
+    /// (region index, page index) of each copied page, in address order.
+    pages: Vec<(usize, usize)>,
+    /// Their contents back to back (a region's last page may be short).
+    bytes: Vec<u8>,
+}
+
 /// Error mapping a region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapError {
@@ -299,14 +322,9 @@ impl Memory {
     /// otherwise the whole memory is cloned.
     pub(crate) fn snapshot_into(&self, snap: &mut MemorySnapshot) {
         if self.descends_from(snap) {
-            for (r, s) in self.regions.iter().zip(&mut snap.mem.regions) {
-                for (page, &stamp) in r.stamps.iter().enumerate() {
-                    if stamp > snap.stamp {
-                        let lo = page << PAGE_SHIFT;
-                        let hi = (lo + PAGE_SIZE).min(r.data.len());
-                        s.data[lo..hi].copy_from_slice(&r.data[lo..hi]);
-                    }
-                }
+            for (i, range) in self.stamped_after(snap.stamp) {
+                snap.mem.regions[i].data[range.clone()]
+                    .copy_from_slice(&self.regions[i].data[range]);
             }
         } else {
             snap.mem = self.clone();
@@ -331,9 +349,8 @@ impl Memory {
             for (r, s) in self.regions.iter_mut().zip(&snap.mem.regions) {
                 for (page, stamp) in r.stamps.iter_mut().enumerate() {
                     if *stamp > snap.stamp {
-                        let lo = page << PAGE_SHIFT;
-                        let hi = (lo + PAGE_SIZE).min(r.data.len());
-                        r.data[lo..hi].copy_from_slice(&s.data[lo..hi]);
+                        let range = page_range(page, r.data.len());
+                        r.data[range.clone()].copy_from_slice(&s.data[range]);
                         // The page now holds the capture's bytes: clean
                         // for `snap`, conservatively dirty for every
                         // earlier capture.
@@ -367,17 +384,68 @@ impl Memory {
         if !self.descends_from(snap) {
             return None;
         }
-        let mut pages = Vec::new();
-        for r in self.regions.iter().filter(|r| r.perms.write) {
-            for (page, &stamp) in r.stamps.iter().enumerate() {
-                if stamp > snap.stamp {
-                    let lo = page << PAGE_SHIFT;
-                    let hi = (lo + PAGE_SIZE).min(r.data.len());
-                    pages.push((r.start + lo as u32, r.data[lo..hi].to_vec()));
-                }
+        let pages = self
+            .stamped_after(snap.stamp)
+            .map(|(i, range)| (&self.regions[i], range))
+            .filter(|(r, _)| r.perms.write)
+            .map(|(r, range)| (r.start + range.start as u32, r.data[range].to_vec()))
+            .collect();
+        Some(pages)
+    }
+
+    /// Move `cap` to now: copy the pages stamped after its previous
+    /// capture (none when `copy` is false), then take a fresh capture
+    /// stamp. Advancing the clock is all a capture costs the snapshot
+    /// machinery: stamps only ever compare against capture stamps.
+    pub(crate) fn recapture(&self, cap: &mut PageCapture, copy: bool) {
+        cap.pages.clear();
+        cap.bytes.clear();
+        if copy {
+            for (i, range) in self.stamped_after(cap.stamp) {
+                cap.pages.push((i, range.start >> PAGE_SHIFT));
+                cap.bytes.extend_from_slice(&self.regions[i].data[range]);
             }
         }
-        Some(pages)
+        cap.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Whether the contents equal those `cap` was captured from, when
+    /// nothing restored or mapped this memory since: every page stamped
+    /// after the capture is one `cap` copied, and still holds the copied
+    /// bytes. Pages stamped no later are unchanged, since every write
+    /// stamps above every earlier capture; a written page that `cap` did
+    /// not copy counts as a difference, since nothing says what it held.
+    /// The copied pages are compared first, so a loop that counts in
+    /// memory fails on its first changed byte.
+    pub(crate) fn same_since(&self, cap: &PageCapture) -> bool {
+        let mut off = 0;
+        let mut written = 0;
+        for &(i, page) in &cap.pages {
+            let r = &self.regions[i];
+            let range = page_range(page, r.data.len());
+            let len = range.len();
+            if r.stamps[page] > cap.stamp {
+                if r.data[range] != cap.bytes[off..off + len] {
+                    return false;
+                }
+                written += 1;
+            }
+            off += len;
+        }
+        self.stamped_after(cap.stamp).count() == written
+    }
+
+    /// The pages stamped after `stamp` — written since the capture that
+    /// took it — as (region index, byte range in the region), in address
+    /// order.
+    fn stamped_after(&self, stamp: u64) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        self.regions.iter().enumerate().flat_map(move |(i, r)| {
+            r.stamps
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &s)| s > stamp)
+                .map(move |(page, _)| (i, page_range(page, r.data.len())))
+        })
     }
 
     /// Is `snap` a capture of this memory that still describes an

@@ -73,6 +73,20 @@ pub struct ExecProfile {
     /// Always zero (see [`TraceStats`]).
     pub trace_cache: TraceStats,
     baseline: BlockStats,
+    /// Cache hits of the dispatches in cycle periods the machine skipped
+    /// (see [`crate::cycle`]): added to [`ExecProfile::cache`] on seal,
+    /// so a skipped run reports the traffic of the full one.
+    skipped_hits: u64,
+}
+
+/// What an [`ExecProfile`] had tallied at a cycle watch's mark, so the
+/// tallies of one period can be repeated over the skipped ones.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProfileMark {
+    blocks: HashMap<u32, BlockTally>,
+    slow: HashMap<u32, u64>,
+    stepwise_retired: u64,
+    cache: BlockStats,
 }
 
 impl ExecProfile {
@@ -110,12 +124,49 @@ impl ExecProfile {
         self.blocks.values().map(|t| t.retired).sum::<u64>() + self.stepwise_retired
     }
 
+    /// Overwrite `mark` with the tallies so far and the machine's cache
+    /// counters `cache`.
+    pub(crate) fn mark(&self, cache: BlockStats, mark: &mut ProfileMark) {
+        mark.blocks.clone_from(&self.blocks);
+        mark.slow.clear();
+        mark.slow
+            .extend(self.slow.iter().map(|(&addr, s)| (addr, s.count)));
+        mark.stepwise_retired = self.stepwise_retired;
+        mark.cache = cache;
+    }
+
+    /// Whether the period since `mark` tallies the same in every later
+    /// one: it retired nothing single-stepped, and every dispatch hit the
+    /// block cache, so the cache holds what it held at the mark.
+    pub(crate) fn repeatable_since(&self, cache: BlockStats, mark: &ProfileMark) -> bool {
+        self.stepwise_retired == mark.stepwise_retired
+            && cache.built == mark.cache.built
+            && cache.invalidated == mark.cache.invalidated
+            && cache.conflict_evictions == mark.cache.conflict_evictions
+    }
+
+    /// Tally `times` more periods like the one since `mark`, which
+    /// [`ExecProfile::repeatable_since`] accepted at cache counters
+    /// `cache`.
+    pub(crate) fn repeat_since(&mut self, cache: BlockStats, mark: &ProfileMark, times: u64) {
+        for (entry, t) in &mut self.blocks {
+            let before = mark.blocks.get(entry).copied().unwrap_or_default();
+            t.dispatches += times * (t.dispatches - before.dispatches);
+            t.retired += times * (t.retired - before.retired);
+        }
+        for (addr, s) in &mut self.slow {
+            let before = mark.slow.get(addr).copied().unwrap_or(0);
+            s.count += times * (s.count - before);
+        }
+        self.skipped_hits += times * (cache.hits - mark.cache.hits);
+    }
+
     /// Finalize against the machine's current cache counters, filling
     /// [`ExecProfile::cache`] with the delta since [`ExecProfile::begin`].
     pub(crate) fn seal(&mut self, now: BlockStats) {
         self.cache = BlockStats {
             built: now.built.saturating_sub(self.baseline.built),
-            hits: now.hits.saturating_sub(self.baseline.hits),
+            hits: (now.hits + self.skipped_hits).saturating_sub(self.baseline.hits),
             invalidated: now.invalidated.saturating_sub(self.baseline.invalidated),
             conflict_evictions: now
                 .conflict_evictions

@@ -136,6 +136,19 @@ impl PropagationLog {
         }
     }
 
+    /// The icounts the log sets once.
+    fn firsts(&self) -> [Option<u64>; 7] {
+        [
+            self.seed_icount,
+            self.first_write,
+            self.first_flag,
+            self.first_compare,
+            self.first_branch,
+            self.first_syscall_arg,
+            self.death,
+        ]
+    }
+
     /// True when nothing was ever tainted (clean golden run, or a seed
     /// that never executed).
     pub fn is_empty(&self) -> bool {
@@ -143,9 +156,22 @@ impl PropagationLog {
     }
 }
 
+/// What a [`TaintTracer`] held at a cycle watch's mark (see
+/// [`crate::cycle`]), so the observations of one period can be repeated
+/// over the periods a skip retires.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TaintMark {
+    state: TaintState,
+    frozen: bool,
+    hooked: u64,
+    firsts: [Option<u64>; 7],
+    events: usize,
+    dropped: u64,
+}
+
 /// The shadow state proper: which bytes of the architectural state hold
 /// corrupted data right now.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaintState {
     /// Bit `b` set = byte `b` of register `r` is tainted (`b < 4`).
     reg_masks: [u8; 8],
@@ -267,6 +293,59 @@ impl TaintTracer {
     /// Read-only view of the shadow state.
     pub fn state(&self) -> &TaintState {
         &self.state
+    }
+
+    /// Overwrite `mark` with what decides the tracer's future and where
+    /// its log stands.
+    pub(crate) fn mark(&self, mark: &mut TaintMark) {
+        mark.state.clone_from(&self.state);
+        mark.frozen = self.frozen;
+        mark.hooked = self.hooked;
+        mark.firsts = self.log.firsts();
+        mark.events = self.log.events.len();
+        mark.dropped = self.log.dropped;
+    }
+
+    /// Whether every later period observes what the one since `mark`
+    /// did: the shadow and the log's set-once icounts stand where they
+    /// stood (a period that sets one logs differently from the next),
+    /// and the tracer did not freeze inside it.
+    pub(crate) fn repeatable_since(&self, mark: &TaintMark) -> bool {
+        self.frozen == mark.frozen && self.log.firsts() == mark.firsts && self.state == mark.state
+    }
+
+    /// How many of `periods` more periods like the one since `mark` end
+    /// before the horizon: the one that crosses it freezes the tracer
+    /// part-way, so it must run.
+    pub(crate) fn periods_within_horizon(&self, mark: &TaintMark, periods: u64) -> u64 {
+        match self.hooked - mark.hooked {
+            0 => periods,
+            hooked => periods.min((self.horizon - self.hooked) / hooked),
+        }
+    }
+
+    /// Observe `times` more periods of `period` instructions like the one
+    /// since `mark`: count their hooked instructions and log their events,
+    /// each `period` later than the last, up to the event cap.
+    pub(crate) fn repeat_since(&mut self, mark: &TaintMark, period: u64, times: u64) {
+        self.hooked += times * (self.hooked - mark.hooked);
+        let events = self.log.events[mark.events..].to_vec();
+        let mut unlogged = times * (events.len() as u64 + self.log.dropped - mark.dropped);
+        if !events.is_empty() {
+            'fill: for k in 1..=times {
+                for e in &events {
+                    if self.log.events.len() >= EVENT_CAP {
+                        break 'fill;
+                    }
+                    self.log.events.push(PropEvent {
+                        icount: e.icount + k * period,
+                        ..*e
+                    });
+                    unlogged -= 1;
+                }
+            }
+        }
+        self.log.dropped += unlogged;
     }
 
     /// Seal and take the log.
@@ -873,6 +952,44 @@ mod tests {
             .dst(Operand::Reg(r))
             .src(Operand::Imm(v))
             .len(5)
+    }
+
+    #[test]
+    fn a_period_that_moves_the_shadow_sets_a_first_or_freezes_is_not_repeatable() {
+        let cpu = Cpu::new();
+        let mut t = TaintTracer::new(Some(0x1000), 6);
+        t.observe(&cpu, &mov_ri(Reg32::Eax, 5), 0x1000, 1);
+        let mut mark = TaintMark::default();
+        t.mark(&mut mark);
+        assert!(t.repeatable_since(&mark));
+        // add eax, 1 taints the flags for the first time; cmp ebx, 0
+        // cleans them: the shadow is back, but the next period would not
+        // log a first flag.
+        let add = Inst::new(Op::Add)
+            .dst(Operand::Reg(Reg32::Eax))
+            .src(Operand::Imm(1));
+        let clean_cmp = Inst::new(Op::Cmp)
+            .dst(Operand::Reg(Reg32::Ebx))
+            .src(Operand::Imm(0));
+        t.observe(&cpu, &add, 0x1005, 2);
+        t.observe(&cpu, &clean_cmp, 0x1008, 3);
+        assert_eq!(t.state, mark.state);
+        assert!(!t.repeatable_since(&mark), "a first was set");
+        t.mark(&mut mark);
+        t.observe(&cpu, &add, 0x1005, 4);
+        t.observe(&cpu, &clean_cmp, 0x1008, 5);
+        assert!(t.repeatable_since(&mark));
+        // mov ebx, eax: the shadow grows.
+        let spread = Inst::new(Op::Mov)
+            .dst(Operand::Reg(Reg32::Ebx))
+            .src(Operand::Reg(Reg32::Eax));
+        t.observe(&cpu, &spread, 0x100B, 6);
+        assert!(!t.repeatable_since(&mark), "the shadow moved");
+        // Past the horizon of 6 hooked instructions: frozen.
+        t.mark(&mut mark);
+        t.observe(&cpu, &clean_cmp, 0x1008, 7);
+        assert!(t.frozen);
+        assert!(!t.repeatable_since(&mark), "the tracer froze");
     }
 
     #[test]
