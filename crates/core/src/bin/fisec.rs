@@ -255,9 +255,18 @@ fn apps(r: &mut Flags) -> Result<Vec<AppSpec>, String> {
     }
 }
 
-/// `--app` for the single-app commands, where `both` reads as ftpd.
+/// `--app` for the single-app commands: ftpd by default, and `both` is
+/// refused, since they run one server.
 fn app(r: &mut Flags) -> Result<AppSpec, String> {
-    Ok(apps(r)?.swap_remove(0))
+    match r.value::<String>("--app ftpd|sshd")?.as_deref() {
+        None => Ok(AppSpec::ftpd()),
+        Some(name @ ("ftpd" | "sshd")) => Ok(AppSpec::by_name(name).expect("a bundled app")),
+        Some("both") => Err(format!(
+            "`fisec {}` runs one app: use --app ftpd or --app sshd, not both",
+            r.cmd
+        )),
+        Some(other) => Err(format!("unknown app `{other}` (use ftpd or sshd)")),
+    }
 }
 
 /// `--new-encoding`: inject under the §6 parity encoding.
@@ -1273,8 +1282,24 @@ mod tests {
         assert_eq!(r.value::<String>("--func NAME").unwrap(), None);
         assert_eq!(r.positional("TRACE"), None);
         assert!(r.finish().is_ok());
-        // Single-app commands read `both` (the default) as ftpd.
+        // Single-app commands run ftpd by default and refuse `both`.
         assert_eq!(app(&mut flags("figure4", "")).unwrap().name, "ftpd");
+        for cmd in [
+            "figure4",
+            "explain",
+            "propagate",
+            "random",
+            "profile",
+            "load",
+            "disasm",
+            "forensics",
+        ] {
+            rejects(
+                &format!("{cmd} --app both"),
+                &format!("`fisec {cmd}` runs one app"),
+            );
+            rejects(&format!("{cmd} --app httpd"), "unknown app `httpd`");
+        }
         // A handler's own defaults show in its usage line, so
         // `each_subcommand_lists_exactly_the_flags_it_reads` pins them all.
         assert!(check("figure4").unwrap().contains("[--client N=1]"));
@@ -1614,8 +1639,9 @@ mod tests {
             table3 --app both --no-cache --from-scratch
             table5 --app both --no-cache
             table5 --app both --no-cache --from-scratch
-            figure4 --app both --no-cache
-            figure4 --app both --no-cache --from-scratch
+            figure4 --app ftpd --no-cache --from-scratch
+            figure4 --app sshd --no-cache
+            figure4 --app sshd --no-cache --from-scratch
             figure4 --app ftpd --no-cache
             figure4 --app ftpd --no-cache --from-trace
             explain --app ftpd --addr 0x0804915e --byte 0 --bit 0
@@ -1757,7 +1783,8 @@ mod tests {
 
     #[test]
     fn each_subcommand_lists_exactly_the_flags_it_reads() {
-        let app = "[--app ftpd|sshd|both]";
+        let apps = "[--app ftpd|sshd|both]";
+        let app = "[--app ftpd|sshd]";
         let engine = "[--from-scratch] [--no-block-cache] [--threads N]";
         let observed = "[--recorder] [--propagation] [--profile] [--cache DIR=~/.fisec-cache] \
                         [--no-cache] [--trace-out PATH] [--progress] [--chrome-trace OUT.json]";
@@ -1768,13 +1795,13 @@ mod tests {
         let expect = [
             (
                 "table1",
-                format!("{app} [--new-encoding] [--json] {engine} {observed}"),
+                format!("{apps} [--new-encoding] [--json] {engine} {observed}"),
             ),
             (
                 "table3",
-                format!("{app} [--new-encoding] [--json] {engine} {observed}"),
+                format!("{apps} [--new-encoding] [--json] {engine} {observed}"),
             ),
-            ("table5", format!("{app} [--json] {engine} {observed}")),
+            ("table5", format!("{apps} [--json] {engine} {observed}")),
             (
                 "figure4",
                 format!("{app} [--client N=1] [--json] [--from-trace] {engine} {observed}"),
@@ -1793,10 +1820,10 @@ mod tests {
                 format!("{app} [--samples N=200] [--seed S=2001] [--json]"),
             ),
             ("ablation", format!("{engine} [--seed S=2001]")),
-            ("data-errors", app.to_string()),
-            ("targets", app.to_string()),
+            ("data-errors", apps.to_string()),
+            ("targets", apps.to_string()),
             ("disasm", format!("{app} [--func NAME]")),
-            ("breakins", app.to_string()),
+            ("breakins", apps.to_string()),
             ("forensics", format!("{app} [--top K=3] [--stride N=4]")),
             ("explain", format!("{app} {flip}")),
             ("propagate", format!("{app} {flip}")),

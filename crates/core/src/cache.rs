@@ -1,5 +1,6 @@
-//! The incremental campaign cache: content-hash keyed memoization of
-//! checkpoint-group results with a persistent on-disk store.
+//! The incremental campaign cache: memoization of checkpoint-group
+//! results with a persistent on-disk store, keyed on exactly the code
+//! each group executed.
 //!
 //! FastFlip-style structure (arXiv 2403.13989): error-injection results
 //! compose per section and can be keyed by what actually changed, so
@@ -13,16 +14,25 @@
 //!    constants, the image layout and full data segment, the client
 //!    script fingerprint, the encoding scheme, and the golden run's
 //!    observable behavior (icount, stop, client verdict, network trace,
-//!    which classification compares every run against);
-//! 2. the **group key** is unchanged — the target tuples plus the raw
-//!    code bytes of the injected instruction; and
-//! 3. the **footprint hash** is unchanged — the current image text
-//!    hashed over the byte ranges the group's runs actually fetched for
-//!    execution (recorded by [`fisec_x86::Footprint`], a union over
+//!    which classification compares every run against), hashed once
+//!    per store into the context key;
+//! 2. the **targets** are unchanged — the stored target tuples equal the
+//!    group's; and
+//! 3. the **executed text** is unchanged — each store file keeps the
+//!    image text its entries were checked against, and it must equal the
+//!    current text, byte for byte, over the injected instruction and
+//!    over every byte range the group's runs fetched for execution (the
+//!    footprint, recorded by [`fisec_x86::Footprint`]: a union over
 //!    golden's execution up to activation and every replay). Anything a
 //!    run fetched can affect its outcome; anything outside provably
 //!    cannot. Code bytes read as *data* are the one documented
 //!    exception — `fisec cache verify` exists to audit it.
+//!
+//! A server's text is a few KB, so comparing it costs less than hashing
+//! it would, and the check has no collisions. A store writes the text it
+//! was opened under, and keeps only the entries that still hold against
+//! it ([`ClientStore::save`]), so every entry in a file holds against
+//! that file's text.
 //!
 //! A missed group can still be answered run by run from its **sibling
 //! stores**: the same (app, client, recorder) under another encoding
@@ -54,9 +64,10 @@ use std::sync::{Mutex, OnceLock};
 /// Version tag of the store-file layout. Bump on any change to
 /// [`StoreFile`]/[`GroupEntry`] fields, their encoding or the key
 /// derivations; files with a different schema are ignored wholesale.
-/// Schema 1 was a JSON file; schema 2 is the binary layout of
-/// [`encode_store`].
-pub const CACHE_SCHEMA: u32 = 2;
+/// Schema 1 was a JSON file; schema 2 the binary layout with per-group
+/// SHA-256 keys; schema 3 is the layout of [`encode_store`], which keeps
+/// the checked text instead.
+pub const CACHE_SCHEMA: u32 = 3;
 
 /// Identity of the injected fault model. The study injects exhaustive
 /// single-bit flips into instruction bytes; any change to that model
@@ -277,40 +288,56 @@ pub struct CachedTarget {
 pub struct GroupEntry {
     /// Shared instruction address (the store's lookup key).
     pub addr: u32,
-    /// Content key over the target tuples and injected-region bytes.
-    pub key: String,
     /// Targets in campaign order.
     pub targets: Vec<CachedTarget>,
     /// Executed-code footprint: golden up to activation, and every replay.
     pub foot: Vec<FootRange>,
-    /// Image text hashed over `foot` at store time; a mismatch against
-    /// the current image invalidates the entry.
-    pub foot_hash: String,
     /// One digested outcome per target, in `targets` order.
     pub runs: Vec<CachedRun>,
 }
 
 impl GroupEntry {
-    /// The decoded runs, when the entry still holds for `targets` under
-    /// `image`: the right shape, group key and footprint hash, and every
-    /// run decoding. `None` means stale.
+    /// The decoded runs, when the entry, checked against `checked`, still
+    /// holds for `targets` under `image`: the same target tuples, the
+    /// same text over what the group executed, and every run decoding.
+    /// `None` means stale.
     fn checked_runs(
         &self,
+        checked: &[u8],
         image: &Image,
         targets: &[InjectionTarget],
     ) -> Option<Vec<CachedDigestedRun>> {
-        // Shape check first: a key collision with a different target
-        // count must never index out of step with the campaign.
-        if self.runs.len() != targets.len() || self.targets.len() != targets.len() {
-            return None;
-        }
-        if self.key != group_key(image, targets)
-            || self.foot_hash != footprint_hash(image, &self.foot)
+        let same_targets = self.targets.len() == targets.len()
+            && self
+                .targets
+                .iter()
+                .zip(targets)
+                .all(|(c, t)| *c == cached_target(t));
+        // A wrong run count must never index out of step with the campaign.
+        if !same_targets
+            || self.runs.len() != targets.len()
+            || !self.same_text(checked, image.text_base, &image.text)
         {
             return None;
         }
         // A malformed payload is stale, never a panic.
         self.runs.iter().map(persist::decode_run).collect()
+    }
+
+    /// Whether `checked`, the text this entry was checked against, equals
+    /// `text` (based at `text_base`) over the injected instruction,
+    /// `[addr, addr + longest target instruction)`, and over every
+    /// footprint range, each clipped to the text. Texts of different
+    /// lengths hold nothing.
+    fn same_text(&self, checked: &[u8], text_base: u32, text: &[u8]) -> bool {
+        let inst_len = self.targets.iter().map(|t| t.inst_len).max().unwrap_or(0);
+        checked.len() == text.len()
+            && std::iter::once((self.addr, u32::from(inst_len)))
+                .chain(self.foot.iter().map(|r| (r.start, r.len)))
+                .all(|(start, len)| {
+                    let r = text_range(text_base, text.len(), start, len);
+                    checked[r.clone()] == text[r]
+                })
     }
 }
 
@@ -331,6 +358,8 @@ pub struct StoreFile {
     pub recorder: bool,
     /// Context key every group below is valid under.
     pub context: String,
+    /// The image text every group below was checked against.
+    pub text: Vec<u8>,
     /// Memoized groups, address-sorted.
     pub groups: Vec<GroupEntry>,
 }
@@ -422,43 +451,18 @@ pub fn entry_targets(entry: &GroupEntry) -> Option<Vec<InjectionTarget>> {
         .collect()
 }
 
-/// Image text bytes over `[start, start+len)`, clipped to the text
-/// segment. Bytes outside text (data, stack, wild execution targets)
-/// contribute nothing: the data segment is already in the context key
-/// and non-image regions have no static content to key on.
-fn text_slice(image: &Image, start: u32, len: u32) -> &[u8] {
+/// The offsets of `[start, start+len)` within a text segment of
+/// `text_len` bytes based at `text_base`, clipped to it. Bytes outside
+/// text (data, stack, wild execution targets) count for nothing: the
+/// data segment is already in the context key and non-image regions
+/// have no static content to check.
+fn text_range(text_base: u32, text_len: usize, start: u32, len: u32) -> std::ops::Range<usize> {
     let end = u64::from(start) + u64::from(len);
-    let t0 = u64::from(image.text_base);
-    let t1 = t0 + image.text.len() as u64;
+    let t0 = u64::from(text_base);
+    let t1 = t0 + text_len as u64;
     let lo = u64::from(start).clamp(t0, t1);
     let hi = end.clamp(t0, t1);
-    &image.text[(lo - t0) as usize..(hi - t0) as usize]
-}
-
-/// The per-group content key: the shared address, every target tuple,
-/// and the raw code bytes of the injected region. Covers the injected
-/// instruction even for never-activated groups, where the footprint
-/// cannot.
-pub fn group_key(image: &Image, targets: &[InjectionTarget]) -> String {
-    let mut h = KeyHasher::new("fisec-cache-group");
-    let addr = targets.first().map_or(0, |t| t.addr);
-    h.u32(addr);
-    h.u64(targets.len() as u64);
-    let mut max_len = 0u32;
-    for t in targets {
-        let c = cached_target(t);
-        h.inner.update(&[
-            c.byte_index,
-            c.bit,
-            c.first_byte,
-            c.inst_len,
-            c.location,
-            u8::from(c.is_cond_branch),
-        ]);
-        max_len = max_len.max(u32::from(t.inst_len));
-    }
-    h.bytes(text_slice(image, addr, max_len));
-    h.hex()
+    (lo - t0) as usize..(hi - t0) as usize
 }
 
 /// Coalesce `(start, len)` ranges: sort, merge overlaps and adjacency.
@@ -482,19 +486,6 @@ pub fn merge_ranges(mut ranges: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         out.push((start, len));
     }
     out
-}
-
-/// Hash the current image text over a stored footprint. Self-consistent
-/// per entry: entries recorded under different marking granularities
-/// (block vs per-step engine) validate against their own ranges.
-pub fn footprint_hash(image: &Image, ranges: &[FootRange]) -> String {
-    let mut h = KeyHasher::new("fisec-cache-foot");
-    for r in ranges {
-        h.u32(r.start);
-        h.u32(r.len);
-        h.bytes(text_slice(image, r.start, r.len));
-    }
-    h.hex()
 }
 
 // ---------------------------------------------------------------------
@@ -574,18 +565,16 @@ impl CampaignCache {
                 scheme: s,
                 path: path(s),
                 context: context_key(app, spec, s, recorder, golden),
-                groups: OnceLock::new(),
+                entries: OnceLock::new(),
             })
             .collect();
         let path = path(scheme);
-        let mut loaded = HashMap::new();
+        let mut loaded = Entries::default();
         let mut context_invalidated = false;
         let mut dropped_groups = 0;
         if let Some(file) = read_store(&path) {
             if file.context == context {
-                for g in file.groups {
-                    loaded.insert(g.addr, g);
-                }
+                loaded = Entries::from(file);
             } else {
                 // Keyed under a different context (golden behavior,
                 // client script, scheme internals, fault model): every
@@ -602,6 +591,8 @@ impl CampaignCache {
             scheme,
             recorder,
             context,
+            text_base: app.image.text_base,
+            text: app.image.text.clone(),
             loaded,
             siblings,
             fresh: Mutex::new(Vec::new()),
@@ -638,7 +629,12 @@ pub struct ClientStore {
     scheme: EncodingScheme,
     recorder: bool,
     context: String,
-    loaded: HashMap<u32, GroupEntry>,
+    /// The image text the store was opened under, based at `text_base`:
+    /// what [`ClientStore::save`] writes, and what every recorded entry
+    /// was checked against.
+    text_base: u32,
+    text: Vec<u8>,
+    loaded: Entries,
     siblings: Vec<Sibling>,
     fresh: Mutex<Vec<GroupEntry>>,
     /// Whether a stored file existed but was keyed under a different
@@ -646,6 +642,36 @@ pub struct ClientStore {
     pub context_invalidated: bool,
     /// Groups dropped by the context invalidation.
     pub dropped_groups: usize,
+}
+
+/// A store file's groups by address, and the text they were checked
+/// against.
+#[derive(Default)]
+struct Entries {
+    text: Vec<u8>,
+    groups: HashMap<u32, GroupEntry>,
+}
+
+impl From<StoreFile> for Entries {
+    fn from(file: StoreFile) -> Entries {
+        Entries {
+            text: file.text,
+            groups: file.groups.into_iter().map(|g| (g.addr, g)).collect(),
+        }
+    }
+}
+
+impl Entries {
+    /// The entry at the group's address; `Some(None)` when it no longer
+    /// holds for `targets` under `image` (see [`GroupEntry::checked_runs`]).
+    fn lookup(
+        &self,
+        image: &Image,
+        targets: &[InjectionTarget],
+    ) -> Option<(&GroupEntry, Option<Vec<CachedDigestedRun>>)> {
+        let entry = self.groups.get(&targets.first()?.addr)?;
+        Some((entry, entry.checked_runs(&self.text, image, targets)))
+    }
 }
 
 /// The store of the same (app, client, recorder) under another scheme,
@@ -656,18 +682,16 @@ struct Sibling {
     /// [`context_key`] for this scheme and the campaign's golden run: the
     /// file's groups are trusted only under it.
     context: String,
-    groups: OnceLock<HashMap<u32, GroupEntry>>,
+    entries: OnceLock<Entries>,
 }
 
 impl Sibling {
-    /// The file's groups; none when it is missing, undecodable or keyed
+    /// The file's entries; none when it is missing, undecodable or keyed
     /// under another context.
-    fn groups(&self) -> &HashMap<u32, GroupEntry> {
-        self.groups.get_or_init(|| match read_store(&self.path) {
-            Some(file) if file.context == self.context => {
-                file.groups.into_iter().map(|g| (g.addr, g)).collect()
-            }
-            _ => HashMap::new(),
+    fn entries(&self) -> &Entries {
+        self.entries.get_or_init(|| match read_store(&self.path) {
+            Some(file) if file.context == self.context => Entries::from(file),
+            _ => Entries::default(),
         })
     }
 }
@@ -675,13 +699,9 @@ impl Sibling {
 impl ClientStore {
     /// Consult the store for one checkpoint group.
     pub fn lookup(&self, image: &Image, targets: &[InjectionTarget]) -> CacheLookup {
-        let Some(addr) = targets.first().map(|t| t.addr) else {
-            return CacheLookup::Miss;
-        };
-        match self.loaded.get(&addr) {
-            Some(entry) => entry
-                .checked_runs(image, targets)
-                .map_or(CacheLookup::Stale, CacheLookup::Hit),
+        match self.loaded.lookup(image, targets) {
+            Some((_, Some(runs))) => CacheLookup::Hit(runs),
+            Some((_, None)) => CacheLookup::Stale,
             None => CacheLookup::Miss,
         }
     }
@@ -697,27 +717,26 @@ impl ClientStore {
     /// activation is the image byte. A
     /// sibling entry is used only when its file's context is
     /// [`context_key`] for its scheme and this golden run, and when the
-    /// entry passes the checks a [`CacheLookup::Hit`] passes: shape,
-    /// group key, footprint hash and every run decoding. Each sibling
-    /// file is read once, at the first call.
+    /// entry passes the checks a [`CacheLookup::Hit`] passes: target
+    /// tuples, executed text and every run decoding. Each sibling file is
+    /// read once, at the first call.
     pub fn share(&self, image: &Image, targets: &[InjectionTarget]) -> Option<SharedRuns> {
-        let addr = targets.first()?.addr;
         let planted = |t: &InjectionTarget, scheme: EncodingScheme| {
-            let byte = text_slice(image, t.addr.wrapping_add(u32::from(t.byte_index)), 1);
-            byte.first().map(|&b| (t.byte_index, t.flip(b, scheme)))
+            let byte = t.addr.wrapping_add(u32::from(t.byte_index));
+            let &b = image
+                .text
+                .get(byte.checked_sub(image.text_base)? as usize)?;
+            Some((t.byte_index, t.flip(b, scheme)))
         };
         let mut shared = SharedRuns {
             runs: vec![None; targets.len()],
             foot: Vec::new(),
         };
         for sibling in &self.siblings {
-            let Some(entry) = sibling.groups().get(&addr) else {
+            let Some((entry, Some(runs))) = sibling.entries().lookup(image, targets) else {
                 continue;
             };
-            let Some(runs) = entry.checked_runs(image, targets) else {
-                continue;
-            };
-            // The key covers the target tuples, so the entry's runs are
+            // The entry's target tuples are the group's, so its runs are
             // in `targets` order.
             let by_planted: HashMap<_, _> = targets
                 .iter()
@@ -742,7 +761,10 @@ impl ClientStore {
     }
 
     /// Record one freshly executed group. Thread-safe; the entry lands
-    /// on disk at the next [`ClientStore::save`].
+    /// on disk at the next [`ClientStore::save`]. A group run under an
+    /// image whose text is not the one the store was opened under is
+    /// not recorded: the file could not show what it was checked
+    /// against.
     pub fn record(
         &self,
         image: &Image,
@@ -753,17 +775,17 @@ impl ClientStore {
         let Some(addr) = targets.first().map(|t| t.addr) else {
             return;
         };
+        if image.text_base != self.text_base || image.text != self.text {
+            return;
+        }
         debug_assert_eq!(runs.len(), targets.len());
-        let foot: Vec<FootRange> = foot
-            .into_iter()
-            .map(|(start, len)| FootRange { start, len })
-            .collect();
         let entry = GroupEntry {
             addr,
-            key: group_key(image, targets),
             targets: targets.iter().map(cached_target).collect(),
-            foot_hash: footprint_hash(image, &foot),
-            foot,
+            foot: foot
+                .into_iter()
+                .map(|(start, len)| FootRange { start, len })
+                .collect(),
             runs: runs
                 .iter()
                 .map(|(run, div)| persist::encode_run(run, *div))
@@ -778,20 +800,24 @@ impl ClientStore {
         self.fresh.lock().expect("no worker panicked").len()
     }
 
-    /// Merge and write the store back atomically (tmp + rename). Keeps
-    /// valid loaded entries not revisited by this campaign (e.g. MISC
-    /// groups when this run was `--cond-branches-only`); fresh results
-    /// win on address collision.
+    /// Merge and write the store back atomically (tmp + rename), with
+    /// the text the store was opened under. Keeps the loaded entries
+    /// that still hold against that text, including those this campaign
+    /// did not revisit (e.g. MISC groups when this run was
+    /// `--cond-branches-only`); fresh results win on address collision.
+    /// So every entry of a written file holds against the file's text.
     ///
     /// # Errors
     /// I/O errors creating the cache directory or writing the file. The
     /// campaign treats a failed save as a warning, not a failure.
     pub fn save(&self) -> std::io::Result<()> {
-        let mut merged: HashMap<u32, GroupEntry> = if self.context_invalidated {
-            HashMap::new()
-        } else {
-            self.loaded.clone()
-        };
+        let mut merged: HashMap<u32, GroupEntry> = self
+            .loaded
+            .groups
+            .values()
+            .filter(|g| g.same_text(&self.loaded.text, self.text_base, &self.text))
+            .map(|g| (g.addr, g.clone()))
+            .collect();
         for e in self.fresh.lock().expect("no worker panicked").drain(..) {
             merged.insert(e.addr, e);
         }
@@ -805,6 +831,7 @@ impl ClientStore {
             scheme: self.scheme.cache_tag().to_string(),
             recorder: self.recorder,
             context: self.context.clone(),
+            text: self.text.clone(),
             groups,
         };
         write_store(&self.path, &file)
@@ -825,24 +852,25 @@ const TARGET_BYTES: usize = 6;
 const FOOT_BYTES: usize = 8;
 // Three string lengths, seven bool or option tags.
 const RUN_BYTES: usize = 3 * 4 + 7;
-// The address, two string lengths and three sequence counts.
-const GROUP_BYTES: usize = 6 * 4;
+// The address and three sequence counts.
+const GROUP_BYTES: usize = 4 * 4;
 
 /// Encode a store. Layout, every integer little-endian:
 ///
 /// ```text
 /// file   = magic[8] schema:u32 digest_schema:u32
 ///          app:str client:str scheme:str recorder:bool context:str
-///          n:u32 group*n
-/// group  = addr:u32 key:str n:u32 target*n n:u32 (start:u32 len:u32)*n
-///          foot_hash:str n:u32 run*n
+///          text:bytes n:u32 group*n
+/// group  = addr:u32 n:u32 target*n n:u32 (start:u32 len:u32)*n
+///          n:u32 run*n
 /// target = byte_index:u8 bit:u8 first_byte:u8 inst_len:u8 location:u8
 ///          is_cond_branch:bool
 /// run    = outcome:str activated:bool stop:str client:str
 ///          crash_latency:opt<u64> transient_deviation:bool
 ///          divergence:opt<str> has_div:bool divergence_depth:opt<u64>
 ///          trace_latency:opt<u64>
-/// str    = len:u32 utf8[len]      bool = 0|1      opt<T> = 0 | 1 T
+/// bytes  = len:u32 u8[len]        str = bytes in UTF-8
+/// bool   = 0|1                    opt<T> = 0 | 1 T
 /// ```
 ///
 /// [`decode_store`] accepts exactly the images this produces, so a
@@ -857,10 +885,10 @@ pub fn encode_store(file: &StoreFile) -> Vec<u8> {
     w.str(&file.scheme);
     w.bool(file.recorder);
     w.str(&file.context);
+    w.bytes(&file.text);
     w.len(file.groups.len());
     for g in &file.groups {
         w.u32(g.addr);
-        w.str(&g.key);
         w.len(g.targets.len());
         for t in &g.targets {
             w.0.extend_from_slice(&[t.byte_index, t.bit, t.first_byte, t.inst_len, t.location]);
@@ -871,7 +899,6 @@ pub fn encode_store(file: &StoreFile) -> Vec<u8> {
             w.u32(r.start);
             w.u32(r.len);
         }
-        w.str(&g.foot_hash);
         w.len(g.runs.len());
         for r in &g.runs {
             w.str(&r.outcome);
@@ -892,9 +919,9 @@ pub fn encode_store(file: &StoreFile) -> Vec<u8> {
 /// Decode a store image. `None` unless the header carries this build's
 /// magic, [`CACHE_SCHEMA`] and [`persist::DIGEST_SCHEMA`] (checked before
 /// any group is decoded) and the rest is exactly one well-formed
-/// [`encode_store`] body: a short read, trailing bytes, non-UTF-8 text, a
-/// bool or option tag other than 0/1, or a count larger than the bytes
-/// left all decode to `None`. Never panics.
+/// [`encode_store`] body: a short read, trailing bytes, a non-UTF-8
+/// string, a bool or option tag other than 0/1, or a count or length
+/// larger than the bytes left all decode to `None`. Never panics.
 pub fn decode_store(bytes: &[u8]) -> Option<StoreFile> {
     let mut r = Reader(bytes);
     if r.take(MAGIC.len())? != MAGIC {
@@ -913,6 +940,7 @@ pub fn decode_store(bytes: &[u8]) -> Option<StoreFile> {
         scheme: r.str()?,
         recorder: r.bool()?,
         context: r.str()?,
+        text: r.bytes()?.to_vec(),
         groups: r.seq(GROUP_BYTES, Reader::group)?,
     };
     r.0.is_empty().then_some(file)
@@ -965,9 +993,13 @@ impl Writer {
         self.u32(u32::try_from(n).expect("store sequences hold fewer than 2^32 items"));
     }
 
+    fn bytes(&mut self, b: &[u8]) {
+        self.len(b.len());
+        self.0.extend_from_slice(b);
+    }
+
     fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.0.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
     }
 
     fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
@@ -1011,9 +1043,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn str(&mut self) -> Option<String> {
+    fn bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
-        std::str::from_utf8(self.take(n)?).ok().map(str::to_owned)
+        self.take(n)
+    }
+
+    fn str(&mut self) -> Option<String> {
+        std::str::from_utf8(self.bytes()?).ok().map(str::to_owned)
     }
 
     fn opt<T>(&mut self, get: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
@@ -1044,7 +1080,6 @@ impl<'a> Reader<'a> {
     fn group(&mut self) -> Option<GroupEntry> {
         Some(GroupEntry {
             addr: self.u32()?,
-            key: self.str()?,
             targets: self.seq(TARGET_BYTES, |r| {
                 let [byte_index, bit, first_byte, inst_len, location] = r.array()?;
                 Some(CachedTarget {
@@ -1062,7 +1097,6 @@ impl<'a> Reader<'a> {
                     len: r.u32()?,
                 })
             })?,
-            foot_hash: self.str()?,
             runs: self.seq(RUN_BYTES, |r| {
                 Some(CachedRun {
                     outcome: r.str()?,
@@ -1344,8 +1378,8 @@ mod tests {
             CacheLookup::Miss
         ));
 
-        // Hash-collision-shaped entry: right key string, wrong shape
-        // (fewer runs than targets) → stale, never a bad fold.
+        // Wrong shape (fewer runs than targets) → stale, never a bad
+        // fold.
         let mut file = decode_store(&full).unwrap();
         file.groups[0].runs.pop();
         write_store(&path, &file).unwrap();
@@ -1410,12 +1444,11 @@ mod tests {
             scheme: "base".to_string(),
             recorder: true,
             context: "ctx".to_string(),
+            text: vec![0x90, 0, 0xff],
             groups: vec![GroupEntry {
                 addr: 0x0804_8000,
-                key: "k".to_string(),
                 targets: Vec::new(),
                 foot: vec![FootRange { start: 1, len: 2 }],
-                foot_hash: "f".to_string(),
                 runs,
             }],
         };
@@ -1465,45 +1498,210 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The sample group, executed: its runs and its real footprint.
+    fn executed_group(
+        app: &AppSpec,
+    ) -> (
+        Vec<InjectionTarget>,
+        Vec<CachedDigestedRun>,
+        Vec<(u32, u32)>,
+    ) {
+        let spec = &app.clients[0];
+        let golden = golden_run(&app.image, spec).unwrap();
+        let group = sample_group(app);
+        let engine = fisec_inject::EngineOpts::default().with_footprint();
+        let (runs, _, _, foot) = fisec_inject::run_injection_group_recorded(
+            &app.image,
+            spec,
+            &golden,
+            &group,
+            EncodingScheme::Baseline,
+            engine,
+        )
+        .unwrap();
+        let runs = runs.into_iter().map(|(run, ..)| (run, None)).collect();
+        (group, runs, foot.unwrap().ranges())
+    }
+
     #[test]
     fn code_byte_pokes_invalidate_exactly_the_covering_entries() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-poke");
+        let dir = std::env::temp_dir().join("fisec-cache-test-poke-sweep");
+        let app = AppSpec::ftpd();
+        let (group, runs, mut foot) = executed_group(&app);
+        let (text_base, text_len) = (app.image.text_base, app.image.text.len() as u32);
+        // Two ranges the text clips: one across its end, one in data.
+        foot.push((text_base + text_len - 4, 16));
+        foot.push((app.image.data_base, 8));
+        let inst_len = group.iter().map(|t| u32::from(t.inst_len)).max().unwrap();
+        // The executed footprint, and none (a group golden never reaches
+        // keeps only its injected instruction).
+        for foot in [foot, Vec::new()] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (store, _) = test_store(&dir, &app);
+            store.record(&app.image, &group, &runs, foot.clone());
+            store.save().unwrap();
+            let (store, _) = test_store(&dir, &app);
+            let executed = |a: u32| {
+                (group[0].addr..group[0].addr + inst_len).contains(&a)
+                    || foot
+                        .iter()
+                        .any(|&(start, len)| (start..start + len).contains(&a))
+            };
+            let mut poked = app.image.clone();
+            for off in 0..poked.text.len() {
+                poked.text[off] ^= 0x01;
+                let addr = text_base + off as u32;
+                match store.lookup(&poked, &group) {
+                    CacheLookup::Stale => {
+                        assert!(executed(addr), "{addr:#x} lies outside the group");
+                    }
+                    CacheLookup::Hit(got) => {
+                        assert!(!executed(addr), "{addr:#x} lies inside the group");
+                        assert_eq!(got, runs);
+                    }
+                    CacheLookup::Miss => panic!("{addr:#x}: the entry went missing"),
+                }
+                poked.text[off] ^= 0x01;
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
-        let mut app = AppSpec::ftpd();
+    }
+
+    #[test]
+    fn a_target_tuple_differing_in_one_field_is_stale() {
+        let dir = std::env::temp_dir().join("fisec-cache-test-tuples");
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = AppSpec::ftpd();
         let group = sample_group(&app);
         let runs = sample_runs(group.len());
         let (store, _) = test_store(&dir, &app);
-        // Footprint far away from the injected region.
-        let far = app.image.text_base + app.image.text.len() as u32 - 64;
-        store.record(&app.image, &group, &runs, vec![(far, 32)]);
+        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
         store.save().unwrap();
-
-        // A poke inside the injected instruction changes the group key.
+        let path = store_paths(&dir)[0].clone();
+        let file = read_store(&path).unwrap();
+        let doctors: [fn(&mut CachedTarget); 6] = [
+            |t| t.byte_index ^= 1,
+            |t| t.bit ^= 1,
+            |t| t.first_byte ^= 1,
+            |t| t.inst_len += 1,
+            |t| t.location ^= 1,
+            |t| t.is_cond_branch = !t.is_cond_branch,
+        ];
+        for (i, doctor) in doctors.into_iter().enumerate() {
+            let mut doctored = file.clone();
+            doctor(&mut doctored.groups[0].targets[group.len() - 1]);
+            write_store(&path, &doctored).unwrap();
+            let (store, _) = test_store(&dir, &app);
+            assert!(
+                matches!(store.lookup(&app.image, &group), CacheLookup::Stale),
+                "field {i}"
+            );
+        }
+        write_store(&path, &file).unwrap();
         let (store, _) = test_store(&dir, &app);
-        let off = (group[0].addr - app.image.text_base) as usize;
-        app.image.text[off] ^= 0x01;
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Stale
-        ));
-        app.image.text[off] ^= 0x01;
-
-        // A poke inside the stored footprint changes the footprint hash.
-        let foff = (far - app.image.text_base) as usize + 5;
-        app.image.text[foff] ^= 0x80;
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Stale
-        ));
-        app.image.text[foff] ^= 0x80;
-
-        // A poke outside both leaves the entry valid.
-        let elsewhere = off + 200;
-        app.image.text[elsewhere] ^= 0x40;
         assert!(matches!(
             store.lookup(&app.image, &group),
             CacheLookup::Hit(_)
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_keeps_exactly_the_entries_that_hold_against_the_text_it_writes() {
+        let dir = std::env::temp_dir().join("fisec-cache-test-save-poked");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut app = AppSpec::ftpd();
+        let set = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, true);
+        let groups: Vec<&[InjectionTarget]> = set
+            .targets
+            .chunk_by(|a, b| a.addr == b.addr)
+            .take(2)
+            .collect();
+        let (store, golden) = test_store(&dir, &app);
+        for g in &groups {
+            store.record(&app.image, g, &sample_runs(g.len()), vec![(g[0].addr, 1)]);
+        }
+        store.save().unwrap();
+
+        // Poke the first group's instruction, then open and save under
+        // the poked image without recording anything. (Golden is kept, as
+        // for a poke golden never executes.)
+        let off = (groups[0][0].addr - app.image.text_base) as usize;
+        app.image.text[off] ^= 0x01;
+        let cache = CampaignCache::at(dir.clone());
+        let open = || {
+            cache.open_client(
+                &app,
+                &app.clients[0],
+                EncodingScheme::Baseline,
+                false,
+                &golden,
+            )
+        };
+        let store = open();
+        assert!(matches!(
+            store.lookup(&app.image, groups[0]),
+            CacheLookup::Stale
+        ));
+        assert!(matches!(
+            store.lookup(&app.image, groups[1]),
+            CacheLookup::Hit(_)
+        ));
+        // A group run under another image is not recorded.
+        store.record(
+            &AppSpec::ftpd().image,
+            groups[0],
+            &sample_runs(groups[0].len()),
+            Vec::new(),
+        );
+        assert_eq!(store.fresh_count(), 0);
+        store.save().unwrap();
+
+        let file = read_store(&store_paths(&dir)[0]).unwrap();
+        assert_eq!(
+            file.text, app.image.text,
+            "save writes the text it opened under"
+        );
+        let kept: Vec<u32> = file.groups.iter().map(|g| g.addr).collect();
+        assert_eq!(kept, [groups[1][0].addr]);
+        let store = open();
+        assert!(matches!(
+            store.lookup(&app.image, groups[0]),
+            CacheLookup::Miss
+        ));
+        assert!(matches!(
+            store.lookup(&app.image, groups[1]),
+            CacheLookup::Hit(_)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_text_of_another_length_is_stale_everywhere() {
+        let dir = std::env::temp_dir().join("fisec-cache-test-text-len");
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = AppSpec::ftpd();
+        let group = sample_group(&app);
+        let runs = sample_runs(group.len());
+        let (store, _) = test_store(&dir, &app);
+        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
+        store.save().unwrap();
+        let path = store_paths(&dir)[0].clone();
+        let file = read_store(&path).unwrap();
+        let n = file.text.len();
+        for len in [0, 1, n - 1, n + 1, 2 * n] {
+            let mut doctored = file.clone();
+            doctored.text.resize(len, 0x90);
+            write_store(&path, &doctored).unwrap();
+            let (store, _) = test_store(&dir, &app);
+            assert!(
+                matches!(store.lookup(&app.image, &group), CacheLookup::Stale),
+                "text of {len} bytes"
+            );
+            assert!(store.share(&app.image, &group).is_none());
+            store.save().unwrap();
+            assert!(read_store(&path).unwrap().groups.is_empty(), "{len}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1592,10 +1790,8 @@ mod tests {
         let group = sample_group(&app);
         let entry = GroupEntry {
             addr: group[0].addr,
-            key: String::new(),
             targets: group.iter().map(cached_target).collect(),
             foot: Vec::new(),
-            foot_hash: String::new(),
             runs: Vec::new(),
         };
         assert_eq!(entry_targets(&entry).unwrap(), group);

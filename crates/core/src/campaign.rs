@@ -870,28 +870,33 @@ pub fn run_campaign_cached(
     let span_epoch = (cfg.spans && tel.events_enabled()).then_some(wall_start);
     let mut client_spans: Vec<(String, u64, u64)> = Vec::new();
 
+    // Propagation campaigns bypass the incremental store: its wire
+    // schema memoizes (run, divergence) pairs only, and folding a
+    // memoized group would silently drop its taint timelines.
+    let cache = cache.filter(|_| !cfg.engine.propagation);
+    // With a cache attached every process records its execution
+    // footprint (a pure observer; results stay bit-identical) so the
+    // written entries carry their invalidation ranges.
+    let run_cfg = CampaignConfig {
+        engine: EngineOpts {
+            footprint: cache.is_some(),
+            ..cfg.engine
+        },
+        ..*cfg
+    };
+
     let mut main = MetricsShard::new();
     let mut clients = Vec::with_capacity(app.clients.len());
     for (ci, spec) in app.clients.iter().enumerate() {
         let client_start = micros_since(wall_start);
         let boot_start = Instant::now();
-        let engine = EngineOpts {
-            footprint: false,
-            ..cfg.engine
-        };
-        let golden = golden_run_opts(&app.image, spec, engine).expect("image loads");
+        let (golden, pass) = golden_session(app, spec, &run_cfg);
         if tel.enabled() {
             main.inc(metric::FRESH_BOOTS, 1);
             main.phase_add(Phase::Boot, micros_since(boot_start));
         }
-        // Propagation campaigns bypass the incremental store: its wire
-        // schema memoizes (run, divergence) pairs only, and folding a
-        // memoized group would silently drop its taint timelines.
-        let store = if cfg.engine.propagation {
-            None
-        } else {
-            cache.map(|c| c.open_client(app, spec, cfg.scheme, cfg.engine.flight_recorder, &golden))
-        };
+        let store = cache
+            .map(|c| c.open_client(app, spec, cfg.scheme, cfg.engine.flight_recorder, &golden));
         if let Some(s) = &store {
             if s.context_invalidated {
                 if tel.enabled() {
@@ -912,8 +917,9 @@ pub fn run_campaign_cached(
             app,
             spec,
             &golden,
+            pass.as_ref(),
             &set.targets,
-            cfg,
+            &run_cfg,
             tel,
             ci,
             span_epoch,
@@ -1087,6 +1093,26 @@ pub fn run_campaign_cached(
     result
 }
 
+/// Golden's session for one client. In snapshot mode it is also the
+/// client's [`FirstFetchPass`]: one process load serves both.
+fn golden_session(
+    app: &AppSpec,
+    spec: &fisec_apps::ClientSpec,
+    cfg: &CampaignConfig,
+) -> (GoldenRun, Option<FirstFetchPass>) {
+    match cfg.mode {
+        ExecutionMode::Snapshot => {
+            let (golden, pass) =
+                FirstFetchPass::golden(&app.image, spec, cfg.engine).expect("image loads");
+            (golden, Some(pass))
+        }
+        ExecutionMode::FromScratch => (
+            golden_run_opts(&app.image, spec, cfg.engine).expect("image loads"),
+            None,
+        ),
+    }
+}
+
 /// Execute all targets for one client, in either execution mode and
 /// with or without a cache store, on up to `cfg.threads` workers.
 /// Results are in target order regardless of mode or thread count.
@@ -1094,12 +1120,12 @@ pub fn run_campaign_cached(
 /// 1. Group the targets by instruction address. Enumeration emits them
 ///    address-major, so each checkpoint group (also the cache's
 ///    memoization unit) is a contiguous slice.
-/// 2. Snapshot mode only: run the [`FirstFetchPass`]. Groups at
-///    addresses golden never executes are synthesized as NA wholesale:
-///    the injected run's pre-activation execution is identical to
-///    golden, so its breakpoint can never be hit and it must stop
-///    exactly as golden did. A pass that does not qualify sends the
-///    client through the from-scratch arm instead.
+/// 2. Snapshot mode only: read the [`FirstFetchPass`] golden's session
+///    made. Groups at addresses golden never executes are synthesized
+///    as NA wholesale: the injected run's pre-activation execution is
+///    identical to golden, so its breakpoint can never be hit and it
+///    must stop exactly as golden did. A pass that does not qualify
+///    sends the client through the from-scratch arm instead.
 /// 3. With a store only: look each remaining group up; a hit folds the
 ///    memoized runs without booting a process. A group that misses takes
 ///    every run its sibling stores answer ([`ClientStore::share`]: the
@@ -1122,6 +1148,7 @@ fn run_targets(
     app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
     golden: &GoldenRun,
+    pass: Option<&FirstFetchPass>,
     targets: &[InjectionTarget],
     cfg: &CampaignConfig,
     tel: &Telemetry,
@@ -1130,29 +1157,12 @@ fn run_targets(
     store: Option<&ClientStore>,
 ) -> Vec<DigestedRun> {
     let groups: Vec<&[InjectionTarget]> = targets.chunk_by(|a, b| a.addr == b.addr).collect();
-    // With a cache attached every process records its execution
-    // footprint (a pure observer; results stay bit-identical) so the
-    // written entries carry their invalidation ranges.
-    let engine = EngineOpts {
-        footprint: store.is_some(),
-        ..cfg.engine
-    };
 
-    // Worker 0 is the campaign thread: it owns the first-fetch pass, the
-    // NA synthesis, the cache lookups, the sequential path and the final
-    // reassembly.
+    // Worker 0 is the campaign thread: it owns the NA synthesis, the
+    // cache lookups, the sequential path and the final reassembly.
     let mut wt0 = WorkerTel::new(tel, client_idx, 0, span_epoch);
 
-    let pass = (cfg.mode == ExecutionMode::Snapshot).then(|| {
-        let pass_start = Instant::now();
-        let pass = FirstFetchPass::run(&app.image, spec, golden, engine).expect("image loads");
-        if tel.enabled() {
-            wt0.shard.inc(metric::FRESH_BOOTS, 1);
-            wt0.shard.phase_add(Phase::Boot, micros_since(pass_start));
-        }
-        pass
-    });
-    let pass = pass.as_ref().filter(|p| p.qualifies());
+    let pass = pass.filter(|p| p.qualifies());
 
     // Write a missed group's runs back to the store, whole.
     let record = |group: &[InjectionTarget], runs: &[DigestedRun], foot, wt: &mut WorkerTel<'_>| {
@@ -1210,9 +1220,10 @@ fn run_targets(
                 let runs = exec
                     .iter()
                     .map(|t| {
-                        let (runs, gmeta, prof, fp) =
-                            run_injection_recorded(&app.image, spec, golden, t, cfg.scheme, engine)
-                                .expect("image loads");
+                        let (runs, gmeta, prof, fp) = run_injection_recorded(
+                            &app.image, spec, golden, t, cfg.scheme, cfg.engine,
+                        )
+                        .expect("image loads");
                         let (run, meta, rep, preport) = runs
                             .into_iter()
                             .next()
@@ -1407,7 +1418,6 @@ where
 mod tests {
     use super::*;
     use fisec_apps::AppSpec;
-    use fisec_inject::golden_run;
 
     /// A cut-down campaign over a few targets to keep test time sane;
     /// the full campaigns run in the bench harness.
@@ -1424,12 +1434,13 @@ mod tests {
             .copied()
             .collect();
         let spec = &app.clients[0]; // Client1 (attack)
-        let golden = golden_run(&app.image, spec).unwrap();
         let cfg = CampaignConfig::default();
+        let (golden, pass) = golden_session(&app, spec, &cfg);
         let runs = run_targets(
             &app,
             spec,
             &golden,
+            pass.as_ref(),
             &targets,
             &cfg,
             &Telemetry::disabled(),
@@ -1455,7 +1466,6 @@ mod tests {
         let set = enumerate_targets(&app.image, &["pass"], true);
         let targets: Vec<_> = set.targets.iter().take(80).copied().collect();
         let spec = &app.clients[0];
-        let golden = golden_run(&app.image, spec).unwrap();
         let seq_cfg = CampaignConfig {
             threads: 1,
             ..CampaignConfig::default()
@@ -1465,8 +1475,14 @@ mod tests {
             ..CampaignConfig::default()
         };
         let tel = Telemetry::disabled();
-        let a = run_targets(&app, spec, &golden, &targets, &seq_cfg, &tel, 0, None, None);
-        let b = run_targets(&app, spec, &golden, &targets, &par_cfg, &tel, 0, None, None);
+        let (golden, pass) = golden_session(&app, spec, &seq_cfg);
+        let pass = pass.as_ref();
+        let a = run_targets(
+            &app, spec, &golden, pass, &targets, &seq_cfg, &tel, 0, None, None,
+        );
+        let b = run_targets(
+            &app, spec, &golden, pass, &targets, &par_cfg, &tel, 0, None, None,
+        );
         let oa: Vec<_> = a.iter().map(|r| r.0.outcome).collect();
         let ob: Vec<_> = b.iter().map(|r| r.0.outcome).collect();
         assert_eq!(oa, ob);
@@ -1595,11 +1611,31 @@ mod tests {
                 },
                 ..plain
             };
-            let golden = golden_run_opts(&app.image, spec, plain.engine).unwrap();
-            let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
-            let golden = golden_run_opts(&app.image, spec, profiled.engine).unwrap();
+            let (golden, pass) = golden_session(&app, spec, &plain);
+            let a = run_targets(
+                &app,
+                spec,
+                &golden,
+                pass.as_ref(),
+                &targets,
+                &plain,
+                &tel,
+                0,
+                None,
+                None,
+            );
+            let (golden, pass) = golden_session(&app, spec, &profiled);
             let b = run_targets(
-                &app, spec, &golden, &targets, &profiled, &tel, 0, None, None,
+                &app,
+                spec,
+                &golden,
+                pass.as_ref(),
+                &targets,
+                &profiled,
+                &tel,
+                0,
+                None,
+                None,
             );
             let oa: Vec<_> = a.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
             let ob: Vec<_> = b.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
@@ -1635,10 +1671,22 @@ mod tests {
                     },
                     ..plain
                 };
-                let golden = golden_run_opts(&app.image, spec, plain.engine).unwrap();
-                let a = run_targets(&app, spec, &golden, &targets, &plain, &tel, 0, None, None);
-                let golden = golden_run_opts(&app.image, spec, traced.engine).unwrap();
-                let b = run_targets(&app, spec, &golden, &targets, &traced, &tel, 0, None, None);
+                let run = |cfg| {
+                    let (golden, pass) = golden_session(&app, spec, cfg);
+                    run_targets(
+                        &app,
+                        spec,
+                        &golden,
+                        pass.as_ref(),
+                        &targets,
+                        cfg,
+                        &tel,
+                        0,
+                        None,
+                        None,
+                    )
+                };
+                let (a, b) = (run(&plain), run(&traced));
                 let oa: Vec<_> = a.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
                 let ob: Vec<_> = b.iter().map(|r| (r.0.outcome, r.0.crash_latency)).collect();
                 assert_eq!(

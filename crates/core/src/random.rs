@@ -713,22 +713,22 @@ fn run_random_inner(
     let before = tel.events_enabled().then(|| tel.metrics.snapshot());
     let mut main = MetricsShard::new();
     let boot_start = Instant::now();
-    let golden = golden_run_opts(&app.image, client, cfg.engine)
-        .map_err(|e| format!("golden run: {e:?}"))?;
+    // In snapshot mode golden's session is the first-fetch pass, and that
+    // one pass serves every worker's runner.
+    let (golden, pass) = match cfg.mode {
+        ExecutionMode::Snapshot => {
+            let (golden, pass) = FirstFetchPass::golden(&app.image, client, cfg.engine)
+                .map_err(|e| format!("golden run: {e:?}"))?;
+            (golden, Some(pass))
+        }
+        ExecutionMode::FromScratch => (
+            golden_run_opts(&app.image, client, cfg.engine)
+                .map_err(|e| format!("golden run: {e:?}"))?,
+            None,
+        ),
+    };
     main.inc(metric::FRESH_BOOTS, 1);
     main.phase_add(Phase::Boot, micros_since(boot_start));
-    // One first-fetch pass serves every worker's runner.
-    let pass = match cfg.mode {
-        ExecutionMode::Snapshot => {
-            let boot_start = Instant::now();
-            let pass = FirstFetchPass::run(&app.image, client, &golden, cfg.engine)
-                .map_err(|e| format!("first-fetch pass: {e:?}"))?;
-            main.inc(metric::FRESH_BOOTS, 1);
-            main.phase_add(Phase::Boot, micros_since(boot_start));
-            Some(pass)
-        }
-        ExecutionMode::FromScratch => None,
-    };
     if tel.enabled() {
         tel.metrics.absorb(&main);
     }

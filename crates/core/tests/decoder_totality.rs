@@ -86,10 +86,14 @@ fn every_cold_store_re_encodes_to_its_own_bytes() {
     let stores = cold_stores();
     // 6 clients × 2 schemes, plus ftpd's 4 recorder stores.
     assert_eq!(stores.len(), 16, "{:?}", stores.iter().map(|s| &s.0));
+    let texts = [AppSpec::ftpd(), AppSpec::sshd()].map(|a| (a.name, a.image.text));
     let mut with_div = 0;
     for (name, bytes) in stores {
         let file = decode_checked(bytes).unwrap_or_else(|| panic!("{name} does not decode"));
         assert!(!file.groups.is_empty(), "{name}");
+        // Each store keeps the text its entries were checked against.
+        let text = &texts.iter().find(|(app, _)| *app == file.app).unwrap().1;
+        assert!(file.text == *text, "{name} keeps another text");
         with_div += file
             .groups
             .iter()
@@ -116,16 +120,34 @@ fn every_prefix_of_a_cold_store_is_a_miss() {
     assert!(decode_store(&longer).is_none());
 }
 
+/// Offsets in an encoded store: where the text's length word starts,
+/// and where the groups start.
+fn text_and_groups_at(file: &StoreFile) -> (usize, usize) {
+    let strings = file.app.len() + file.client.len() + file.scheme.len() + file.context.len();
+    let text_at = 16 + 4 * 4 + strings + 1;
+    (text_at, text_at + 4 + file.text.len())
+}
+
 #[test]
 fn bit_flips_in_a_cold_store_header_and_first_group_decode_totally() {
     let bytes = store("ftpd-Client1-base-rec.store");
+    let (text_at, groups_at) = text_and_groups_at(&decode_store(bytes).unwrap());
     let mut flipped = bytes.to_vec();
-    for bit in 0..8 * 1024 {
+    // The header, the strings and the text's length word; the first
+    // bytes of the text; the first KiB of groups.
+    let bits = (0..8 * (text_at + 4))
+        .chain(8 * (text_at + 4)..8 * (text_at + 68))
+        .chain(8 * groups_at..8 * (groups_at + 1024));
+    for bit in bits {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let file = decode_checked(&flipped);
         // The magic and schema words are checked before anything else.
         if bit < 8 * 16 {
             assert!(file.is_none(), "header bit {bit} flipped still decodes");
+        }
+        // A flipped text byte is still a text: the file decodes.
+        if (8 * (text_at + 4)..8 * groups_at).contains(&bit) {
+            assert!(file.is_some(), "text bit {bit} flipped does not decode");
         }
         flipped[bit / 8] ^= 1 << (bit % 8);
     }
@@ -154,6 +176,21 @@ fn hostile_counts_in_a_short_file_are_misses() {
     one.groups[0].runs.clear();
     assert!(decode_store(&with_last_u32(&one, 0)).is_some());
     assert!(decode_store(&with_last_u32(&one, u32::MAX)).is_none());
+    // A text claiming more bytes than the file holds, or fewer, which
+    // leaves its last bytes to be read as the group count.
+    let (text_at, _) = text_and_groups_at(&empty);
+    let text_len = empty.text.len() as u32;
+    for claim in [u32::MAX, text_len + 1, text_len - 1] {
+        let mut bytes = encode_store(&empty);
+        bytes[text_at..text_at + 4].copy_from_slice(&claim.to_le_bytes());
+        assert!(decode_store(&bytes).is_none(), "text length {claim}");
+    }
+    // An empty text decodes (every entry under it is stale).
+    let no_text = StoreFile {
+        text: Vec::new(),
+        ..empty.clone()
+    };
+    assert_eq!(decode_checked(&encode_store(&no_text)), Some(no_text));
     // A string claiming u32::MAX bytes: the app name right after the
     // 16-byte header.
     let mut bytes = encode_store(&empty);

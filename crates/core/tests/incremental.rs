@@ -7,7 +7,7 @@
 //!   * cold (populating), warm (folding) and cache-off campaigns render
 //!     identical Table 1 text and Figure 4 latency vectors;
 //!   * an unchanged-tree warm run is 100% cache hits — zero snapshot
-//!     restores, fresh boots for the golden runs only;
+//!     restores, one fresh boot per client (golden's session);
 //!   * editing a client script (fingerprint) cold-misses that client's
 //!     store without touching the others;
 //!   * poking a code byte re-runs the affected groups and the store
@@ -115,22 +115,19 @@ fn warm_run_is_all_hits_zero_replays_and_byte_identical_in_both_modes() {
         assert_eq!(cold_m.counter(metric::CACHE_STORES), groups);
 
         // Warm: 100% hits, no stores, and the engine never replayed —
-        // zero snapshot restores. Snapshot mode boots twice per client
-        // (golden + the first-fetch pass, which by design runs before
-        // the store is consulted); from-scratch once.
+        // zero snapshot restores. Either mode boots once per client:
+        // golden's session, which in snapshot mode is also the
+        // first-fetch pass (it proves which groups are NA, so it runs
+        // before the store is consulted).
         assert_eq!(warm_m.counter(metric::CACHE_HIT_GROUPS), groups, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_MISS_GROUPS), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_STALE_GROUPS), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::CACHE_STORES), 0, "{mode:?}");
         assert_eq!(warm_m.counter(metric::RESTORES), 0, "{mode:?}");
-        let boots_per_client = match mode {
-            ExecutionMode::Snapshot => 2,
-            ExecutionMode::FromScratch => 1,
-        };
         assert_eq!(
             warm_m.counter(metric::FRESH_BOOTS),
-            boots_per_client * app.clients.len() as u64,
-            "{mode:?}: warm run must boot golden/pass and nothing else"
+            app.clients.len() as u64,
+            "{mode:?}: warm run must boot golden and nothing else"
         );
         assert!(warm_m.counter(metric::CACHE_SYNTH_RUNS) > 0, "{mode:?}");
 
@@ -458,7 +455,7 @@ fn a_sibling_entry_with_a_stale_footprint_is_never_shared() {
             .collect();
         let end = entry.addr + u32::from(group[0].inst_len);
         // A text byte the entry's runs fetched, outside the injected
-        // instruction: poking it leaves the group key alone.
+        // instruction: poking it leaves the injected region alone.
         let text = app.image.text_base..app.image.text_base + app.image.text.len() as u32;
         let Some(byte) = entry
             .foot

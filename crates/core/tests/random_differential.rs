@@ -106,9 +106,9 @@ fn random_campaign_reports_phases_and_shortcut_counts() {
 
     let snap = tel.metrics.snapshot();
     assert_eq!(snap.counter(metric::RUNS), RUNS as u64);
-    // Process loads: the golden run, the first-fetch pass and the one
-    // worker's runner.
-    assert_eq!(snap.counter(metric::FRESH_BOOTS), 3);
+    // Process loads: golden's session, which is also the first-fetch
+    // pass, and the one worker's runner.
+    assert_eq!(snap.counter(metric::FRESH_BOOTS), 2);
     assert_eq!(snap.counter(metric::NA_PREFILTER_RUNS), unfetched);
     // One restore per replayed draw plus one per walk step: a distinct
     // rung above icount 0 within a batch.

@@ -14,8 +14,10 @@
 //! Neither error can matter before golden reaches its instruction or
 //! fetches its byte, so a replay from golden's state there is exact
 //! (FastFlip, arXiv 2403.13989: reuse the work an error provably cannot
-//! reach). A [`FirstFetchPass`] runs golden once with coverage on and
-//! derives three replay rules, each under its own guard:
+//! reach). A [`FirstFetchPass`] runs golden once with coverage on (a
+//! campaign takes its golden run from that same session,
+//! [`FirstFetchPass::golden`]) and derives three replay rules, each under
+//! its own guard:
 //!
 //! * activation icounts hold when the pass matches golden and ends by
 //!   exit or deadlock, so an instruction that never retires is never
@@ -123,24 +125,41 @@ impl FirstFetchPass {
         golden: &GoldenRun,
         engine: EngineOpts,
     ) -> Result<FirstFetchPass, fisec_os::LoadError> {
-        let budget = run_budget(golden);
+        FirstFetchPass::observe(image, client, engine, Some(golden)).map(|(_, pass)| pass)
+    }
+
+    /// The golden run and its pass from one session: golden's, with
+    /// coverage and the engine's observers on. It is the session
+    /// [`FirstFetchPass::run`] repeats, since the injected runs' budget is
+    /// at least [`BUDGET_MULTIPLIER`](crate::BUDGET_MULTIPLIER) times its
+    /// icount, so the pass qualifies when golden stops by exit or
+    /// deadlock.
+    ///
+    /// # Errors
+    /// Propagates [`fisec_os::LoadError`] if the image cannot be loaded.
+    pub fn golden(
+        image: &Image,
+        client: &ClientSpec,
+        engine: EngineOpts,
+    ) -> Result<(GoldenRun, FirstFetchPass), fisec_os::LoadError> {
+        FirstFetchPass::observe(image, client, engine, None)
+    }
+
+    /// Run the pass's session, under the budget of the injected runs
+    /// against `golden`, or as golden itself when `golden` is `None`, and
+    /// derive the pass from it. Returns what the session observed.
+    fn observe(
+        image: &Image,
+        client: &ClientSpec,
+        engine: EngineOpts,
+        golden: Option<&GoldenRun>,
+    ) -> Result<(GoldenRun, FirstFetchPass), fisec_os::LoadError> {
         // Allocated before the pass's process, below everything it frees.
         let mut activation = vec![NEVER; image.text.len()];
         let mut rungs = vec![NEVER; image.text.len()];
         let mut last_fetch = vec![NEVER; image.text.len()];
-        let mut p = Process::load(image, client.make())?;
-        engine.apply(&mut p);
-        p.set_budget(budget);
-        p.machine.enable_coverage();
-        let exec_gen = p.machine.mem.exec_gen();
-        let exec_reads = p.machine.mem.exec_data_reads();
-        let stop = p.run();
-        let session = GoldenRun {
-            stop,
-            client: p.client_status(),
-            trace: p.trace(),
-            icount: p.icount(),
-        };
+        let budget = golden.map_or(crate::GOLDEN_BUDGET, run_budget);
+        let (session, mut p, code_untouched) = crate::session(image, client, engine, budget, true)?;
         derive(
             &mut activation,
             &mut rungs,
@@ -148,24 +167,24 @@ impl FirstFetchPass {
             image,
             &p.machine,
         );
+        let golden = golden.unwrap_or(&session);
         let qualifies =
             session == *golden && matches!(session.stop, Stop::Exited(_) | Stop::Deadlock);
-        let text_only_executed = qualifies
-            && p.machine.mem.exec_gen() == exec_gen
-            && p.machine.mem.exec_data_reads() == exec_reads;
+        let text_only_executed = qualifies && code_untouched;
         if !text_only_executed {
             rungs.fill(0);
         }
-        Ok(FirstFetchPass {
+        let pass = FirstFetchPass {
             engine,
-            budget,
+            budget: run_budget(golden),
             text_base: image.text_base,
             activation: qualifies.then_some(activation),
             rungs,
             last_fetch: text_only_executed.then_some(last_fetch),
             profile: p.machine.take_exec_profile().map(Box::new),
             footprint: p.machine.take_footprint(),
-        })
+        };
+        Ok((session, pass))
     }
 
     /// Whether the activation icounts are exact: the pass matched golden
@@ -881,6 +900,53 @@ mod tests {
         want.extend([Some(4); 5]);
         want.extend([Some(5); 2]);
         assert_eq!(rungs, want);
+    }
+
+    /// Golden's session with coverage on is the pass a separate session
+    /// repeats: the same golden run, replay points, profile and
+    /// footprint, for every bundled client and engine.
+    #[test]
+    fn the_golden_session_is_the_separate_pass() {
+        for app in [AppSpec::ftpd(), AppSpec::sshd()] {
+            for spec in &app.clients {
+                for bits in 0..8 {
+                    let engine = EngineOpts {
+                        block_cache: bits & 1 == 0,
+                        footprint: bits & 2 != 0,
+                        profiler: bits & 4 != 0,
+                        ..EngineOpts::default()
+                    };
+                    let what = format!("{} {} {engine:?}", app.name, spec.name);
+                    let golden = crate::golden_run_opts(&app.image, spec, engine).unwrap();
+                    let pass = FirstFetchPass::run(&app.image, spec, &golden, engine).unwrap();
+                    let (session, fused) =
+                        FirstFetchPass::golden(&app.image, spec, engine).unwrap();
+                    assert_eq!(session, golden, "{what}");
+                    assert!(pass.qualifies(), "{what}");
+                    assert_eq!(fused.qualifies(), pass.qualifies(), "{what}");
+                    assert_eq!(fused.budget, pass.budget, "{what}");
+                    assert_eq!(fused.activation, pass.activation, "{what}");
+                    assert_eq!(fused.rungs, pass.rungs, "{what}");
+                    assert_eq!(fused.last_fetch, pass.last_fetch, "{what}");
+                    match (fused.profile.as_deref(), pass.profile.as_deref()) {
+                        (Some(a), Some(b)) => assert!(
+                            a.blocks == b.blocks
+                                && a.slow == b.slow
+                                && a.stepwise_retired == b.stepwise_retired
+                                && a.cache == b.cache,
+                            "{what}: profiles differ"
+                        ),
+                        (a, b) => assert!(a.is_none() && b.is_none() && !engine.profiler),
+                    }
+                    assert_eq!(
+                        fused.footprint.as_ref().map(Footprint::ranges),
+                        pass.footprint.as_ref().map(Footprint::ranges),
+                        "{what}"
+                    );
+                    assert_eq!(fused.footprint.is_some(), engine.footprint, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn golden_run_opts(
     client: &ClientSpec,
     engine: EngineOpts,
 ) -> Result<GoldenRun, fisec_os::LoadError> {
-    golden_session(image, client, engine, false).map(|(golden, _)| golden)
+    session(image, client, engine, GOLDEN_BUDGET, false).map(|(golden, ..)| golden)
 }
 
 /// [`golden_run_opts`] that also records the set of instruction
@@ -158,33 +158,45 @@ pub fn golden_run_with_coverage_opts(
     client: &ClientSpec,
     engine: EngineOpts,
 ) -> Result<(GoldenRun, HashSet<u32>), fisec_os::LoadError> {
-    golden_session(image, client, engine, true).map(|(golden, coverage)| {
-        let coverage = coverage.expect("coverage was enabled before the run");
-        (golden, coverage)
-    })
+    let (golden, p, _) = session(image, client, engine, GOLDEN_BUDGET, true)?;
+    let coverage = p.machine.coverage().expect("coverage was enabled");
+    Ok((golden, coverage))
 }
 
-/// One golden session, recording coverage when asked.
-fn golden_session(
+/// The instruction budget of a golden session: one that runs this long
+/// is a hang.
+const GOLDEN_BUDGET: u64 = 50_000_000;
+
+/// One error-free session under `budget`: load, start the engine's
+/// observers (and coverage when asked), run to a stop. Returns what the
+/// session observed, the stopped process, and whether the run left the
+/// code alone: it wrote no executable byte and read none as data. The
+/// one body behind every golden run and [`FirstFetchPass`].
+fn session(
     image: &Image,
     client: &ClientSpec,
     engine: EngineOpts,
+    budget: u64,
     coverage: bool,
-) -> Result<(GoldenRun, Option<HashSet<u32>>), fisec_os::LoadError> {
+) -> Result<(GoldenRun, Process, bool), fisec_os::LoadError> {
     let mut p = Process::load(image, client.make())?;
     engine.apply(&mut p);
-    p.set_budget(50_000_000);
+    p.set_budget(budget);
     if coverage {
         p.machine.enable_coverage();
     }
+    let exec_gen = p.machine.mem.exec_gen();
+    let exec_reads = p.machine.mem.exec_data_reads();
     let stop = p.run();
-    let golden = GoldenRun {
+    let observed = GoldenRun {
         stop,
         client: p.client_status(),
         trace: p.trace(),
         icount: p.icount(),
     };
-    Ok((golden, p.machine.coverage()))
+    let code_untouched =
+        p.machine.mem.exec_gen() == exec_gen && p.machine.mem.exec_data_reads() == exec_reads;
+    Ok((observed, p, code_untouched))
 }
 
 /// The instruction budget of every injected run against `golden`

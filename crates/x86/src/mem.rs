@@ -15,6 +15,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 const PAGE_SHIFT: u32 = 10;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Most pages a [`PageCapture`] copies. A capture taken after more
+/// writes copies none: it then matches only a loop that writes no
+/// memory, and the copy of a loop that walks a buffer, which can never
+/// match, stays small. No matched cycle or output loop measured on the
+/// §7 test needed more than 5 (EXPERIMENTS.md, "Warm campaigns").
+const CAPTURE_PAGES: usize = 16;
+
 /// The byte range of page `page` within a region of `len` bytes (its
 /// last page may be short).
 fn page_range(page: usize, len: usize) -> Range<usize> {
@@ -235,9 +242,10 @@ impl MemorySnapshot {
 /// Some pages of a [`Memory`] as they stood at one instant, and the
 /// capture stamp every later write stamps above: what
 /// [`Memory::same_since`] compares the live contents against. Only the
-/// pages written between the previous capture and this one are copied
-/// (see [`Memory::recapture`]), so a loop's capture holds the pages the
-/// loop writes, not the address space.
+/// pages written between the previous capture and this one are copied,
+/// at most [`CAPTURE_PAGES`] of them (see [`Memory::recapture`]), so a
+/// loop's capture holds the pages the loop writes, not the address
+/// space.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageCapture {
     stamp: u64,
@@ -394,14 +402,20 @@ impl Memory {
     }
 
     /// Move `cap` to now: copy the pages stamped after its previous
-    /// capture (none when `copy` is false), then take a fresh capture
-    /// stamp. Advancing the clock is all a capture costs the snapshot
-    /// machinery: stamps only ever compare against capture stamps.
+    /// capture (none when `copy` is false, or when there are more than
+    /// [`CAPTURE_PAGES`]), then take a fresh capture stamp. Advancing the
+    /// clock is all a capture costs the snapshot machinery: stamps only
+    /// ever compare against capture stamps.
     pub(crate) fn recapture(&self, cap: &mut PageCapture, copy: bool) {
         cap.pages.clear();
         cap.bytes.clear();
         if copy {
             for (i, range) in self.stamped_after(cap.stamp) {
+                if cap.pages.len() == CAPTURE_PAGES {
+                    cap.pages.clear();
+                    cap.bytes.clear();
+                    break;
+                }
                 cap.pages.push((i, range.start >> PAGE_SHIFT));
                 cap.bytes.extend_from_slice(&self.regions[i].data[range]);
             }
@@ -837,6 +851,41 @@ mod tests {
         m.map(Region::zeroed("data", 0x2000, 32, Perms::RW))
             .unwrap();
         m
+    }
+
+    /// A capture copies at most `CAPTURE_PAGES` pages and stays exact
+    /// past them: a written page it did not copy is a difference.
+    #[test]
+    fn a_capture_past_its_page_cap_copies_nothing_and_stays_exact() {
+        let mut m = Memory::new();
+        m.map(Region::zeroed(
+            "heap",
+            0x10_0000,
+            64 << PAGE_SHIFT,
+            Perms::RW,
+        ))
+        .unwrap();
+        let write_pages = |m: &mut Memory, n: usize, v: u32| {
+            for p in 0..n {
+                m.write32(0x10_0000 + (p * PAGE_SIZE) as u32, v).unwrap();
+            }
+        };
+        for n in [CAPTURE_PAGES, CAPTURE_PAGES + 1, 59] {
+            let mut cap = PageCapture::default();
+            m.recapture(&mut cap, false);
+            write_pages(&mut m, n, n as u32);
+            m.recapture(&mut cap, true);
+            let copied = if n <= CAPTURE_PAGES { n } else { 0 };
+            assert_eq!(cap.pages.len(), copied, "{n} pages written");
+            assert_eq!(cap.bytes.len(), copied * PAGE_SIZE, "{n} pages written");
+            assert!(m.same_since(&cap), "{n}: nothing written since");
+            // Rewriting the same values: equal where copied, a
+            // difference where not.
+            write_pages(&mut m, 1, n as u32);
+            assert_eq!(m.same_since(&cap), n <= CAPTURE_PAGES, "{n} pages written");
+            write_pages(&mut m, 1, 0xdead);
+            assert!(!m.same_since(&cap), "{n} pages written");
+        }
     }
 
     #[test]
