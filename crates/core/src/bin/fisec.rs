@@ -1096,13 +1096,13 @@ fn cache_ls(root: &std::path::Path) {
         total += r.bytes;
         let contents = match &r.store {
             Some(s) => format!(
-                "{}/{} [{}]{}  {} memoized runs",
+                "{}/{}{}  {} rows",
                 s.app,
                 s.client,
-                s.scheme,
                 if s.recorder { " +recorder" } else { "" },
-                s.groups.iter().map(|g| g.runs.len()).sum::<usize>()
+                s.groups.iter().map(|g| g.rows.len()).sum::<usize>()
             ),
+            None if r.unfinished => "unfinished write (never read)".to_string(),
             None => "invalid or stale-schema (cold miss)".to_string(),
         };
         println!(
@@ -1119,10 +1119,12 @@ fn cache_ls(root: &std::path::Path) {
 
 /// `fisec cache verify`: for every valid store, re-execute one
 /// deterministically sampled group and diff the fresh outcomes against
-/// the memoized entry. Catches the one documented soundness gap (code
+/// its memoized rows. Catches the one documented soundness gap (code
 /// bytes read as *data* are not in any footprint) and any store
-/// corruption the shape checks cannot see. Every target re-runs through
-/// the from-scratch oracle, sharing no walk with the engine that wrote it.
+/// corruption the text check cannot see. Each row re-runs once, through
+/// the from-scratch oracle, as the first target at the group's address
+/// that plants its byte under some scheme; it shares no walk with the
+/// engine that wrote it. A row no target plants is drift too.
 ///
 /// # Errors
 /// A drift report (nonzero exit) when any sampled group's re-execution
@@ -1132,10 +1134,12 @@ fn cache_verify(root: &std::path::Path, seed: u64) -> Result<(), String> {
     let mut drifted: Vec<String> = Vec::new();
     for summary in cache::ls(root) {
         let Some(store) = &summary.store else {
-            println!(
-                "{}: invalid or stale schema — skipped (cold miss)",
-                summary.file
-            );
+            let what = if summary.unfinished {
+                "unfinished write"
+            } else {
+                "invalid or stale schema"
+            };
+            println!("{}: {what} — skipped (cold miss)", summary.file);
             continue;
         };
         let Some(app) = AppSpec::by_name(&store.app) else {
@@ -1149,20 +1153,13 @@ fn cache_verify(root: &std::path::Path, seed: u64) -> Result<(), String> {
             );
             continue;
         };
-        let Some(scheme) = EncodingScheme::by_name(&store.scheme) else {
-            println!(
-                "{}: unknown scheme `{}` — skipped",
-                summary.file, store.scheme
-            );
-            continue;
-        };
         let engine = EngineOpts {
             flight_recorder: store.recorder,
             ..EngineOpts::default()
         };
         let golden =
             fisec_inject::golden_run_opts(&app.image, spec, engine).map_err(|e| e.to_string())?;
-        if cache::context_key(&app, spec, scheme, store.recorder, &golden) != store.context {
+        if cache::context_key(&app, spec, store.recorder, &golden) != store.context {
             println!(
                 "{}: context key differs from the current build — entries will cold-miss",
                 summary.file
@@ -1174,45 +1171,55 @@ fn cache_verify(root: &std::path::Path, seed: u64) -> Result<(), String> {
         }
         let idx = (seed as usize) % store.groups.len();
         let entry = &store.groups[idx];
-        let Some(targets) = cache::entry_targets(entry) else {
-            drifted.push(format!(
-                "{}: group @ {:#010x} has malformed targets",
-                summary.file, entry.addr
-            ));
-            continue;
-        };
-        let mut runs = Vec::with_capacity(targets.len());
-        for t in &targets {
-            let oracle =
-                fisec_inject::run_injection_recorded(&app.image, spec, &golden, t, scheme, engine);
-            runs.extend(oracle.map_err(|e| e.to_string())?.0);
-        }
+        let targets: Vec<_> = enumerate_targets(&app.image, &app.auth_funcs, false)
+            .targets
+            .into_iter()
+            .filter(|t| t.addr == entry.addr)
+            .collect();
         checked += 1;
-        let mut mismatches = 0usize;
-        for ((run, _meta, rep, _prop), cached) in runs.iter().zip(&entry.runs) {
+        let (mut mismatches, mut orphans) = (0usize, 0usize);
+        for row in &entry.rows {
+            let planter = EncodingScheme::ALL.into_iter().find_map(|scheme| {
+                let t = targets
+                    .iter()
+                    .find(|t| cache::row_key(&app.image, t, scheme) == Some(row.key()))?;
+                Some((t, scheme))
+            });
+            let Some((t, scheme)) = planter else {
+                drifted.push(format!(
+                    "{}: group @ {:#010x}: row (byte {}, planted {:#04x}) is planted by no target",
+                    summary.file, entry.addr, row.byte_index, row.planted
+                ));
+                orphans += 1;
+                continue;
+            };
+            let (runs, ..) =
+                fisec_inject::run_injection_recorded(&app.image, spec, &golden, t, scheme, engine)
+                    .map_err(|e| e.to_string())?;
+            let (run, _meta, rep, _prop) = runs.into_iter().next().ok_or("a run yields one run")?;
             let div = rep.as_ref().map(|r| {
                 (
                     r.divergence_depth,
                     run.crash_latency.map(|_| r.faulty.retired()),
                 )
             });
-            if fisec_inject::persist::encode_run(run, div) != *cached {
+            if (run, div) != row.run {
                 mismatches += 1;
             }
         }
-        if mismatches > 0 || runs.len() != entry.runs.len() {
+        if mismatches > 0 {
             drifted.push(format!(
                 "{}: group @ {:#010x}: {mismatches} of {} memoized runs drifted",
                 summary.file,
                 entry.addr,
-                entry.runs.len()
+                entry.rows.len()
             ));
-        } else {
+        } else if orphans == 0 {
             println!(
-                "{}: group @ {:#010x} ({} runs) verified",
+                "{}: group @ {:#010x} ({} rows) verified",
                 summary.file,
                 entry.addr,
-                entry.runs.len()
+                entry.rows.len()
             );
         }
     }

@@ -1,73 +1,77 @@
-//! The incremental campaign cache: memoization of checkpoint-group
-//! results with a persistent on-disk store, keyed on exactly the code
-//! each group executed.
+//! The incremental campaign cache: memoized injection runs with a
+//! persistent on-disk store, keyed on exactly the code each run executed
+//! and the byte its flip planted.
 //!
 //! FastFlip-style structure (arXiv 2403.13989): error-injection results
 //! compose per section and can be keyed by what actually changed, so
 //! only perturbed sections need re-analysis. Our sections are the
 //! checkpoint groups the campaign engine already schedules — every
-//! target sharing one instruction address. A group's memoized outcomes
-//! are valid when
+//! target sharing one instruction address. A run depends only on the
+//! client, the instruction address, the byte index and the byte planted
+//! there, so a group's entry holds one **row** per `(byte_index, planted
+//! byte)`. An encoding scheme changes only which byte a flip plants
+//! (§6.2, [`row_key`]), and most new-encoding flips plant the byte a
+//! baseline flip planted, so both schemes read and write one store per
+//! client and such a run is stored once. A row answers a target when
 //!
 //! 1. the **context** is unchanged — everything shared by every group of
-//!    a (app, client, scheme) campaign: the fault model, the budget
+//!    an (app, client, recorder) store: the fault model, the budget
 //!    constants, the image layout and full data segment, the client
-//!    script fingerprint, the encoding scheme, and the golden run's
-//!    observable behavior (icount, stop, client verdict, network trace,
-//!    which classification compares every run against), hashed once
-//!    per store into the context key;
-//! 2. the **targets** are unchanged — the stored target tuples equal the
-//!    group's; and
-//! 3. the **executed text** is unchanged — each store file keeps the
+//!    script fingerprint, and the golden run's observable behavior
+//!    (icount, stop, client verdict, network trace, which classification
+//!    compares every run against), hashed once per store into the
+//!    context key;
+//! 2. the **executed text** is unchanged — each store file keeps the
 //!    image text its entries were checked against, and it must equal the
 //!    current text, byte for byte, over the injected instruction and
 //!    over every byte range the group's runs fetched for execution (the
 //!    footprint, recorded by [`fisec_x86::Footprint`]: a union over
-//!    golden's execution up to activation and every replay). Anything a
-//!    run fetched can affect its outcome; anything outside provably
-//!    cannot. Code bytes read as *data* are the one documented
-//!    exception — `fisec cache verify` exists to audit it.
+//!    golden's execution up to activation and every replay). Everything
+//!    else a target carries (first byte, length, error location, branch
+//!    kind, the §6.2 byte context) is decoded from those instruction
+//!    bytes alone. Anything a run fetched can affect its outcome;
+//!    anything outside provably cannot. Code bytes read as *data* are the
+//!    one documented exception — `fisec cache verify` exists to audit it;
+//!    and
+//! 3. the entry holds a row under the target's key.
 //!
 //! A server's text is a few KB, so comparing it costs less than hashing
 //! it would, and the check has no collisions. A store writes the text it
 //! was opened under, and keeps only the entries that still hold against
-//! it ([`ClientStore::save`]), so every entry in a file holds against
-//! that file's text.
+//! it ([`ClientStore::save`]), so every row in a file holds against that
+//! file's text.
 //!
-//! A missed group can still be answered run by run from its **sibling
-//! stores**: the same (app, client, recorder) under another encoding
-//! scheme. A run depends only on the client, the instruction address,
-//! the byte index and the byte value planted there. The §6.2 mapping is
-//! the identity for operand bytes and most opcode bits, so most
-//! new-encoding flips plant exactly the byte a baseline flip planted
-//! ([`ClientStore::share`]).
-//!
-//! The store is one binary file (`*.store`) per (app, client, scheme,
-//! recorder) under the cache root (`~/.fisec-cache` or `--cache DIR`),
-//! written with the same tmp+atomic-rename discipline as the random-tier
-//! ledger. [`encode_store`]/[`decode_store`] are its whole codec: a
-//! checked header, then little-endian, length-framed fields. Decoding is
+//! The store is one binary file (`*.store`) per (app, client, recorder)
+//! under the cache root (`~/.fisec-cache` or `--cache DIR`), written with
+//! the same tmp+atomic-rename discipline as the random-tier ledger.
+//! [`encode_store`]/[`decode_store`] are its whole codec: a checked
+//! header, then little-endian, length-framed fields, with outcomes, stops
+//! and client verdicts as tagged integers (the byte writer, reader and
+//! run codec live in the crate's private `persist` module). Decoding is
 //! total — corrupt, truncated or stale-schema files are misses, never a
-//! panic. `*.json` files left by schema-1 builds are listed and evicted
-//! but never read.
+//! panic. Files older
+//! builds left (`*.json` stores, per-scheme `*-base.store` files) and
+//! unfinished `*.tmp` writes are listed and evicted but never read.
 
+use crate::persist::{client_tag, Reader, Writer};
 use fisec_apps::{AppSpec, ClientSpec};
 use fisec_asm::Image;
 use fisec_encoding::EncodingScheme;
-use fisec_inject::persist::{self, CachedRun};
-use fisec_inject::{ErrorLocation, GoldenRun, InjectionRun, InjectionTarget};
+use fisec_inject::{GoldenRun, InjectionRun, InjectionTarget};
 use fisec_net::Dir;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Version tag of the store-file layout. Bump on any change to
-/// [`StoreFile`]/[`GroupEntry`] fields, their encoding or the key
+/// [`StoreFile`]/[`GroupEntry`]/[`Row`] fields, their encoding or the key
 /// derivations; files with a different schema are ignored wholesale.
 /// Schema 1 was a JSON file; schema 2 the binary layout with per-group
-/// SHA-256 keys; schema 3 is the layout of [`encode_store`], which keeps
-/// the checked text instead.
-pub const CACHE_SCHEMA: u32 = 3;
+/// SHA-256 keys; schema 3 kept the checked text instead, one file per
+/// scheme; schema 4 is the layout of [`encode_store`], one file per
+/// client with rows keyed by planted byte.
+pub const CACHE_SCHEMA: u32 = 4;
 
 /// Identity of the injected fault model. The study injects exhaustive
 /// single-bit flips into instruction bytes; any change to that model
@@ -265,22 +269,23 @@ pub struct FootRange {
     pub len: u32,
 }
 
-/// One injection target, as stored (everything `fisec cache verify`
-/// needs to rebuild the [`InjectionTarget`] and re-execute the group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedTarget {
+/// One memoized run, keyed by where its flip planted what.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
     /// Byte within the instruction.
     pub byte_index: u8,
-    /// Bit within the byte.
-    pub bit: u8,
-    /// First byte of the instruction.
-    pub first_byte: u8,
-    /// Encoded instruction length.
-    pub inst_len: u8,
-    /// Table-2-order index of the error location.
-    pub location: u8,
-    /// Whether the instruction is a conditional branch.
-    pub is_cond_branch: bool,
+    /// The byte the flip planted there.
+    pub planted: u8,
+    /// The classified run and its recorder digest.
+    pub run: CachedDigestedRun,
+}
+
+impl Row {
+    /// The row's key, `(byte_index, planted)`: what [`row_key`] computes
+    /// for the targets it answers.
+    pub fn key(&self) -> (u8, u8) {
+        (self.byte_index, self.planted)
+    }
 }
 
 /// One memoized checkpoint group.
@@ -288,72 +293,77 @@ pub struct CachedTarget {
 pub struct GroupEntry {
     /// Shared instruction address (the store's lookup key).
     pub addr: u32,
-    /// Targets in campaign order.
-    pub targets: Vec<CachedTarget>,
+    /// Longest encoded length of the targets' instruction: the injected
+    /// bytes the text check covers.
+    pub inst_len: u8,
     /// Executed-code footprint: golden up to activation, and every replay.
     pub foot: Vec<FootRange>,
-    /// One digested outcome per target, in `targets` order.
-    pub runs: Vec<CachedRun>,
+    /// Rows, strictly ascending by [`Row::key`].
+    pub rows: Vec<Row>,
 }
 
 impl GroupEntry {
-    /// The decoded runs, when the entry, checked against `checked`, still
-    /// holds for `targets` under `image`: the same target tuples, the
-    /// same text over what the group executed, and every run decoding.
-    /// `None` means stale.
-    fn checked_runs(
-        &self,
-        checked: &[u8],
-        image: &Image,
-        targets: &[InjectionTarget],
-    ) -> Option<Vec<CachedDigestedRun>> {
-        let same_targets = self.targets.len() == targets.len()
-            && self
-                .targets
-                .iter()
-                .zip(targets)
-                .all(|(c, t)| *c == cached_target(t));
-        // A wrong run count must never index out of step with the campaign.
-        if !same_targets
-            || self.runs.len() != targets.len()
-            || !self.same_text(checked, image.text_base, &image.text)
-        {
-            return None;
-        }
-        // A malformed payload is stale, never a panic.
-        self.runs.iter().map(persist::decode_run).collect()
-    }
-
     /// Whether `checked`, the text this entry was checked against, equals
     /// `text` (based at `text_base`) over the injected instruction,
-    /// `[addr, addr + longest target instruction)`, and over every
-    /// footprint range, each clipped to the text. Texts of different
-    /// lengths hold nothing.
-    fn same_text(&self, checked: &[u8], text_base: u32, text: &[u8]) -> bool {
-        let inst_len = self.targets.iter().map(|t| t.inst_len).max().unwrap_or(0);
+    /// `[addr, addr + inst_len)`, and over every footprint range, each
+    /// clipped to the text. Texts of different lengths hold nothing.
+    fn holds(&self, checked: &[u8], text_base: u32, text: &[u8]) -> bool {
         checked.len() == text.len()
-            && std::iter::once((self.addr, u32::from(inst_len)))
+            && std::iter::once((self.addr, u32::from(self.inst_len)))
                 .chain(self.foot.iter().map(|r| (r.start, r.len)))
                 .all(|(start, len)| {
                     let r = text_range(text_base, text.len(), start, len);
                     checked[r.clone()] == text[r]
                 })
     }
+
+    /// The row under `key`.
+    fn row(&self, key: (u8, u8)) -> Option<&Row> {
+        let i = self.rows.binary_search_by_key(&key, Row::key).ok()?;
+        Some(&self.rows[i])
+    }
+
+    /// Merge `fresh`, recorded against the same text, into this entry,
+    /// which still holds: the union of the rows (`fresh` wins a shared
+    /// key) and of the footprints.
+    fn absorb(&mut self, fresh: GroupEntry) {
+        self.inst_len = self.inst_len.max(fresh.inst_len);
+        self.foot = foot_ranges(
+            self.foot
+                .iter()
+                .chain(&fresh.foot)
+                .map(|r| (r.start, r.len))
+                .collect(),
+        );
+        let loaded = std::mem::take(&mut self.rows);
+        self.rows = canonical_rows(fresh.rows.into_iter().chain(loaded).collect());
+    }
 }
 
-/// One per-(app, client, scheme, recorder) store file.
+/// Rows sorted by key, keeping the first of any repeated key.
+fn canonical_rows(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_key(Row::key);
+    rows.dedup_by_key(|r| r.key());
+    rows
+}
+
+/// `(start, len)` ranges as a stored footprint: sorted and coalesced.
+fn foot_ranges(ranges: Vec<(u32, u32)>) -> Vec<FootRange> {
+    merge_ranges(ranges)
+        .into_iter()
+        .map(|(start, len)| FootRange { start, len })
+        .collect()
+}
+
+/// One per-(app, client, recorder) store file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreFile {
     /// Store layout version ([`CACHE_SCHEMA`]).
     pub schema: u32,
-    /// Digested-run serialization version ([`persist::DIGEST_SCHEMA`]).
-    pub digest_schema: u32,
     /// Application name.
     pub app: String,
     /// Client name.
     pub client: String,
-    /// Encoding scheme tag ([`EncodingScheme::cache_tag`]).
-    pub scheme: String,
     /// Whether the campaign ran with the flight recorder.
     pub recorder: bool,
     /// Context key every group below is valid under.
@@ -368,21 +378,16 @@ pub struct StoreFile {
 // Key derivations
 // ---------------------------------------------------------------------
 
-/// The per-(app, client, scheme, recorder) context key: a change to
-/// anything here invalidates every group of the client's store. Engine
-/// options (mode, threads, block/trace cache) are deliberately *not*
-/// keyed — results are bit-identical across them (pinned by the
-/// differential tests), so entries interoperate across execution modes.
-pub fn context_key(
-    app: &AppSpec,
-    spec: &ClientSpec,
-    scheme: EncodingScheme,
-    recorder: bool,
-    golden: &GoldenRun,
-) -> String {
+/// The per-(app, client, recorder) context key: a change to anything
+/// here invalidates every group of the client's store. The encoding
+/// scheme is not keyed — it only picks the row a target names
+/// ([`row_key`]). Engine options (mode, threads, block cache) are
+/// deliberately *not* keyed either — results are bit-identical across
+/// them (pinned by the differential tests), so entries interoperate
+/// across execution modes.
+pub fn context_key(app: &AppSpec, spec: &ClientSpec, recorder: bool, golden: &GoldenRun) -> String {
     let mut h = KeyHasher::new("fisec-cache-context");
     h.u32(CACHE_SCHEMA);
-    h.u32(persist::DIGEST_SCHEMA);
     h.str(FAULT_MODEL);
     h.u64(fisec_inject::BUDGET_MULTIPLIER);
     h.u64(fisec_inject::BUDGET_FLOOR);
@@ -395,14 +400,15 @@ pub fn context_key(
     h.bytes(&app.image.data);
     h.str(&spec.name);
     h.str(&spec.fingerprint);
-    h.str(scheme.cache_tag());
     h.u32(u32::from(recorder));
     // Golden observables: classification compares every run against the
     // golden stop/verdict/trace, so any behavior change on the client's
     // golden path is a (correct) full miss for that client.
     h.u64(golden.icount);
-    h.str(&persist::stop_to_string(golden.stop.clone()));
-    h.str(persist::client_to_string(golden.client));
+    let mut w = Writer(Vec::new());
+    w.stop(&golden.stop);
+    w.u8(client_tag(golden.client));
+    h.bytes(&w.0);
     for m in golden.trace.messages() {
         h.u32(match m.dir {
             Dir::ToClient => 0,
@@ -413,42 +419,17 @@ pub fn context_key(
     h.hex()
 }
 
-fn location_index(loc: ErrorLocation) -> u8 {
-    ErrorLocation::ALL
-        .iter()
-        .position(|l| *l == loc)
-        .expect("every ErrorLocation variant appears in ErrorLocation::ALL") as u8
-}
-
-fn cached_target(t: &InjectionTarget) -> CachedTarget {
-    CachedTarget {
-        byte_index: t.byte_index,
-        bit: t.bit,
-        first_byte: t.first_byte,
-        inst_len: t.inst_len,
-        location: location_index(t.location),
-        is_cond_branch: t.is_cond_branch,
-    }
-}
-
-/// Rebuild the [`InjectionTarget`]s of a stored group (for `fisec cache
-/// verify`). `None` when a stored location index is out of range.
-pub fn entry_targets(entry: &GroupEntry) -> Option<Vec<InjectionTarget>> {
-    entry
-        .targets
-        .iter()
-        .map(|t| {
-            Some(InjectionTarget {
-                addr: entry.addr,
-                inst_len: t.inst_len,
-                byte_index: t.byte_index,
-                bit: t.bit,
-                first_byte: t.first_byte,
-                location: *ErrorLocation::ALL.get(t.location as usize)?,
-                is_cond_branch: t.is_cond_branch,
-            })
-        })
-        .collect()
+/// The key of the row that answers `t` under `scheme`: its byte index
+/// and the byte its flip plants, `t.flip(image byte, scheme)`. The text
+/// is mapped r-x, so the image byte is the byte a flip reads. `None`
+/// when the byte lies outside the image text.
+pub fn row_key(image: &Image, t: &InjectionTarget, scheme: EncodingScheme) -> Option<(u8, u8)> {
+    let at = t
+        .addr
+        .wrapping_add(u32::from(t.byte_index))
+        .checked_sub(image.text_base)?;
+    let &byte = image.text.get(at as usize)?;
+    Some((t.byte_index, t.flip(byte, scheme)))
 }
 
 /// The offsets of `[start, start+len)` within a text segment of
@@ -498,26 +479,14 @@ pub struct CampaignCache {
     root: PathBuf,
 }
 
-/// The runs of a missed group that sibling stores answer
-/// ([`ClientStore::share`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedRuns {
-    /// Per target, in group order: the run a sibling recorded for the
-    /// same planted byte, or `None` when the target must execute.
-    pub runs: Vec<Option<CachedDigestedRun>>,
-    /// The union of the answering entries' footprints: part of the
-    /// footprint the group's own entry must carry.
-    pub foot: Vec<(u32, u32)>,
-}
-
 /// Result of consulting the store for one checkpoint group.
 pub enum CacheLookup {
-    /// Every run of the group, decoded; fold without executing.
+    /// Every target's row, decoded; fold without executing.
     Hit(Vec<CachedDigestedRun>),
-    /// An entry existed but its key, shape or footprint hash no longer
-    /// matches — the group was invalidated by a change.
+    /// An entry exists but the text differs over its instruction or
+    /// footprint — the group was invalidated by a change.
     Stale,
-    /// No entry for this address.
+    /// No entry for this address, or one lacking some target's row.
     Miss,
 }
 
@@ -538,7 +507,8 @@ impl CampaignCache {
         &self.root
     }
 
-    /// Open (load or initialize) the store for one campaign column.
+    /// Open (load or initialize) the client's store for one campaign
+    /// column; `scheme` says which byte each of its targets plants.
     /// Never fails: unreadable, torn, stale-schema or context-mismatched
     /// files degrade to an empty (all-miss) store.
     pub fn open_client(
@@ -549,37 +519,25 @@ impl CampaignCache {
         recorder: bool,
         golden: &GoldenRun,
     ) -> ClientStore {
-        let context = context_key(app, spec, scheme, recorder, golden);
-        let path = |scheme: EncodingScheme| {
-            self.root.join(store_file_name(
-                app.name,
-                &spec.name,
-                scheme.cache_tag(),
-                recorder,
-            ))
-        };
-        let siblings = EncodingScheme::ALL
-            .into_iter()
-            .filter(|&s| s != scheme)
-            .map(|s| Sibling {
-                scheme: s,
-                path: path(s),
-                context: context_key(app, spec, s, recorder, golden),
-                entries: OnceLock::new(),
-            })
-            .collect();
-        let path = path(scheme);
-        let mut loaded = Entries::default();
+        let context = context_key(app, spec, recorder, golden);
+        let path = self.root.join(store_file_name(
+            app.name,
+            &spec.name,
+            scheme.cache_tag(),
+            recorder,
+        ));
+        let (mut checked, mut groups) = (Vec::new(), HashMap::new());
         let mut context_invalidated = false;
         let mut dropped_groups = 0;
         if let Some(file) = read_store(&path) {
             if file.context == context {
-                loaded = Entries::from(file);
+                checked = file.text;
+                groups = file.groups.into_iter().map(|g| (g.addr, g)).collect();
             } else {
                 // Keyed under a different context (golden behavior,
-                // client script, scheme internals, fault model): every
-                // entry is unusable. Dropping them keeps the store free
-                // of orphans; re-execution repopulates it.
+                // client script, fault model): every entry is unusable.
+                // Dropping them keeps the store free of orphans;
+                // re-execution repopulates it.
                 context_invalidated = true;
                 dropped_groups = file.groups.len();
             }
@@ -593,8 +551,8 @@ impl CampaignCache {
             context,
             text_base: app.image.text_base,
             text: app.image.text.clone(),
-            loaded,
-            siblings,
+            checked,
+            groups,
             fresh: Mutex::new(Vec::new()),
             context_invalidated,
             dropped_groups,
@@ -610,22 +568,27 @@ const STORE_EXT: &str = "store";
 /// overwrite each other's stores; this one lists and evicts them.
 const LEGACY_EXT: &str = "json";
 
-/// Deterministic store file name for one campaign column.
-pub fn store_file_name(app: &str, client: &str, scheme_tag: &str, recorder: bool) -> String {
+/// Deterministic store file name for one (app, client, recorder):
+/// `{app}-{client}[-rec].store`. Every encoding scheme shares the
+/// client's store (rows are keyed by planted byte), so `_scheme_tag`
+/// names nothing. It remains only because the benchmark harness still
+/// passes it; ROADMAP item 6 drops it with the harness's hand loop.
+pub fn store_file_name(app: &str, client: &str, _scheme_tag: &str, recorder: bool) -> String {
     format!(
-        "{app}-{client}-{scheme_tag}{}.{STORE_EXT}",
+        "{app}-{client}{}.{STORE_EXT}",
         if recorder { "-rec" } else { "" }
     )
 }
 
-/// The loaded store for one (app, client, scheme, recorder) column:
-/// lookups against the entries on disk, the runs its sibling stores
-/// answer for a missed group, fresh results accumulated from worker
-/// threads, one atomic write-back at the end of the column.
+/// The loaded store for one (app, client, recorder), opened for one
+/// campaign column: row lookups against the entries on disk, fresh
+/// results accumulated from worker threads, one atomic write-back at the
+/// end of the column.
 pub struct ClientStore {
     path: PathBuf,
     app: String,
     client: String,
+    /// The column's scheme: which row each target names.
     scheme: EncodingScheme,
     recorder: bool,
     context: String,
@@ -634,8 +597,10 @@ pub struct ClientStore {
     /// was checked against.
     text_base: u32,
     text: Vec<u8>,
-    loaded: Entries,
-    siblings: Vec<Sibling>,
+    /// The text the loaded entries were checked against.
+    checked: Vec<u8>,
+    /// The loaded entries, by address.
+    groups: HashMap<u32, GroupEntry>,
     fresh: Mutex<Vec<GroupEntry>>,
     /// Whether a stored file existed but was keyed under a different
     /// context (full miss).
@@ -644,127 +609,49 @@ pub struct ClientStore {
     pub dropped_groups: usize,
 }
 
-/// A store file's groups by address, and the text they were checked
-/// against.
-#[derive(Default)]
-struct Entries {
-    text: Vec<u8>,
-    groups: HashMap<u32, GroupEntry>,
-}
-
-impl From<StoreFile> for Entries {
-    fn from(file: StoreFile) -> Entries {
-        Entries {
-            text: file.text,
-            groups: file.groups.into_iter().map(|g| (g.addr, g)).collect(),
-        }
-    }
-}
-
-impl Entries {
-    /// The entry at the group's address; `Some(None)` when it no longer
-    /// holds for `targets` under `image` (see [`GroupEntry::checked_runs`]).
-    fn lookup(
+impl ClientStore {
+    /// Which of a group's rows the store holds: per target, in group
+    /// order, the run of the row under its [`row_key`] for the column's
+    /// scheme, or `None`. Every target is `None` when no entry is at the
+    /// group's address. `None` overall when the entry there no longer
+    /// holds (stale; see [`CacheLookup::Stale`]).
+    pub fn rows(
         &self,
         image: &Image,
         targets: &[InjectionTarget],
-    ) -> Option<(&GroupEntry, Option<Vec<CachedDigestedRun>>)> {
-        let entry = self.groups.get(&targets.first()?.addr)?;
-        Some((entry, entry.checked_runs(&self.text, image, targets)))
-    }
-}
-
-/// The store of the same (app, client, recorder) under another scheme,
-/// read at most once, when [`ClientStore::share`] first asks for it.
-struct Sibling {
-    scheme: EncodingScheme,
-    path: PathBuf,
-    /// [`context_key`] for this scheme and the campaign's golden run: the
-    /// file's groups are trusted only under it.
-    context: String,
-    entries: OnceLock<Entries>,
-}
-
-impl Sibling {
-    /// The file's entries; none when it is missing, undecodable or keyed
-    /// under another context.
-    fn entries(&self) -> &Entries {
-        self.entries.get_or_init(|| match read_store(&self.path) {
-            Some(file) if file.context == self.context => Entries::from(file),
-            _ => Entries::default(),
-        })
-    }
-}
-
-impl ClientStore {
-    /// Consult the store for one checkpoint group.
-    pub fn lookup(&self, image: &Image, targets: &[InjectionTarget]) -> CacheLookup {
-        match self.loaded.lookup(image, targets) {
-            Some((_, Some(runs))) => CacheLookup::Hit(runs),
-            Some((_, None)) => CacheLookup::Stale,
-            None => CacheLookup::Miss,
+    ) -> Option<Vec<Option<CachedDigestedRun>>> {
+        let Some(entry) = targets.first().and_then(|t| self.groups.get(&t.addr)) else {
+            return Some(vec![None; targets.len()]);
+        };
+        if !entry.holds(&self.checked, image.text_base, &image.text) {
+            return None;
         }
-    }
-
-    /// The runs of a group this store missed that its sibling stores
-    /// answer; `None` when they answer none.
-    ///
-    /// A run depends only on the client, the address, the byte index and
-    /// the byte planted there, so a sibling's run stands for a target
-    /// exactly when both plant the same byte: `(byte_index,
-    /// t.flip(image byte, scheme))` under each store's own scheme. The
-    /// text segment is mapped read-only, so the byte a flip reads at
-    /// activation is the image byte. A
-    /// sibling entry is used only when its file's context is
-    /// [`context_key`] for its scheme and this golden run, and when the
-    /// entry passes the checks a [`CacheLookup::Hit`] passes: target
-    /// tuples, executed text and every run decoding. Each sibling file is
-    /// read once, at the first call.
-    pub fn share(&self, image: &Image, targets: &[InjectionTarget]) -> Option<SharedRuns> {
-        let planted = |t: &InjectionTarget, scheme: EncodingScheme| {
-            let byte = t.addr.wrapping_add(u32::from(t.byte_index));
-            let &b = image
-                .text
-                .get(byte.checked_sub(image.text_base)? as usize)?;
-            Some((t.byte_index, t.flip(b, scheme)))
-        };
-        let mut shared = SharedRuns {
-            runs: vec![None; targets.len()],
-            foot: Vec::new(),
-        };
-        for sibling in &self.siblings {
-            let Some((entry, Some(runs))) = sibling.entries().lookup(image, targets) else {
-                continue;
-            };
-            // The entry's target tuples are the group's, so its runs are
-            // in `targets` order.
-            let by_planted: HashMap<_, _> = targets
+        Some(
+            targets
                 .iter()
-                .zip(runs)
-                .filter_map(|(t, run)| Some((planted(t, sibling.scheme)?, run)))
-                .collect();
-            let mut used = false;
-            for (slot, t) in shared.runs.iter_mut().zip(targets) {
-                if slot.is_none() {
-                    *slot = planted(t, self.scheme).and_then(|p| by_planted.get(&p).cloned());
-                    used |= slot.is_some();
-                }
-            }
-            if used {
-                shared
-                    .foot
-                    .extend(entry.foot.iter().map(|r| (r.start, r.len)));
-            }
-        }
-        shared.foot = merge_ranges(shared.foot);
-        shared.runs.iter().any(Option::is_some).then_some(shared)
+                .map(|t| Some(entry.row(row_key(image, t, self.scheme)?)?.run.clone()))
+                .collect(),
+        )
     }
 
-    /// Record one freshly executed group. Thread-safe; the entry lands
-    /// on disk at the next [`ClientStore::save`]. A group run under an
-    /// image whose text is not the one the store was opened under is
-    /// not recorded: the file could not show what it was checked
-    /// against.
+    /// Consult the store for one checkpoint group: a hit when it holds
+    /// every target's row.
+    pub fn lookup(&self, image: &Image, targets: &[InjectionTarget]) -> CacheLookup {
+        match self.rows(image, targets) {
+            None => CacheLookup::Stale,
+            Some(rows) => rows
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .filter(|runs| !runs.is_empty())
+                .map_or(CacheLookup::Miss, CacheLookup::Hit),
+        }
+    }
+
+    /// Record freshly executed targets of one group, each run under its
+    /// [`row_key`]. Thread-safe; the rows land on disk at the next
+    /// [`ClientStore::save`]. A group run under an image whose text is
+    /// not the one the store was opened under is not recorded: the file
+    /// could not show what it was checked against.
     pub fn record(
         &self,
         image: &Image,
@@ -779,17 +666,23 @@ impl ClientStore {
             return;
         }
         debug_assert_eq!(runs.len(), targets.len());
+        let rows = targets
+            .iter()
+            .zip(runs)
+            .filter_map(|(t, run)| {
+                let (byte_index, planted) = row_key(image, t, self.scheme)?;
+                Some(Row {
+                    byte_index,
+                    planted,
+                    run: run.clone(),
+                })
+            })
+            .collect();
         let entry = GroupEntry {
             addr,
-            targets: targets.iter().map(cached_target).collect(),
-            foot: foot
-                .into_iter()
-                .map(|(start, len)| FootRange { start, len })
-                .collect(),
-            runs: runs
-                .iter()
-                .map(|(run, div)| persist::encode_run(run, *div))
-                .collect(),
+            inst_len: targets.iter().map(|t| t.inst_len).max().unwrap_or(0),
+            foot: foot_ranges(foot),
+            rows: canonical_rows(rows),
         };
         self.fresh.lock().expect("no worker panicked").push(entry);
     }
@@ -804,31 +697,36 @@ impl ClientStore {
     /// the text the store was opened under. Keeps the loaded entries
     /// that still hold against that text, including those this campaign
     /// did not revisit (e.g. MISC groups when this run was
-    /// `--cond-branches-only`); fresh results win on address collision.
-    /// So every entry of a written file holds against the file's text.
+    /// `--cond-branches-only`). A fresh entry joins the loaded one at its
+    /// address when that still holds ([`GroupEntry::absorb`]) and
+    /// replaces it otherwise. So every row of a written file holds
+    /// against the file's text, and the file does not depend on the
+    /// order workers recorded in.
     ///
     /// # Errors
     /// I/O errors creating the cache directory or writing the file. The
     /// campaign treats a failed save as a warning, not a failure.
     pub fn save(&self) -> std::io::Result<()> {
         let mut merged: HashMap<u32, GroupEntry> = self
-            .loaded
             .groups
             .values()
-            .filter(|g| g.same_text(&self.loaded.text, self.text_base, &self.text))
+            .filter(|g| g.holds(&self.checked, self.text_base, &self.text))
             .map(|g| (g.addr, g.clone()))
             .collect();
-        for e in self.fresh.lock().expect("no worker panicked").drain(..) {
-            merged.insert(e.addr, e);
+        for fresh in self.fresh.lock().expect("no worker panicked").drain(..) {
+            match merged.entry(fresh.addr) {
+                Entry::Occupied(mut e) => e.get_mut().absorb(fresh),
+                Entry::Vacant(e) => {
+                    e.insert(fresh);
+                }
+            }
         }
         let mut groups: Vec<GroupEntry> = merged.into_values().collect();
         groups.sort_by_key(|g| g.addr);
         let file = StoreFile {
             schema: CACHE_SCHEMA,
-            digest_schema: persist::DIGEST_SCHEMA,
             app: self.app.clone(),
             client: self.client.clone(),
-            scheme: self.scheme.cache_tag().to_string(),
             recorder: self.recorder,
             context: self.context.clone(),
             text: self.text.clone(),
@@ -845,30 +743,32 @@ impl ClientStore {
 /// First bytes of every store file.
 const MAGIC: [u8; 8] = *b"FISECSTO";
 
-// Fewest encoded bytes of one target, footprint range, run and group: a
-// sequence count claiming more elements than the bytes left can hold is
-// rejected before anything is allocated for it.
-const TARGET_BYTES: usize = 6;
+// Fewest encoded bytes of one footprint range, row and group: a sequence
+// count claiming more elements than the bytes left can hold is rejected
+// before anything is allocated for it.
 const FOOT_BYTES: usize = 8;
-// Three string lengths, seven bool or option tags.
-const RUN_BYTES: usize = 3 * 4 + 7;
-// The address and three sequence counts.
-const GROUP_BYTES: usize = 4 * 4;
+// The key, the outcome, stop and client tags, and five bool or option
+// tags.
+const ROW_BYTES: usize = 2 + 3 + 5;
+// The address, the instruction length and two sequence counts.
+const GROUP_BYTES: usize = 4 + 1 + 2 * 4;
 
 /// Encode a store. Layout, every integer little-endian:
 ///
 /// ```text
-/// file   = magic[8] schema:u32 digest_schema:u32
-///          app:str client:str scheme:str recorder:bool context:str
-///          text:bytes n:u32 group*n
-/// group  = addr:u32 n:u32 target*n n:u32 (start:u32 len:u32)*n
-///          n:u32 run*n
-/// target = byte_index:u8 bit:u8 first_byte:u8 inst_len:u8 location:u8
-///          is_cond_branch:bool
-/// run    = outcome:str activated:bool stop:str client:str
-///          crash_latency:opt<u64> transient_deviation:bool
-///          divergence:opt<str> has_div:bool divergence_depth:opt<u64>
-///          trace_latency:opt<u64>
+/// file   = magic[8] schema:u32 app:str client:str recorder:bool
+///          context:str text:bytes n:u32 group*n
+/// group  = addr:u32 inst_len:u8 n:u32 (start:u32 len:u32)*n n:u32 row*n
+/// row    = byte_index:u8 planted:u8 outcome:u8 activated:bool stop
+///          client:u8 crash_latency:opt<u64> transient_deviation:bool
+///          divergence:opt<str>
+///          div:opt<divergence_depth:opt<u64> trace_latency:opt<u64>>
+/// stop   = 0 code:i32 | 1 fault | 2 | 3 | 4 addr:u32
+///          (exited, crashed, budget, deadlock, breakpoint)
+/// fault  = tag:u8 addr:u32; tag 0 invalid opcode, 1 general protection,
+///          2 memory read, 3 memory write, 4 fetch, 5 divide, 6 trap
+/// outcome = index in OutcomeClass::ALL (NA NM SD FSV BRK)
+/// client = 0 in progress | 1 granted | 2 denied | 3 confused
 /// bytes  = len:u32 u8[len]        str = bytes in UTF-8
 /// bool   = 0|1                    opt<T> = 0 | 1 T
 /// ```
@@ -879,69 +779,54 @@ pub fn encode_store(file: &StoreFile) -> Vec<u8> {
     let mut w = Writer(Vec::new());
     w.0.extend_from_slice(&MAGIC);
     w.u32(file.schema);
-    w.u32(file.digest_schema);
     w.str(&file.app);
     w.str(&file.client);
-    w.str(&file.scheme);
     w.bool(file.recorder);
     w.str(&file.context);
     w.bytes(&file.text);
     w.len(file.groups.len());
     for g in &file.groups {
         w.u32(g.addr);
-        w.len(g.targets.len());
-        for t in &g.targets {
-            w.0.extend_from_slice(&[t.byte_index, t.bit, t.first_byte, t.inst_len, t.location]);
-            w.bool(t.is_cond_branch);
-        }
+        w.u8(g.inst_len);
         w.len(g.foot.len());
         for r in &g.foot {
             w.u32(r.start);
             w.u32(r.len);
         }
-        w.len(g.runs.len());
-        for r in &g.runs {
-            w.str(&r.outcome);
-            w.bool(r.activated);
-            w.str(&r.stop);
-            w.str(&r.client);
-            w.opt(r.crash_latency, Writer::u64);
-            w.bool(r.transient_deviation);
-            w.opt(r.divergence.as_deref(), Writer::str);
-            w.bool(r.has_div);
-            w.opt(r.divergence_depth, Writer::u64);
-            w.opt(r.trace_latency, Writer::u64);
+        w.len(g.rows.len());
+        for r in &g.rows {
+            w.u8(r.byte_index);
+            w.u8(r.planted);
+            w.run(&r.run);
         }
     }
     w.0
 }
 
 /// Decode a store image. `None` unless the header carries this build's
-/// magic, [`CACHE_SCHEMA`] and [`persist::DIGEST_SCHEMA`] (checked before
-/// any group is decoded) and the rest is exactly one well-formed
-/// [`encode_store`] body: a short read, trailing bytes, a non-UTF-8
-/// string, a bool or option tag other than 0/1, or a count or length
-/// larger than the bytes left all decode to `None`. Never panics.
+/// magic and [`CACHE_SCHEMA`] (checked before any group is decoded) and
+/// the rest is exactly one well-formed [`encode_store`] body: a short
+/// read, trailing bytes, a non-UTF-8 string, a bool or option tag other
+/// than 0/1, an outcome, stop, fault or client tag out of range, a
+/// group's rows out of key order, or a count or length larger than the
+/// bytes left all decode to `None`. Never panics.
 pub fn decode_store(bytes: &[u8]) -> Option<StoreFile> {
     let mut r = Reader(bytes);
     if r.take(MAGIC.len())? != MAGIC {
         return None;
     }
     let schema = r.u32()?;
-    let digest_schema = r.u32()?;
-    if schema != CACHE_SCHEMA || digest_schema != persist::DIGEST_SCHEMA {
+    if schema != CACHE_SCHEMA {
         return None;
     }
     let file = StoreFile {
         schema,
-        digest_schema,
         app: r.str()?,
         client: r.str()?,
-        scheme: r.str()?,
         recorder: r.bool()?,
         context: r.str()?,
         text: r.bytes()?.to_vec(),
-        groups: r.seq(GROUP_BYTES, Reader::group)?,
+        groups: r.seq(GROUP_BYTES, read_group)?,
     };
     r.0.is_empty().then_some(file)
 }
@@ -953,8 +838,10 @@ pub fn read_store(path: &Path) -> Option<StoreFile> {
     decode_store(&std::fs::read(path).ok()?)
 }
 
-/// Encode `file` and write it atomically: a sibling `.tmp` file renamed
-/// over `path`, creating the cache directory first.
+/// Encode `file` and write it atomically: a `<path>.<pid>.tmp` file
+/// renamed over `path`, creating the cache directory first. The tmp name
+/// is the writing process's own, so two campaigns saving the same store
+/// never rename each other's half-written file.
 ///
 /// # Errors
 /// I/O errors creating the directory, writing or renaming the file.
@@ -963,7 +850,7 @@ pub fn write_store(path: &Path, file: &StoreFile) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
     }
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.tmp", std::process::id()));
     // No fsync: the rename keeps torn writes from ever becoming visible
     // under the store's name, and a file lost to a power cut merely
     // re-runs its groups — `read_store` degrades anything unreadable to
@@ -973,146 +860,31 @@ pub fn write_store(path: &Path, file: &StoreFile) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Byte sink of [`encode_store`].
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-
-    fn len(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("store sequences hold fewer than 2^32 items"));
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.len(b.len());
-        self.0.extend_from_slice(b);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
-        self.bool(v.is_some());
-        if let Some(v) = v {
-            put(self, v);
-        }
-    }
-}
-
-/// Byte source of [`decode_store`]: the bytes not yet consumed.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if n > self.0.len() {
-            return None;
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N)?.try_into().ok()
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.array::<1>()? {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
-    }
-
-    fn bytes(&mut self) -> Option<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        std::str::from_utf8(self.bytes()?).ok().map(str::to_owned)
-    }
-
-    fn opt<T>(&mut self, get: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        if self.bool()? {
-            get(self).map(Some)
-        } else {
-            Some(None)
-        }
-    }
-
-    /// A counted sequence of items at least `min_bytes` long each.
-    fn seq<T>(
-        &mut self,
-        min_bytes: usize,
-        mut item: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<T>> {
-        let n = self.u32()? as usize;
-        if n > self.0.len() / min_bytes {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(item(self)?);
-        }
-        Some(out)
-    }
-
-    fn group(&mut self) -> Option<GroupEntry> {
-        Some(GroupEntry {
-            addr: self.u32()?,
-            targets: self.seq(TARGET_BYTES, |r| {
-                let [byte_index, bit, first_byte, inst_len, location] = r.array()?;
-                Some(CachedTarget {
-                    byte_index,
-                    bit,
-                    first_byte,
-                    inst_len,
-                    location,
-                    is_cond_branch: r.bool()?,
-                })
-            })?,
-            foot: self.seq(FOOT_BYTES, |r| {
-                Some(FootRange {
-                    start: r.u32()?,
-                    len: r.u32()?,
-                })
-            })?,
-            runs: self.seq(RUN_BYTES, |r| {
-                Some(CachedRun {
-                    outcome: r.str()?,
-                    activated: r.bool()?,
-                    stop: r.str()?,
-                    client: r.str()?,
-                    crash_latency: r.opt(Reader::u64)?,
-                    transient_deviation: r.bool()?,
-                    divergence: r.opt(Reader::str)?,
-                    has_div: r.bool()?,
-                    divergence_depth: r.opt(Reader::u64)?,
-                    trace_latency: r.opt(Reader::u64)?,
-                })
-            })?,
-        })
-    }
+/// One group entry, as [`encode_store`] frames it.
+fn read_group(r: &mut Reader<'_>) -> Option<GroupEntry> {
+    let entry = GroupEntry {
+        addr: r.u32()?,
+        inst_len: r.u8()?,
+        foot: r.seq(FOOT_BYTES, |r| {
+            Some(FootRange {
+                start: r.u32()?,
+                len: r.u32()?,
+            })
+        })?,
+        rows: r.seq(ROW_BYTES, |r| {
+            Some(Row {
+                byte_index: r.u8()?,
+                planted: r.u8()?,
+                run: r.run()?,
+            })
+        })?,
+    };
+    // Strictly ascending keys: a lookup's binary search sees every row.
+    entry
+        .rows
+        .windows(2)
+        .all(|w| w[0].key() < w[1].key())
+        .then_some(entry)
 }
 
 // ---------------------------------------------------------------------
@@ -1128,14 +900,33 @@ pub struct StoreSummary {
     pub bytes: u64,
     /// Seconds since last modification (0 when unavailable).
     pub age_secs: u64,
+    /// Whether the file is a store write that never finished (a
+    /// `*.tmp` file a killed or racing writer left); never read.
+    pub unfinished: bool,
     /// Parsed store, when the file is valid under the current schema.
     pub store: Option<StoreFile>,
 }
 
+/// Whether `name` is a store write that never finished:
+/// `<store>.<pid>.tmp`, as [`write_store`] names it, or `<store>.tmp`, as
+/// older builds did.
+fn is_unfinished(name: &str) -> bool {
+    let Some(stem) = name.strip_suffix(".tmp") else {
+        return false;
+    };
+    let stem = match stem.rsplit_once('.') {
+        Some((store, pid)) if !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit()) => store,
+        _ => stem,
+    };
+    stem.ends_with(&format!(".{STORE_EXT}"))
+}
+
 /// All store files under `root`, name-sorted (deterministic output):
-/// this build's stores plus the schema-1 `*.json` stores older builds
-/// left, which never decode, so `ls` shows them invalid, `verify` skips
-/// them and `gc` counts and evicts them.
+/// this build's stores, the files older builds left (schema-1 `*.json`
+/// stores and older `*.store` layouts), which never decode, and
+/// unfinished `*.tmp` writes, which are never read. So `ls` shows the
+/// last three invalid or unfinished, `verify` skips them and `gc` counts
+/// and evicts them.
 pub fn store_paths(root: &Path) -> Vec<PathBuf> {
     let Ok(rd) = std::fs::read_dir(root) else {
         return Vec::new();
@@ -1145,10 +936,30 @@ pub fn store_paths(root: &Path) -> Vec<PathBuf> {
         .filter(|p| {
             p.extension()
                 .is_some_and(|x| x == STORE_EXT || x == LEGACY_EXT)
+                || p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(is_unfinished)
         })
         .collect();
     paths.sort();
     paths
+}
+
+/// Size in bytes and seconds since the last modification of `path`
+/// (0 when unavailable).
+fn size_and_age(path: &Path) -> (u64, u64) {
+    let meta = std::fs::metadata(path).ok();
+    let bytes = meta.as_ref().map_or(0, std::fs::Metadata::len);
+    let age = meta
+        .and_then(|m| m.modified().ok())
+        .and_then(|t| std::time::SystemTime::now().duration_since(t).ok())
+        .map_or(0, |d| d.as_secs());
+    (bytes, age)
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned())
 }
 
 /// Summarize every store file under `root`.
@@ -1156,19 +967,15 @@ pub fn ls(root: &Path) -> Vec<StoreSummary> {
     store_paths(root)
         .into_iter()
         .map(|p| {
-            let meta = std::fs::metadata(&p).ok();
-            let bytes = meta.as_ref().map_or(0, std::fs::Metadata::len);
-            let age_secs = meta
-                .and_then(|m| m.modified().ok())
-                .and_then(|t| std::time::SystemTime::now().duration_since(t).ok())
-                .map_or(0, |d| d.as_secs());
+            let (bytes, age_secs) = size_and_age(&p);
+            let file = file_name(&p);
+            let unfinished = is_unfinished(&file);
             StoreSummary {
-                file: p
-                    .file_name()
-                    .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
+                file,
                 bytes,
                 age_secs,
-                store: read_store(&p),
+                unfinished,
+                store: if unfinished { None } else { read_store(&p) },
             }
         })
         .collect()
@@ -1187,28 +994,20 @@ pub struct GcReport {
 
 /// Evict store files: everything older than `max_age_secs`, then —
 /// oldest first — enough files to bring the root under `max_size`
-/// bytes. Invalid files count like any other (they are dead weight).
+/// bytes. Invalid files and unfinished writes count like any other
+/// (they are dead weight).
 pub fn gc(root: &Path, max_size: Option<u64>, max_age_secs: Option<u64>) -> GcReport {
     let mut entries: Vec<(PathBuf, u64, u64)> = store_paths(root)
         .into_iter()
         .map(|p| {
-            let meta = std::fs::metadata(&p).ok();
-            let bytes = meta.as_ref().map_or(0, std::fs::Metadata::len);
-            let age = meta
-                .and_then(|m| m.modified().ok())
-                .and_then(|t| std::time::SystemTime::now().duration_since(t).ok())
-                .map_or(0, |d| d.as_secs());
+            let (bytes, age) = size_and_age(&p);
             (p, bytes, age)
         })
         .collect();
     let mut report = GcReport::default();
     let evict = |p: &Path, bytes: u64, report: &mut GcReport| {
         if std::fs::remove_file(p).is_ok() {
-            report.evicted.push((
-                p.file_name()
-                    .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
-                bytes,
-            ));
+            report.evicted.push((file_name(p), bytes));
         }
     };
     if let Some(max_age) = max_age_secs {
@@ -1242,7 +1041,9 @@ pub fn gc(root: &Path, max_size: Option<u64>, max_age_secs: Option<u64>) -> GcRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fisec_inject::golden_run;
+    use fisec_inject::{golden_run, OutcomeClass};
+    use fisec_net::ClientStatus;
+    use fisec_os::Stop;
 
     fn sha_hex(data: &[u8]) -> String {
         let mut h = sha::Sha256::new();
@@ -1285,12 +1086,29 @@ mod tests {
         assert_eq!(inc.finalize(), one.finalize());
     }
 
-    fn test_store(dir: &Path, app: &AppSpec) -> (ClientStore, GoldenRun) {
-        let spec = &app.clients[0];
-        let golden = golden_run(&app.image, spec).unwrap();
-        let cache = CampaignCache::at(dir.to_path_buf());
-        let store = cache.open_client(app, spec, EncodingScheme::Baseline, false, &golden);
-        (store, golden)
+    /// The first client's store under `scheme`, opened after `golden`.
+    fn open(dir: &Path, app: &AppSpec, scheme: EncodingScheme, golden: &GoldenRun) -> ClientStore {
+        CampaignCache::at(dir.to_path_buf()).open_client(
+            app,
+            &app.clients[0],
+            scheme,
+            false,
+            golden,
+        )
+    }
+
+    fn golden(app: &AppSpec) -> GoldenRun {
+        golden_run(&app.image, &app.clients[0]).unwrap()
+    }
+
+    fn test_store(dir: &Path, app: &AppSpec) -> ClientStore {
+        open(dir, app, EncodingScheme::Baseline, &golden(app))
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("fisec-cache-test-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     fn sample_group(app: &AppSpec) -> Vec<InjectionTarget> {
@@ -1308,10 +1126,10 @@ mod tests {
             .map(|i| {
                 (
                     InjectionRun {
-                        outcome: fisec_inject::OutcomeClass::NotManifested,
+                        outcome: OutcomeClass::NotManifested,
                         activated: true,
-                        stop: fisec_os::Stop::Exited(0),
-                        client: fisec_net::ClientStatus::Denied,
+                        stop: Stop::Exited(i as i32),
+                        client: ClientStatus::Denied,
                         crash_latency: None,
                         transient_deviation: false,
                         divergence: None,
@@ -1322,23 +1140,30 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn store_round_trips_and_survives_reopen() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
-        let app = AppSpec::ftpd();
-        let group = sample_group(&app);
+    /// The first group of a fresh store at `dir`, recorded from
+    /// [`sample_runs`] with a 16-byte footprint, and saved.
+    fn recorded(dir: &Path, app: &AppSpec) -> (Vec<InjectionTarget>, Vec<CachedDigestedRun>) {
+        let group = sample_group(app);
         let runs = sample_runs(group.len());
-        let (store, _) = test_store(&dir, &app);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Miss
-        ));
+        let store = test_store(dir, app);
         store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
         store.save().unwrap();
+        (group, runs)
+    }
+
+    #[test]
+    fn store_round_trips_and_survives_reopen() {
+        let dir = scratch("roundtrip");
+        let app = AppSpec::ftpd();
+        let group = sample_group(&app);
+        assert!(matches!(
+            test_store(&dir, &app).lookup(&app.image, &group),
+            CacheLookup::Miss
+        ));
+        let (group, runs) = recorded(&dir, &app);
         // No tmp file left behind.
         assert_eq!(store_paths(&dir).len(), 1);
-        let (store, _) = test_store(&dir, &app);
+        let store = test_store(&dir, &app);
         match store.lookup(&app.image, &group) {
             CacheLookup::Hit(got) => assert_eq!(got, runs),
             _ => panic!("expected a hit after reopen"),
@@ -1346,75 +1171,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Where the first row's outcome tag lies in `encode_store(file)`.
+    fn first_outcome_at(file: &StoreFile) -> usize {
+        let strings = file.app.len() + file.client.len() + file.context.len();
+        let groups_at = 12 + 3 * 4 + strings + 1 + 4 + file.text.len() + 4;
+        groups_at + 4 + 1 + 4 + 8 * file.groups[0].foot.len() + 4 + 2
+    }
+
     #[test]
     fn torn_stale_and_collision_shaped_entries_are_misses() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-harden");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("harden");
         let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let runs = sample_runs(group.len());
-        let (store, _) = test_store(&dir, &app);
-        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
-        store.save().unwrap();
+        let (group, _) = recorded(&dir, &app);
         let path = store_paths(&dir)[0].clone();
+        let full = std::fs::read(&path).unwrap();
+        let miss = |what: &str| {
+            assert!(
+                matches!(
+                    test_store(&dir, &app).lookup(&app.image, &group),
+                    CacheLookup::Miss
+                ),
+                "{what}"
+            );
+        };
 
         // Torn tail: truncate mid-file → undecodable → empty store.
-        let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let (store, _) = test_store(&dir, &app);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Miss
-        ));
+        miss("torn");
 
         // Stale schema version → ignored wholesale.
         let mut file = decode_store(&full).unwrap();
         file.schema = 999;
         write_store(&path, &file).unwrap();
         assert!(read_store(&path).is_none());
-        let (store, _) = test_store(&dir, &app);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Miss
-        ));
+        miss("schema 999");
 
-        // Wrong shape (fewer runs than targets) → stale, never a bad
-        // fold.
+        // A row short of the group's targets → a miss, never a bad fold:
+        // the other rows are still served.
         let mut file = decode_store(&full).unwrap();
-        file.groups[0].runs.pop();
+        file.groups[0].rows.pop();
         write_store(&path, &file).unwrap();
-        let (store, _) = test_store(&dir, &app);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Stale
-        ));
+        miss("one row short");
+        let rows = test_store(&dir, &app).rows(&app.image, &group).unwrap();
+        assert_eq!(rows.iter().filter(|r| r.is_none()).count(), 1);
 
-        // Malformed payload inside a well-shaped entry → stale.
-        let mut file = decode_store(&full).unwrap();
-        file.groups[0].runs[0].outcome = "bogus".to_string();
-        write_store(&path, &file).unwrap();
-        let (store, _) = test_store(&dir, &app);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Stale
-        ));
+        // An outcome tag out of range → the file does not decode.
+        let file = decode_store(&full).unwrap();
+        let mut bytes = full.clone();
+        bytes[first_outcome_at(&file)] = OutcomeClass::ALL.len() as u8;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_store(&path).is_none());
+        miss("bad outcome tag");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_codec_round_trips_every_run_field() {
-        let run = InjectionRun {
-            outcome: fisec_inject::OutcomeClass::FailSilenceViolation,
-            activated: true,
-            stop: fisec_os::Stop::Crashed(fisec_x86::Fault::MemAccess {
-                addr: 0x2004,
-                write: true,
-            }),
-            client: fisec_net::ClientStatus::Confused,
-            crash_latency: Some(4242),
-            transient_deviation: true,
-            divergence: Some("msg 3 differs".to_string()),
-        };
         let divs = [
             None,
             Some((None, None)),
@@ -1422,79 +1234,127 @@ mod tests {
             Some((None, Some(9))),
             Some((Some(u64::MAX), Some(0))),
         ];
-        let plain = InjectionRun {
-            crash_latency: None,
-            divergence: None,
-            ..run.clone()
-        };
-        let runs: Vec<CachedRun> = divs
-            .iter()
-            .flat_map(|div| {
-                [
-                    persist::encode_run(&run, *div),
-                    persist::encode_run(&plain, *div),
-                ]
+        let rows: Vec<Row> = crate::persist::tests::every_variant()
+            .into_iter()
+            .flat_map(|run| divs.map(|div| (run.clone(), div)))
+            .enumerate()
+            .map(|(i, run)| Row {
+                byte_index: (i / 256) as u8,
+                planted: (i % 256) as u8,
+                run,
             })
             .collect();
         let file = StoreFile {
             schema: CACHE_SCHEMA,
-            digest_schema: persist::DIGEST_SCHEMA,
             app: "ftpd".to_string(),
             client: "Client1".to_string(),
-            scheme: "base".to_string(),
             recorder: true,
             context: "ctx".to_string(),
             text: vec![0x90, 0, 0xff],
             groups: vec![GroupEntry {
                 addr: 0x0804_8000,
-                targets: Vec::new(),
+                inst_len: 6,
                 foot: vec![FootRange { start: 1, len: 2 }],
-                runs,
+                rows,
             }],
         };
         let bytes = encode_store(&file);
         let back = decode_store(&bytes).unwrap();
         assert_eq!(back, file);
         assert_eq!(encode_store(&back), bytes);
-        for (i, c) in back.groups[0].runs.iter().enumerate() {
-            let (dec, div) = persist::decode_run(c).unwrap();
-            assert_eq!(dec, if i % 2 == 0 { &run } else { &plain }.clone());
-            assert_eq!(div, divs[i / 2]);
-        }
+        // Rows out of key order do not decode.
+        let mut swapped = file;
+        swapped.groups[0].rows.swap(0, 1);
+        assert!(decode_store(&encode_store(&swapped)).is_none());
     }
 
     #[test]
     fn legacy_json_stores_are_listed_invalid_and_evicted() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-legacy");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("legacy");
         let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let runs = sample_runs(group.len());
-        let (store, _) = test_store(&dir, &app);
-        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
-        store.save().unwrap();
-        // What a schema-1 build leaves for the same column.
-        let legacy = dir.join("ftpd-Client1-base.json");
+        let (group, _) = recorded(&dir, &app);
+        // What a schema-1 build leaves for the same client.
         std::fs::write(
-            &legacy,
+            dir.join("ftpd-Client1-base.json"),
             r#"{"schema":1,"digest_schema":1,"app":"ftpd","client":"Client1","scheme":"base","recorder":false,"context":"0","groups":[]}"#,
         )
         .unwrap();
+        // What a schema-3 build leaves: one file per scheme.
+        let mut schema3 = std::fs::read(dir.join("ftpd-Client1.store")).unwrap();
+        schema3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(dir.join("ftpd-Client1-base.store"), schema3).unwrap();
         let rows = ls(&dir);
         let names: Vec<&str> = rows.iter().map(|r| r.file.as_str()).collect();
-        assert_eq!(names, ["ftpd-Client1-base.json", "ftpd-Client1-base.store"]);
+        assert_eq!(
+            names,
+            [
+                "ftpd-Client1-base.json",
+                "ftpd-Client1-base.store",
+                "ftpd-Client1.store"
+            ]
+        );
         assert!(rows[0].store.is_none(), "a JSON store never decodes");
-        assert_eq!(rows[1].store.as_ref().unwrap().groups.len(), 1);
-        // The binary store is the one the campaign reads.
-        let (store, _) = test_store(&dir, &app);
+        assert!(rows[1].store.is_none(), "a schema-3 store never decodes");
+        assert_eq!(rows[2].store.as_ref().unwrap().groups.len(), 1);
+        // The current store is the one the campaign reads.
         assert!(matches!(
-            store.lookup(&app.image, &group),
+            test_store(&dir, &app).lookup(&app.image, &group),
             CacheLookup::Hit(_)
         ));
-        // gc counts the legacy file like any other and evicts it.
+        // gc counts the legacy files like any other and evicts them.
         let report = gc(&dir, Some(0), None);
-        assert_eq!(report.evicted.len(), 2);
+        assert_eq!(report.evicted.len(), 3);
         assert!(store_paths(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unfinished_writes_are_listed_and_evicted() {
+        let dir = scratch("unfinished");
+        let app = AppSpec::ftpd();
+        recorded(&dir, &app);
+        // A killed writer's leftovers: this build's name and an older one.
+        std::fs::write(dir.join("sshd-Client1.store.4242.tmp"), vec![0; 30_000]).unwrap();
+        std::fs::write(dir.join("sshd-Client1-base.store.tmp"), vec![0; 30_000]).unwrap();
+        // Not a store write: a `.tmp` file of another kind is left alone.
+        std::fs::write(dir.join("notes.tmp"), b"x").unwrap();
+        let rows = ls(&dir);
+        let listed: Vec<(&str, bool)> = rows
+            .iter()
+            .map(|r| (r.file.as_str(), r.unfinished))
+            .collect();
+        assert_eq!(
+            listed,
+            [
+                ("ftpd-Client1.store", false),
+                ("sshd-Client1-base.store.tmp", true),
+                ("sshd-Client1.store.4242.tmp", true)
+            ]
+        );
+        assert!(rows[1].store.is_none() && rows[2].store.is_none());
+        // gc counts them under the same bounds, and evicts them.
+        let report = gc(&dir, Some(1), None);
+        assert_eq!(report.evicted.len(), 3);
+        assert_eq!((report.kept, report.kept_bytes), (0, 0));
+        assert!(ls(&dir).is_empty());
+        assert!(dir.join("notes.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_writer_never_renames_another_processes_tmp_file() {
+        let dir = scratch("tmp-names");
+        let app = AppSpec::ftpd();
+        std::fs::create_dir_all(&dir).unwrap();
+        // Another process is half-way through writing the same store.
+        let theirs = dir.join(format!("ftpd-Client1.store.{}.tmp", std::process::id() + 1));
+        std::fs::write(&theirs, b"FISECSTO half").unwrap();
+        let (group, runs) = recorded(&dir, &app);
+        assert_eq!(std::fs::read(&theirs).unwrap(), b"FISECSTO half");
+        match test_store(&dir, &app).lookup(&app.image, &group) {
+            CacheLookup::Hit(got) => assert_eq!(got, runs),
+            _ => panic!("the store this process wrote is intact"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1537,10 +1397,10 @@ mod tests {
         // keeps only its injected instruction).
         for foot in [foot, Vec::new()] {
             let _ = std::fs::remove_dir_all(&dir);
-            let (store, _) = test_store(&dir, &app);
+            let store = test_store(&dir, &app);
             store.record(&app.image, &group, &runs, foot.clone());
             store.save().unwrap();
-            let (store, _) = test_store(&dir, &app);
+            let store = test_store(&dir, &app);
             let executed = |a: u32| {
                 (group[0].addr..group[0].addr + inst_len).contains(&a)
                     || foot
@@ -1568,48 +1428,160 @@ mod tests {
     }
 
     #[test]
-    fn a_target_tuple_differing_in_one_field_is_stale() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-tuples");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn a_row_answers_only_the_key_it_was_recorded_under() {
+        let dir = scratch("keys");
         let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let runs = sample_runs(group.len());
-        let (store, _) = test_store(&dir, &app);
-        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
-        store.save().unwrap();
+        let (group, runs) = recorded(&dir, &app);
         let path = store_paths(&dir)[0].clone();
         let file = read_store(&path).unwrap();
-        let doctors: [fn(&mut CachedTarget); 6] = [
-            |t| t.byte_index ^= 1,
-            |t| t.bit ^= 1,
-            |t| t.first_byte ^= 1,
-            |t| t.inst_len += 1,
-            |t| t.location ^= 1,
-            |t| t.is_cond_branch = !t.is_cond_branch,
-        ];
+        let last = group.len() - 1;
+        let key = row_key(&app.image, &group[last], EncodingScheme::Baseline).unwrap();
+        // Another planted byte, or a byte index past the instruction: no
+        // target of the group names the doctored row.
+        let doctors: [fn(&mut Row); 2] = [|r| r.planted ^= 1, |r| r.byte_index = 15];
         for (i, doctor) in doctors.into_iter().enumerate() {
             let mut doctored = file.clone();
-            doctor(&mut doctored.groups[0].targets[group.len() - 1]);
+            let rows = &mut doctored.groups[0].rows;
+            doctor(rows.iter_mut().find(|r| r.key() == key).unwrap());
+            *rows = canonical_rows(std::mem::take(rows));
             write_store(&path, &doctored).unwrap();
-            let (store, _) = test_store(&dir, &app);
+            let store = test_store(&dir, &app);
             assert!(
-                matches!(store.lookup(&app.image, &group), CacheLookup::Stale),
-                "field {i}"
+                matches!(store.lookup(&app.image, &group), CacheLookup::Miss),
+                "doctor {i}"
             );
+            let served = store.rows(&app.image, &group).unwrap();
+            for (t, (row, run)) in served.iter().zip(&runs).enumerate() {
+                assert_eq!(row.as_ref(), (t != last).then_some(run), "doctor {i}");
+            }
         }
-        write_store(&path, &file).unwrap();
-        let (store, _) = test_store(&dir, &app);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Per target of `group`, whether `scheme` plants the byte the
+    /// baseline flip of some target plants.
+    fn plants_a_baseline_byte(app: &AppSpec, group: &[InjectionTarget]) -> Vec<bool> {
+        let base: Vec<_> = group
+            .iter()
+            .map(|t| row_key(&app.image, t, EncodingScheme::Baseline))
+            .collect();
+        group
+            .iter()
+            .map(|t| base.contains(&row_key(&app.image, t, EncodingScheme::NewEncoding)))
+            .collect()
+    }
+
+    #[test]
+    fn a_row_recorded_under_one_scheme_serves_the_other_and_is_stored_once() {
+        let dir = scratch("schemes");
+        let app = AppSpec::ftpd();
+        let golden = golden(&app);
+        // A branch whose new-encoding flips plant some baseline bytes and
+        // some bytes of their own.
+        let set = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, true);
+        let group = set
+            .targets
+            .chunk_by(|a, b| a.addr == b.addr)
+            .find(|g| {
+                let shared = plants_a_baseline_byte(&app, g);
+                shared.contains(&true) && shared.contains(&false)
+            })
+            .expect("a branch with mixed rows")
+            .to_vec();
+        let shared = plants_a_baseline_byte(&app, &group);
+        let runs = sample_runs(group.len());
+        let store = open(&dir, &app, EncodingScheme::Baseline, &golden);
+        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
+        store.save().unwrap();
+        // The new encoding opens the same store under the same context and
+        // is served every row its flip plants, whichever scheme recorded it.
+        let store = open(&dir, &app, EncodingScheme::NewEncoding, &golden);
+        assert!(!store.context_invalidated);
+        let served = store.rows(&app.image, &group).unwrap();
+        let base_keys: Vec<_> = group
+            .iter()
+            .map(|t| row_key(&app.image, t, EncodingScheme::Baseline))
+            .collect();
+        for ((t, row), s) in group.iter().zip(&served).zip(&shared) {
+            assert_eq!(row.is_some(), *s);
+            if let Some(row) = row {
+                let key = row_key(&app.image, t, EncodingScheme::NewEncoding);
+                let i = base_keys.iter().position(|k| *k == key).unwrap();
+                assert_eq!(row, &runs[i]);
+            }
+        }
         assert!(matches!(
             store.lookup(&app.image, &group),
-            CacheLookup::Hit(_)
+            CacheLookup::Miss
         ));
+        // Recording the whole group under the new encoding adds only the
+        // rows it alone plants; the ones both schemes plant stay once.
+        let new_runs = sample_runs(group.len());
+        store.record(&app.image, &group, &new_runs, vec![(group[0].addr, 32)]);
+        store.save().unwrap();
+        let file = read_store(&store_paths(&dir)[0]).unwrap();
+        let entry = &file.groups[0];
+        let fresh = shared.iter().filter(|s| !**s).count();
+        assert_eq!(entry.rows.len(), group.len() + fresh);
+        assert_eq!(
+            entry.foot,
+            [FootRange {
+                start: group[0].addr,
+                len: 32
+            }]
+        );
+        for scheme in EncodingScheme::ALL {
+            assert!(matches!(
+                open(&dir, &app, scheme, &golden).lookup(&app.image, &group),
+                CacheLookup::Hit(_)
+            ));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_into_a_stale_entry_replaces_it() {
+        let dir = scratch("replace");
+        let mut app = AppSpec::ftpd();
+        // Golden is kept, as for a poke golden never executes.
+        let golden = golden(&app);
+        let (group, _) = recorded(&dir, &app);
+        // Under the new encoding too: the entry holds both schemes' rows.
+        let store = open(&dir, &app, EncodingScheme::NewEncoding, &golden);
+        store.record(&app.image, &group, &sample_runs(group.len()), Vec::new());
+        store.save().unwrap();
+        // A byte the footprint covers, past the instruction, changes.
+        let off = (group[0].addr - app.image.text_base) as usize + 15;
+        app.image.text[off] ^= 0x01;
+        for scheme in EncodingScheme::ALL {
+            let store = open(&dir, &app, scheme, &golden);
+            assert!(!store.context_invalidated);
+            assert!(store.rows(&app.image, &group).is_none(), "{scheme}");
+        }
+        let store = open(&dir, &app, EncodingScheme::Baseline, &golden);
+        let runs = sample_runs(group.len() + 1)[1..].to_vec();
+        store.record(&app.image, &group, &runs, vec![(group[0].addr, 4)]);
+        store.save().unwrap();
+        let file = read_store(&store_paths(&dir)[0]).unwrap();
+        let entry = &file.groups[0];
+        assert_eq!(entry.rows.len(), group.len(), "the old rows are gone");
+        assert_eq!(
+            entry.foot,
+            [FootRange {
+                start: group[0].addr,
+                len: 4
+            }]
+        );
+        match open(&dir, &app, EncodingScheme::Baseline, &golden).lookup(&app.image, &group) {
+            CacheLookup::Hit(got) => assert_eq!(got, runs),
+            _ => panic!("the replacing entry serves the group"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_keeps_exactly_the_entries_that_hold_against_the_text_it_writes() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-save-poked");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("save-poked");
         let mut app = AppSpec::ftpd();
         let set = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, true);
         let groups: Vec<&[InjectionTarget]> = set
@@ -1617,7 +1589,8 @@ mod tests {
             .chunk_by(|a, b| a.addr == b.addr)
             .take(2)
             .collect();
-        let (store, golden) = test_store(&dir, &app);
+        let golden = golden(&app);
+        let store = test_store(&dir, &app);
         for g in &groups {
             store.record(&app.image, g, &sample_runs(g.len()), vec![(g[0].addr, 1)]);
         }
@@ -1678,14 +1651,9 @@ mod tests {
 
     #[test]
     fn a_text_of_another_length_is_stale_everywhere() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-text-len");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("text-len");
         let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let runs = sample_runs(group.len());
-        let (store, _) = test_store(&dir, &app);
-        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
-        store.save().unwrap();
+        let (group, _) = recorded(&dir, &app);
         let path = store_paths(&dir)[0].clone();
         let file = read_store(&path).unwrap();
         let n = file.text.len();
@@ -1693,12 +1661,18 @@ mod tests {
             let mut doctored = file.clone();
             doctored.text.resize(len, 0x90);
             write_store(&path, &doctored).unwrap();
-            let (store, _) = test_store(&dir, &app);
-            assert!(
-                matches!(store.lookup(&app.image, &group), CacheLookup::Stale),
-                "text of {len} bytes"
-            );
-            assert!(store.share(&app.image, &group).is_none());
+            for scheme in EncodingScheme::ALL {
+                let store = open(&dir, &app, scheme, &golden(&app));
+                assert!(
+                    store.rows(&app.image, &group).is_none(),
+                    "text of {len} bytes, {scheme}"
+                );
+            }
+            let store = test_store(&dir, &app);
+            assert!(matches!(
+                store.lookup(&app.image, &group),
+                CacheLookup::Stale
+            ));
             store.save().unwrap();
             assert!(read_store(&path).unwrap().groups.is_empty(), "{len}");
         }
@@ -1707,18 +1681,14 @@ mod tests {
 
     #[test]
     fn context_changes_are_a_full_miss() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-context");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("context");
         let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let runs = sample_runs(group.len());
-        let (store, golden) = test_store(&dir, &app);
-        store.record(&app.image, &group, &runs, vec![(group[0].addr, 16)]);
-        store.save().unwrap();
+        let (group, _) = recorded(&dir, &app);
+        let spec = &app.clients[0];
+        let golden = golden(&app);
 
         // Same context: hit. Doctored client fingerprint: full miss.
         let cache = CampaignCache::at(dir.clone());
-        let spec = &app.clients[0];
         let store = cache.open_client(&app, spec, EncodingScheme::Baseline, false, &golden);
         assert!(matches!(
             store.lookup(&app.image, &group),
@@ -1740,35 +1710,41 @@ mod tests {
             CacheLookup::Miss
         ));
 
-        // A different scheme lands in a different file entirely.
+        // The scheme is not part of the context: the other scheme opens
+        // the same store, valid, and is served the rows it plants.
         let store = cache.open_client(&app, spec, EncodingScheme::NewEncoding, false, &golden);
         assert!(!store.context_invalidated);
-        assert!(matches!(
-            store.lookup(&app.image, &group),
-            CacheLookup::Miss
-        ));
+        let served = store.rows(&app.image, &group).unwrap();
+        assert!(served.iter().any(Option::is_some));
 
         // Golden observables are keyed: a doctored golden icount is a
-        // context miss (stands in for any golden-path behavior change).
+        // context miss (stands in for any golden-path behavior change),
+        // and so is another golden stop.
         let mut golden2 = golden.clone();
         golden2.icount += 1;
         let store = cache.open_client(&app, spec, EncodingScheme::Baseline, false, &golden2);
         assert!(store.context_invalidated);
+        let mut golden3 = golden.clone();
+        golden3.stop = Stop::Budget;
+        assert_ne!(
+            context_key(&app, spec, false, &golden3),
+            context_key(&app, spec, false, &golden)
+        );
 
-        // The fault model string participates in the context key.
-        let a = context_key(&app, spec, EncodingScheme::Baseline, false, &golden);
+        // The key is deterministic and covers the recorder.
+        let a = context_key(&app, spec, false, &golden);
         assert_eq!(
             a,
-            context_key(&app, spec, EncodingScheme::Baseline, false, &golden),
+            context_key(&app, spec, false, &golden),
             "context key must be deterministic"
         );
+        assert_ne!(a, context_key(&app, spec, true, &golden));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_evicts_by_age_and_size() {
-        let dir = std::env::temp_dir().join("fisec-cache-test-gc");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch("gc");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("a.json"), vec![b'x'; 100]).unwrap();
         std::fs::write(dir.join("b.json"), vec![b'y'; 200]).unwrap();
@@ -1782,21 +1758,5 @@ mod tests {
         let report = gc(&dir, None, Some(3600));
         assert!(report.evicted.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn entry_targets_round_trip() {
-        let app = AppSpec::ftpd();
-        let group = sample_group(&app);
-        let entry = GroupEntry {
-            addr: group[0].addr,
-            targets: group.iter().map(cached_target).collect(),
-            foot: Vec::new(),
-            runs: Vec::new(),
-        };
-        assert_eq!(entry_targets(&entry).unwrap(), group);
-        let mut bad = entry;
-        bad.targets[0].location = 99;
-        assert!(entry_targets(&bad).is_none());
     }
 }

@@ -1,8 +1,6 @@
 //! Selective exhaustive injection campaigns (paper §4/§5).
 
-use crate::cache::{
-    merge_ranges, CacheLookup, CachedDigestedRun, CampaignCache, ClientStore, DivTuple,
-};
+use crate::cache::{merge_ranges, CachedDigestedRun, CampaignCache, ClientStore, DivTuple};
 use crate::counts::{LocationCounts, OutcomeCounts};
 use fisec_apps::AppSpec;
 use fisec_encoding::EncodingScheme;
@@ -61,9 +59,9 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Checkpoint-based fast path (default) or from-scratch oracle.
     pub mode: ExecutionMode,
-    /// The engine every process of this campaign boots with: block and
-    /// trace caches, and the observers (flight recorder, profiler,
-    /// propagation tracer), which leave classification bit-identical
+    /// The engine every process of this campaign boots with: the block
+    /// cache, and the observers (flight recorder, profiler, propagation
+    /// tracer), which leave classification bit-identical
     /// (differential tests). Its `footprint` is not read: the campaign
     /// records footprints exactly when a store is attached.
     pub engine: EngineOpts,
@@ -150,11 +148,6 @@ struct RunPropagation {
 
 /// What the engine hands back per run once traces are digested away.
 type DigestedRun = (InjectionRun, Option<RunDivergence>, Option<RunPropagation>);
-
-/// The runs sibling stores answered for a missed group, in group order
-/// (`None` where the target executes), and the union of the answering
-/// entries' footprints.
-type Answered = (Vec<Option<DigestedRun>>, Vec<(u32, u32)>);
 
 /// A digested run with the execution metadata telemetry folds.
 type MeteredRun = (
@@ -726,36 +719,25 @@ impl<'a> WorkerTel<'a> {
         self.tel.progress.add([n, 0, 0, 0, 0], 1);
     }
 
-    /// A checkpoint group folded from the campaign cache: no process
-    /// ran, so icount/micros are zero and the runs are flagged
-    /// `cache_hit` (distinct from the NA pre-filter — those groups are
-    /// *derived*, these are *memoized*). Divergence depths still land
-    /// in the per-outcome histograms so `fisec stats` reads the same
-    /// warm or cold.
-    fn note_cache_group(&mut self, targets: &[InjectionTarget], runs: &[DigestedRun]) {
-        if !self.tel.enabled() {
+    /// Runs served from the campaign cache without executing: a whole
+    /// checkpoint group (`hit`) or the rows of one whose other targets
+    /// execute. No process ran for them, so icount/micros are zero and
+    /// the runs are flagged `cache_hit` (distinct from the NA pre-filter
+    /// — those groups are *derived*, these are *memoized*). Divergence
+    /// depths still land in the per-outcome histograms so `fisec stats`
+    /// reads the same warm or cold.
+    fn note_served(&mut self, runs: &[(&InjectionTarget, &DigestedRun)], hit: bool) {
+        if !self.tel.enabled() || runs.is_empty() {
             return;
         }
-        self.shard.inc(metric::CACHE_HIT_GROUPS, 1);
-        self.shard
-            .inc(metric::CACHE_SYNTH_RUNS, targets.len() as u64);
-        let runs: Vec<_> = targets.iter().zip(runs).collect();
-        self.note_memoized(&runs, 1);
-    }
-
-    /// The runs of a missed group that sibling stores answered, memoized
-    /// like a hit's; `groups` is 1 when nothing of the group executes.
-    fn note_shared(&mut self, runs: &[(&InjectionTarget, &DigestedRun)], groups: u64) {
-        if !self.tel.enabled() {
-            return;
+        let n = runs.len() as u64;
+        if hit {
+            self.shard.inc(metric::CACHE_HIT_GROUPS, 1);
+            self.shard.inc(metric::CACHE_SYNTH_RUNS, n);
+        } else {
+            self.shard.inc(metric::CACHE_SHARED_RUNS, n);
         }
-        self.shard.inc(metric::CACHE_SHARED_RUNS, runs.len() as u64);
-        self.note_memoized(runs, groups);
-    }
-
-    /// Runs served from a store without executing.
-    fn note_memoized(&mut self, runs: &[(&InjectionTarget, &DigestedRun)], groups: u64) {
-        self.shard.inc(metric::RUNS, runs.len() as u64);
+        self.shard.inc(metric::RUNS, n);
         let mut tally = [0u64; 5];
         for (target, (run, div, prop)) in runs {
             self.observe_divergence(run, *div);
@@ -767,7 +749,7 @@ impl<'a> WorkerTel<'a> {
         if self.tel.events_enabled() {
             self.flush_if_full();
         }
-        self.tel.progress.add(tally, groups);
+        self.tel.progress.add(tally, u64::from(hit));
     }
 
     /// One cache consultation or write-back: a counter bump plus a
@@ -1126,11 +1108,11 @@ fn golden_session(
 ///    identical to golden, so its breakpoint can never be hit and it
 ///    must stop exactly as golden did. A pass that does not qualify
 ///    sends the client through the from-scratch arm instead.
-/// 3. With a store only: look each remaining group up; a hit folds the
-///    memoized runs without booting a process. A group that misses takes
-///    every run its sibling stores answer ([`ClientStore::share`]: the
-///    other encoding scheme planted the same byte), and a group they
-///    answer in full executes nothing.
+/// 3. With a store only: ask the store which of each remaining group's
+///    rows it holds ([`ClientStore::rows`]: a row stands for every target
+///    that plants its byte, under either encoding scheme). A group it
+///    holds in full is a hit, folded without booting a process; of any
+///    other group only the targets without a row execute.
 /// 4. Run the remaining targets, group by group, from a shared work
 ///    queue (groups vary wildly in cost, so static chunking would
 ///    straggle). In snapshot mode the queue is in activation order and
@@ -1139,9 +1121,9 @@ fn golden_session(
 ///    process. In from-scratch mode, the paper's §4 procedure and the
 ///    reference oracle, every target boots afresh through
 ///    [`run_injection_recorded`].
-/// 5. With a store only: record each missed group whole, its footprint
-///    the union of the executed runs' and the answering siblings'. The
-///    union can make the entry go stale sooner, never serve a wrong run.
+/// 5. With a store only: record the executed targets of each group; the
+///    store merges them into the group's entry when it still holds
+///    ([`ClientStore::save`]).
 /// 6. Reassemble the runs in target order.
 #[allow(clippy::too_many_arguments)]
 fn run_targets(
@@ -1164,7 +1146,7 @@ fn run_targets(
 
     let pass = pass.filter(|p| p.qualifies());
 
-    // Write a missed group's runs back to the store, whole.
+    // Write a group's executed runs back to the store.
     let record = |group: &[InjectionTarget], runs: &[DigestedRun], foot, wt: &mut WorkerTel<'_>| {
         if let Some(store) = store {
             store.record(&app.image, group, &to_cached(runs), foot);
@@ -1173,27 +1155,26 @@ fn run_targets(
         }
     };
 
-    // One group on a worker: execute the targets no sibling store
-    // answered, digest each report down to the per-run numbers the
-    // campaign keeps, drop the traces, and — with a cache attached —
-    // write the whole group back.
+    // One group on a worker: execute the targets the store holds no row
+    // for (`held` is empty without a store), digest each report down to
+    // the per-run numbers the campaign keeps, drop the traces, and — with
+    // a cache attached — write the executed runs back.
     let run_group = |runner: &mut Option<LatentRunner<'_>>,
                      group: &[InjectionTarget],
-                     shared: Option<&Answered>,
+                     held: &[Option<DigestedRun>],
                      wt: &mut WorkerTel<'_>|
      -> Vec<DigestedRun> {
-        let unshared: Vec<InjectionTarget>;
-        let exec = match shared {
-            Some((answered, _)) => {
-                unshared = group
-                    .iter()
-                    .zip(answered)
-                    .filter(|(_, run)| run.is_none())
-                    .map(|(t, _)| *t)
-                    .collect();
-                &unshared[..]
-            }
-            None => group,
+        let missing: Vec<InjectionTarget>;
+        let exec = if held.is_empty() {
+            group
+        } else {
+            missing = group
+                .iter()
+                .zip(held)
+                .filter(|(_, run)| run.is_none())
+                .map(|(t, _)| *t)
+                .collect();
+            &missing[..]
         };
         let (runs, foot): (Vec<DigestedRun>, _) = match runner {
             Some(runner) => {
@@ -1241,23 +1222,17 @@ fn run_targets(
                 (runs, merge_ranges(foot))
             }
         };
-        let (runs, foot) = match shared {
-            Some((answered, shared_foot)) => {
-                let mut executed = runs.into_iter();
-                let runs: Vec<DigestedRun> = answered
-                    .iter()
-                    .map(|run| {
-                        run.clone().unwrap_or_else(|| {
-                            executed.next().expect("one run per unshared target")
-                        })
-                    })
-                    .collect();
-                (runs, merge_ranges([foot, shared_foot.clone()].concat()))
-            }
-            None => (runs, foot),
-        };
-        record(group, &runs, foot, wt);
-        runs
+        record(exec, &runs, foot, wt);
+        if held.is_empty() {
+            return runs;
+        }
+        let mut executed = runs.into_iter();
+        held.iter()
+            .map(|run| {
+                run.clone()
+                    .unwrap_or_else(|| executed.next().expect("one run per missing target"))
+            })
+            .collect()
     };
     let runner = || pass.map(|p| LatentRunner::with_pass(&app.image, spec, p));
 
@@ -1265,7 +1240,7 @@ fn run_targets(
     // for free and never touches (or populates) the store; the survivors
     // consult the cache before executing, and queue in activation order.
     let mut slots: Vec<Option<Vec<DigestedRun>>> = vec![None; groups.len()];
-    let mut shared: Vec<Option<Answered>> = vec![None; groups.len()];
+    let mut held: Vec<Vec<Option<DigestedRun>>> = vec![Vec::new(); groups.len()];
     let mut live: Vec<(u64, usize)> = Vec::with_capacity(groups.len());
     for (gi, group) in groups.iter().enumerate() {
         // `Some(None)`: the pass proves golden never reaches the group.
@@ -1277,20 +1252,12 @@ fn run_targets(
             continue;
         }
         if let Some(store) = store {
-            match consult(store, app, spec, group, &mut wt0) {
-                Consulted::Hit(runs) => {
-                    slots[gi] = Some(runs);
-                    continue;
-                }
-                Consulted::Shared((runs, foot)) if runs.iter().all(Option::is_some) => {
-                    let runs: Vec<DigestedRun> = runs.into_iter().flatten().collect();
-                    record(group, &runs, foot, &mut wt0);
-                    slots[gi] = Some(runs);
-                    continue;
-                }
-                Consulted::Shared(answered) => shared[gi] = Some(answered),
-                Consulted::Missed => {}
+            let rows = consult(store, app, spec, group, &mut wt0);
+            if rows.iter().all(Option::is_some) {
+                slots[gi] = Some(rows.into_iter().flatten().collect());
+                continue;
             }
+            held[gi] = rows;
         }
         live.push((activation.flatten().unwrap_or(0), gi));
     }
@@ -1300,12 +1267,7 @@ fn run_targets(
     if threads <= 1 {
         let mut runner = runner();
         for &(_, gi) in &live {
-            slots[gi] = Some(run_group(
-                &mut runner,
-                groups[gi],
-                shared[gi].as_ref(),
-                &mut wt0,
-            ));
+            slots[gi] = Some(run_group(&mut runner, groups[gi], &held[gi], &mut wt0));
         }
     } else {
         let slots_mx = Mutex::new(&mut slots);
@@ -1314,7 +1276,7 @@ fn run_targets(
             let mut runner = runner();
             while let Some(i) = pull() {
                 let gi = live[i].1;
-                let runs = run_group(&mut runner, groups[gi], shared[gi].as_ref(), &mut wt);
+                let runs = run_group(&mut runner, groups[gi], &held[gi], &mut wt);
                 let wait_start = Instant::now();
                 let mut guard = slots_mx.lock().expect("no worker panicked");
                 let wait = micros_since(wait_start);
@@ -1339,50 +1301,37 @@ fn run_targets(
     out
 }
 
-/// What the store says about one checkpoint group. Memoized runs are
-/// already folded into the worker's telemetry.
-enum Consulted {
-    /// Every run, from the group's own store.
-    Hit(Vec<DigestedRun>),
-    /// The group missed its own store; sibling stores answer these runs.
-    Shared(Answered),
-    /// The group missed its own store and every run must execute.
-    Missed,
-}
-
-/// Consult the cache for one checkpoint group: its own store first, then,
-/// on a miss or stale entry, its sibling stores.
+/// Consult the store for one checkpoint group: per target, in group
+/// order, the run its row holds (already folded into the worker's
+/// telemetry), or `None` where the target must execute. A group held in
+/// full is a hit; a stale entry serves nothing.
 fn consult(
     store: &ClientStore,
     app: &AppSpec,
     spec: &fisec_apps::ClientSpec,
     group: &[InjectionTarget],
     wt: &mut WorkerTel<'_>,
-) -> Consulted {
+) -> Vec<Option<DigestedRun>> {
     let addr = group.first().map(|t| t.addr);
     let n = group.len() as u64;
-    let action = match store.lookup(&app.image, group) {
-        CacheLookup::Hit(runs) => {
-            let runs: Vec<DigestedRun> = runs.into_iter().map(from_cached).collect();
-            wt.note_cache_group(group, &runs);
-            wt.note_cache(app.name, &spec.name, "hit", addr, n);
-            return Consulted::Hit(runs);
-        }
-        CacheLookup::Stale => "stale",
-        CacheLookup::Miss => "miss",
+    let Some(rows) = store.rows(&app.image, group) else {
+        wt.note_cache(app.name, &spec.name, "stale", addr, n);
+        return vec![None; group.len()];
     };
-    wt.note_cache(app.name, &spec.name, action, addr, n);
-    let Some(sh) = store.share(&app.image, group) else {
-        return Consulted::Missed;
-    };
-    let runs: Vec<Option<DigestedRun>> = sh.runs.into_iter().map(|r| r.map(from_cached)).collect();
-    let answered: Vec<_> = group
+    let rows: Vec<Option<DigestedRun>> = rows.into_iter().map(|r| r.map(from_cached)).collect();
+    let served: Vec<_> = group
         .iter()
-        .zip(&runs)
+        .zip(&rows)
         .filter_map(|(t, run)| Some((t, run.as_ref()?)))
         .collect();
-    wt.note_shared(&answered, u64::from(answered.len() == group.len()));
-    Consulted::Shared((runs, sh.foot))
+    if served.len() == group.len() {
+        wt.note_served(&served, true);
+        wt.note_cache(app.name, &spec.name, "hit", addr, n);
+    } else {
+        wt.note_cache(app.name, &spec.name, "miss", addr, n);
+        wt.note_served(&served, false);
+    }
+    rows
 }
 
 /// Shared work-queue threading: spawn `threads` scoped workers, each

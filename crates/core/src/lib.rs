@@ -38,6 +38,7 @@ pub mod explain;
 pub mod figure4;
 pub mod hotblocks;
 pub mod load;
+mod persist;
 pub mod propagate;
 pub mod random;
 pub mod report;

@@ -379,7 +379,8 @@ pub(crate) fn random_wall_line(runs: usize, end: &RandomEndEvent) -> String {
 
 /// The cache line of a campaign trailer: memoized groups folded from
 /// the store, a different animal from the NA pre-filter's derived
-/// groups, and the runs sibling stores answered when there were any.
+/// groups, and the rows served inside groups the store did not hold in
+/// full, when there were any.
 /// Empty for cache-off campaigns, so their output stays byte-stable.
 pub(crate) fn cache_line(end: &CampaignEndEvent) -> String {
     if end.cache_hit_groups + end.cache_miss_groups + end.cache_stale_groups == 0 {
@@ -651,8 +652,8 @@ mod tests {
             "cache: hit groups 0 (0 memoized runs)  miss 70  stale 0\n"
         );
         assert_eq!(
-            cache_line(&end(70, 1222)),
-            "cache: hit groups 0 (0 memoized runs)  miss 70  stale 0  shared runs 1222\n"
+            cache_line(&end(68, 1142)),
+            "cache: hit groups 0 (0 memoized runs)  miss 68  stale 0  shared runs 1142\n"
         );
         // The engine aggregate sums the shared runs of every trailer.
         let events = vec![
@@ -661,10 +662,10 @@ mod tests {
             TraceEvent::CampaignEnd(end(70, 0)),
             header(1),
             run_ev(0, "NA", 0),
-            TraceEvent::CampaignEnd(end(70, 1222)),
+            TraceEvent::CampaignEnd(end(68, 1142)),
         ];
         let s = render_stats(&parse_trace(&events).unwrap());
-        assert!(s.contains("miss 140  stale 0  shared runs 1222\n"), "{s}");
+        assert!(s.contains("miss 138  stale 0  shared runs 1142\n"), "{s}");
     }
 
     #[test]

@@ -22,9 +22,10 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// `(file name, bytes)` of every store a cold `table1 --app both` and
-/// `table5 --app both` write, plus ftpd's flight-recorder stores (the
-/// only ones whose runs carry divergence observables).
+/// `(file name, bytes)` of every store a cold `table5 --app both`
+/// writes (one per client, holding both schemes' rows), plus ftpd's
+/// flight-recorder stores (the only ones whose runs carry divergence
+/// observables).
 fn cold_stores() -> &'static [(String, Vec<u8>)] {
     static STORES: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
     STORES.get_or_init(|| {
@@ -84,8 +85,8 @@ fn decode_checked(bytes: &[u8]) -> Option<StoreFile> {
 #[test]
 fn every_cold_store_re_encodes_to_its_own_bytes() {
     let stores = cold_stores();
-    // 6 clients × 2 schemes, plus ftpd's 4 recorder stores.
-    assert_eq!(stores.len(), 16, "{:?}", stores.iter().map(|s| &s.0));
+    // 6 clients, plus ftpd's 4 recorder stores.
+    assert_eq!(stores.len(), 10, "{:?}", stores.iter().map(|s| &s.0));
     let texts = [AppSpec::ftpd(), AppSpec::sshd()].map(|a| (a.name, a.image.text));
     let mut with_div = 0;
     for (name, bytes) in stores {
@@ -97,8 +98,8 @@ fn every_cold_store_re_encodes_to_its_own_bytes() {
         with_div += file
             .groups
             .iter()
-            .flat_map(|g| &g.runs)
-            .filter(|r| r.divergence_depth.is_some())
+            .flat_map(|g| &g.rows)
+            .filter(|r| matches!(r.run.1, Some((Some(_), _))))
             .count();
     }
     assert!(with_div > 0, "the recorder stores carry divergence depths");
@@ -106,7 +107,7 @@ fn every_cold_store_re_encodes_to_its_own_bytes() {
 
 #[test]
 fn every_prefix_of_a_cold_store_is_a_miss() {
-    let bytes = store("ftpd-Client1-base.store");
+    let bytes = store("ftpd-Client1.store");
     for len in 0..bytes.len() {
         assert!(
             decode_store(&bytes[..len]).is_none(),
@@ -123,14 +124,14 @@ fn every_prefix_of_a_cold_store_is_a_miss() {
 /// Offsets in an encoded store: where the text's length word starts,
 /// and where the groups start.
 fn text_and_groups_at(file: &StoreFile) -> (usize, usize) {
-    let strings = file.app.len() + file.client.len() + file.scheme.len() + file.context.len();
-    let text_at = 16 + 4 * 4 + strings + 1;
+    let strings = file.app.len() + file.client.len() + file.context.len();
+    let text_at = 12 + 3 * 4 + strings + 1;
     (text_at, text_at + 4 + file.text.len())
 }
 
 #[test]
 fn bit_flips_in_a_cold_store_header_and_first_group_decode_totally() {
-    let bytes = store("ftpd-Client1-base-rec.store");
+    let bytes = store("ftpd-Client1-rec.store");
     let (text_at, groups_at) = text_and_groups_at(&decode_store(bytes).unwrap());
     let mut flipped = bytes.to_vec();
     // The header, the strings and the text's length word; the first
@@ -141,8 +142,8 @@ fn bit_flips_in_a_cold_store_header_and_first_group_decode_totally() {
     for bit in bits {
         flipped[bit / 8] ^= 1 << (bit % 8);
         let file = decode_checked(&flipped);
-        // The magic and schema words are checked before anything else.
-        if bit < 8 * 16 {
+        // The magic and schema word are checked before anything else.
+        if bit < 8 * 12 {
             assert!(file.is_none(), "header bit {bit} flipped still decodes");
         }
         // A flipped text byte is still a text: the file decodes.
@@ -155,7 +156,7 @@ fn bit_flips_in_a_cold_store_header_and_first_group_decode_totally() {
 
 #[test]
 fn hostile_counts_in_a_short_file_are_misses() {
-    let real = decode_store(store("ftpd-Client1-base.store")).unwrap();
+    let real = decode_store(store("ftpd-Client1.store")).unwrap();
     let with_last_u32 = |file: &StoreFile, v: u32| {
         let mut bytes = encode_store(file);
         let n = bytes.len();
@@ -170,10 +171,10 @@ fn hostile_counts_in_a_short_file_are_misses() {
     assert!(decode_store(&with_last_u32(&empty, 0)).is_some());
     assert!(decode_store(&with_last_u32(&empty, u32::MAX)).is_none());
     assert!(decode_store(&with_last_u32(&empty, 1)).is_none());
-    // One group without runs: the file ends with its run count.
+    // One group without rows: the file ends with its row count.
     let mut one = real.clone();
     one.groups.truncate(1);
-    one.groups[0].runs.clear();
+    one.groups[0].rows.clear();
     assert!(decode_store(&with_last_u32(&one, 0)).is_some());
     assert!(decode_store(&with_last_u32(&one, u32::MAX)).is_none());
     // A text claiming more bytes than the file holds, or fewer, which
@@ -192,16 +193,16 @@ fn hostile_counts_in_a_short_file_are_misses() {
     };
     assert_eq!(decode_checked(&encode_store(&no_text)), Some(no_text));
     // A string claiming u32::MAX bytes: the app name right after the
-    // 16-byte header.
+    // 12-byte header.
     let mut bytes = encode_store(&empty);
-    bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+    bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(decode_store(&bytes).is_none());
     // Non-UTF-8 text and a bool tag other than 0/1.
     let mut bytes = encode_store(&empty);
-    bytes[20] = 0xff;
+    bytes[16] = 0xff;
     assert!(decode_store(&bytes).is_none());
-    let app_len = real.app.len() + real.client.len() + real.scheme.len();
-    let recorder_at = 16 + 3 * 4 + app_len;
+    let app_len = real.app.len() + real.client.len();
+    let recorder_at = 12 + 2 * 4 + app_len;
     let mut bytes = encode_store(&empty);
     assert_eq!(bytes[recorder_at], 0);
     bytes[recorder_at] = 2;
@@ -218,7 +219,7 @@ proptest! {
     ) {
         // Behind a valid header, the bytes reach the group decoder.
         let mut bytes = if header {
-            store("ftpd-Client1-base.store")[..16].to_vec()
+            store("ftpd-Client1.store")[..12].to_vec()
         } else {
             Vec::new()
         };
@@ -228,7 +229,7 @@ proptest! {
 
     #[test]
     fn single_bit_flips_of_a_cold_store_decode_totally(pick in any::<u64>()) {
-        let bytes = store("ftpd-Client2-base-rec.store");
+        let bytes = store("ftpd-Client2-rec.store");
         let bit = (pick % (8 * bytes.len() as u64)) as usize;
         let mut flipped = bytes.to_vec();
         flipped[bit / 8] ^= 1 << (bit % 8);

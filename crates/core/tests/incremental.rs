@@ -12,13 +12,15 @@
 //!     store without touching the others;
 //!   * poking a code byte re-runs the affected groups and the store
 //!     self-heals: the next run is all hits again;
-//!   * switching the encoding scheme never folds the other scheme's
-//!     entries as hits, but a missed group takes every run the other
-//!     scheme's store recorded for the same planted byte, and the
-//!     campaign stays identical to the uncached one in both modes, at
-//!     one and two threads, with the recorder on and off;
-//!   * a sibling store keyed under another context or torn, and a
-//!     sibling entry with a stale footprint, are never shared from.
+//!   * both encoding schemes share one store per client: a group takes
+//!     every row the other scheme recorded for the byte it plants (a
+//!     hit when it holds them all), and the campaign stays identical to
+//!     the uncached one in both modes, at one and two threads, with the
+//!     recorder on and off;
+//!   * the other scheme's rows are never served from a store keyed
+//!     under another context or torn, nor from an entry whose
+//!     footprint went stale; a poke inside a footprint stales every
+//!     scheme's rows at that address, and the next runs re-record them.
 
 use fisec_apps::AppSpec;
 use fisec_core::{
@@ -326,10 +328,10 @@ fn a_new_encoding_campaign_shares_the_baseline_runs_and_matches_the_uncached_one
                 let (shared, m, shared_runs) = run_traced(&app, &newenc, Some(&cache));
                 assert_identical(&shared, &off, &what);
                 assert_eq!(shared_runs, off_runs, "{what}: run digests drifted");
-                // Nothing hit the new encoding's own (empty) store, every
-                // group missed it, and the siblings answered most runs.
-                assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 0, "{what}");
+                // The baseline rows answered most runs: those of groups
+                // they hold in full (hits) and those of the rest.
                 let n_shared = m.counter(metric::CACHE_SHARED_RUNS);
+                let served = n_shared + m.counter(metric::CACHE_SYNTH_RUNS);
                 assert!(n_shared > 0, "{what}: nothing was shared");
                 assert_eq!(
                     m.counter(metric::RUNS),
@@ -338,14 +340,14 @@ fn a_new_encoding_campaign_shares_the_baseline_runs_and_matches_the_uncached_one
                 );
                 match mode {
                     ExecutionMode::Snapshot => assert_eq!(
-                        m.counter(metric::RESTORES) + n_shared,
+                        m.counter(metric::RESTORES) + served,
                         off_m.counter(metric::RESTORES),
-                        "{what}: a shared run is an activated replay not redone"
+                        "{what}: a served row is an activated replay not redone"
                     ),
                     ExecutionMode::FromScratch => assert_eq!(
-                        m.counter(metric::FRESH_BOOTS) + n_shared,
+                        m.counter(metric::FRESH_BOOTS) + served,
                         off_m.counter(metric::FRESH_BOOTS),
-                        "{what}: a shared run is a boot not redone"
+                        "{what}: a served row is a boot not redone"
                     ),
                 }
                 // The new encoding's store now serves itself in full.
@@ -375,15 +377,18 @@ fn a_baseline_campaign_after_a_new_encoding_one_shares_too() {
     let n_shared = m.counter(metric::CACHE_SHARED_RUNS);
     assert!(n_shared > 0, "nothing was shared");
     assert_eq!(
-        m.counter(metric::RESTORES) + n_shared,
+        m.counter(metric::RESTORES) + n_shared + m.counter(metric::CACHE_SYNTH_RUNS),
         off_m.counter(metric::RESTORES)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// ftpd's Table 5 split: of the 1,584 activated new-encoding replays of
-/// a cold `table5`, 1,222 plant a byte a baseline run planted and 362
-/// execute.
+/// a cold `table5`, 1,222 plant a byte a baseline run planted and are
+/// served from its rows. 80 of them fill the 2 groups whose every row
+/// the baseline recorded (hits), 1,142 are served inside the other 68
+/// groups, and 362 execute. Afterwards the one store serves both
+/// schemes in full.
 #[test]
 fn ftpd_new_encoding_shares_1222_runs_and_executes_362() {
     let app = AppSpec::ftpd();
@@ -391,17 +396,101 @@ fn ftpd_new_encoding_shares_1222_runs_and_executes_362() {
         threads: 1,
         ..CampaignConfig::default()
     };
+    let newenc = with_scheme(&base, EncodingScheme::NewEncoding);
     let (cache, dir) = temp_cache("share-pin");
     let (_, m) = run(&app, &base, Some(&cache));
     assert_eq!(m.counter(metric::RESTORES), 1584);
     assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0);
-    let (_, m) = run(
-        &app,
-        &with_scheme(&base, EncodingScheme::NewEncoding),
-        Some(&cache),
+    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 70);
+    let (_, m) = run(&app, &newenc, Some(&cache));
+    assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 2);
+    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 68);
+    assert_eq!(m.counter(metric::CACHE_SYNTH_RUNS), 80);
+    assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 1142);
+    assert_eq!(
+        m.counter(metric::CACHE_SYNTH_RUNS) + m.counter(metric::CACHE_SHARED_RUNS),
+        1222
     );
-    assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 1222);
     assert_eq!(m.counter(metric::RESTORES), 362);
+    // Both schemes now warm from the one store.
+    for cfg in [&newenc, &base] {
+        let (_, m) = run(&app, cfg, Some(&cache));
+        assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 70, "{}", cfg.scheme);
+        assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0, "{}", cfg.scheme);
+        assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0, "{}", cfg.scheme);
+        assert_eq!(m.counter(metric::RESTORES), 0, "{}", cfg.scheme);
+    }
+    assert_eq!(cache::store_paths(&dir).len(), app.clients.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rows are keyed by the byte a flip plants, not by the scheme that
+/// ran it: a scheme change is served exactly the rows that plant the
+/// byte it plants, never one only the other scheme's flips plant, and
+/// executes everything else.
+#[test]
+fn scheme_change_never_reuses_the_other_schemes_entries() {
+    let app = AppSpec::ftpd();
+    let (cache, dir) = temp_cache("scheme");
+    let base = CampaignConfig::default();
+    let newenc = with_scheme(&base, EncodingScheme::NewEncoding);
+
+    let (_, m) = run(&app, &base, Some(&cache));
+    let base_groups = m.counter(metric::CACHE_MISS_GROUPS);
+    assert!(base_groups > 0);
+
+    // Every stored row carries a baseline key; count the new-encoding
+    // targets whose own key one of them carries.
+    let targets = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, false).targets;
+    let key = |t, scheme| cache::row_key(&app.image, t, scheme).expect("text byte");
+    let (mut answered, mut other_only) = (0, 0);
+    for path in cache::store_paths(&dir) {
+        let file = cache::read_store(&path).expect("a valid store");
+        for entry in &file.groups {
+            let group: Vec<_> = targets.iter().filter(|t| t.addr == entry.addr).collect();
+            let new_keys: Vec<_> = group
+                .iter()
+                .map(|t| key(t, EncodingScheme::NewEncoding))
+                .collect();
+            for row in &entry.rows {
+                assert!(
+                    group
+                        .iter()
+                        .any(|t| key(t, EncodingScheme::Baseline) == row.key()),
+                    "{:#x} {:?}",
+                    entry.addr,
+                    row.key()
+                );
+                other_only += usize::from(!new_keys.contains(&row.key()));
+            }
+            answered += new_keys
+                .iter()
+                .filter(|k| entry.rows.iter().any(|r| r.key() == **k))
+                .count();
+        }
+    }
+    assert!(
+        other_only > 0,
+        "every baseline row plants a new-encoding byte"
+    );
+
+    // The other scheme shares the one store: it is served exactly the
+    // rows it plants and executes the rest.
+    let (_, m) = run(&app, &newenc, Some(&cache));
+    assert_eq!(
+        m.counter(metric::CACHE_SHARED_RUNS) + m.counter(metric::CACHE_SYNTH_RUNS),
+        answered as u64
+    );
+    assert!(m.counter(metric::CACHE_MISS_GROUPS) > 0);
+    assert!(m.counter(metric::CACHE_SHARED_RUNS) > 0);
+
+    // Both schemes now warm from it.
+    let (_, m) = run(&app, &newenc, Some(&cache));
+    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0);
+    let (_, m) = run(&app, &base, Some(&cache));
+    assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), base_groups);
+    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -430,9 +519,43 @@ fn a_sibling_under_another_context_or_torn_is_never_shared() {
         }
         let (shared, m) = run(&app, &newenc, Some(&cache));
         assert_eq!(m.counter(metric::CACHE_SHARED_RUNS), 0, "{doctor}");
+        assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 0, "{doctor}");
         assert_identical(&shared, &off, doctor);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Per stored entry of `file`: its group's targets and the first text
+/// byte its runs fetched outside the injected instruction for which
+/// `pick` holds, when there is one.
+fn footprint_bytes<'a>(
+    app: &AppSpec,
+    file: &'a cache::StoreFile,
+    pick: impl Fn(u32) -> bool,
+) -> Vec<(
+    &'a cache::GroupEntry,
+    Vec<fisec_inject::InjectionTarget>,
+    u32,
+)> {
+    let targets = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, false).targets;
+    let text = app.image.text_base..app.image.text_base + app.image.text.len() as u32;
+    file.groups
+        .iter()
+        .filter_map(|entry| {
+            let group: Vec<_> = targets
+                .iter()
+                .filter(|t| t.addr == entry.addr)
+                .copied()
+                .collect();
+            let end = entry.addr + u32::from(group[0].inst_len);
+            let byte = entry
+                .foot
+                .iter()
+                .flat_map(|r| r.start..r.start + r.len)
+                .find(|&b| text.contains(&b) && !(entry.addr..end).contains(&b) && pick(b))?;
+            Some((entry, group, byte))
+        })
+        .collect()
 }
 
 #[test]
@@ -445,34 +568,15 @@ fn a_sibling_entry_with_a_stale_footprint_is_never_shared() {
     let golden = fisec_inject::golden_run(&app.image, spec).unwrap();
     let store = cache.open_client(&app, spec, EncodingScheme::NewEncoding, false, &golden);
     let file = cache::read_store(&cache::store_paths(&dir)[0]).expect("a valid store");
-    let targets = fisec_inject::enumerate_targets(&app.image, &app.auth_funcs, false).targets;
     let mut checked = 0;
-    for entry in &file.groups {
-        let group: Vec<_> = targets
-            .iter()
-            .filter(|t| t.addr == entry.addr)
-            .copied()
-            .collect();
-        let end = entry.addr + u32::from(group[0].inst_len);
+    for (entry, group, byte) in footprint_bytes(&app, &file, |_| true) {
         // A text byte the entry's runs fetched, outside the injected
         // instruction: poking it leaves the injected region alone.
-        let text = app.image.text_base..app.image.text_base + app.image.text.len() as u32;
-        let Some(byte) = entry
-            .foot
-            .iter()
-            .flat_map(|r| r.start..r.start + r.len)
-            .find(|b| text.contains(b) && !(entry.addr..end).contains(b))
-        else {
-            continue;
-        };
-        assert!(
-            store.share(&app.image, &group).is_some(),
-            "{:#x}",
-            entry.addr
-        );
+        let served = store.rows(&app.image, &group).expect("the entry holds");
+        assert!(served.iter().any(Option::is_some), "{:#x}", entry.addr);
         let mut poked = app.image.clone();
         poked.text[(byte - app.image.text_base) as usize] ^= 0x01;
-        assert!(store.share(&poked, &group).is_none(), "{:#x}", entry.addr);
+        assert!(store.rows(&poked, &group).is_none(), "{:#x}", entry.addr);
         checked += 1;
     }
     assert!(
@@ -483,32 +587,58 @@ fn a_sibling_entry_with_a_stale_footprint_is_never_shared() {
 }
 
 #[test]
-fn scheme_change_never_reuses_the_other_schemes_entries() {
-    let app = AppSpec::ftpd();
-    let (cache, dir) = temp_cache("scheme");
+fn a_poke_inside_a_footprint_stales_every_schemes_rows_and_the_next_runs_re_record_them() {
+    let mut app = AppSpec::ftpd();
+    app.clients.truncate(1);
+    let spec = &app.clients[0];
     let base = CampaignConfig::default();
-    let newenc = CampaignConfig {
-        scheme: EncodingScheme::NewEncoding,
-        ..CampaignConfig::default()
-    };
-
-    let (_, m) = run(&app, &base, Some(&cache));
-    let base_groups = m.counter(metric::CACHE_MISS_GROUPS);
-    assert!(base_groups > 0);
-
-    // The other scheme lives in its own store file: zero hits. Its runs
-    // that plant the byte a baseline run planted are shared, not hits.
-    let (_, m) = run(&app, &newenc, Some(&cache));
-    assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), 0);
-    assert!(m.counter(metric::CACHE_MISS_GROUPS) > 0);
-    assert!(m.counter(metric::CACHE_SHARED_RUNS) > 0);
-
-    // Both schemes now warm independently.
-    let (_, m) = run(&app, &newenc, Some(&cache));
-    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0);
-    let (_, m) = run(&app, &base, Some(&cache));
-    assert_eq!(m.counter(metric::CACHE_HIT_GROUPS), base_groups);
-    assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0);
-
+    let newenc = with_scheme(&base, EncodingScheme::NewEncoding);
+    let (cache, dir) = temp_cache("poke-rows");
+    run(&app, &base, Some(&cache));
+    run(&app, &newenc, Some(&cache));
+    let file = cache::read_store(&cache::store_paths(&dir)[0]).expect("a valid store");
+    // A footprint byte golden never fetches (only a replay did): poking
+    // it keeps the store's context (golden's behavior) and stales only
+    // the entries over it.
+    let (golden, pass) =
+        fisec_inject::FirstFetchPass::golden(&app.image, spec, EngineOpts::default()).unwrap();
+    let unfetched = |b: u32| pass.rung((b - app.image.text_base) as usize).is_none();
+    let (entry, group, byte) = footprint_bytes(&app, &file, unfetched)
+        .into_iter()
+        .next()
+        .expect("a footprint byte golden never fetches");
+    let mut poked = AppSpec::ftpd();
+    poked.clients.truncate(1);
+    poked.image.text[(byte - app.image.text_base) as usize] ^= 0x01;
+    let poked_golden = fisec_inject::golden_run(&poked.image, spec).unwrap();
+    assert_eq!(
+        cache::context_key(&poked, spec, false, &poked_golden),
+        cache::context_key(&app, spec, false, &golden),
+        "golden never fetches {byte:#x}"
+    );
+    let addr = entry.addr;
+    for scheme in EncodingScheme::ALL {
+        let store = cache.open_client(&poked, spec, scheme, false, &golden);
+        assert!(!store.context_invalidated, "{scheme}");
+        assert!(store.rows(&poked.image, &group).is_none(), "{scheme}");
+    }
+    // The first run under either scheme re-runs the stale groups and
+    // replaces their entries; the other scheme then re-runs only the
+    // rows it alone plants; after that both are warm.
+    let (warm, m) = run(&poked, &newenc, Some(&cache));
+    let stale = m.counter(metric::CACHE_STALE_GROUPS);
+    assert!(stale > 0, "the group at {addr:#x} went stale");
+    assert_identical(&warm, &run(&poked, &newenc, None).0, "new encoding, poked");
+    let (warm, m) = run(&poked, &base, Some(&cache));
+    assert_eq!(m.counter(metric::CACHE_STALE_GROUPS), 0);
+    assert!(m.counter(metric::CACHE_MISS_GROUPS) <= stale);
+    assert_identical(&warm, &run(&poked, &base, None).0, "baseline, poked");
+    for cfg in [&base, &newenc] {
+        let (warm, m) = run(&poked, cfg, Some(&cache));
+        assert_eq!(m.counter(metric::CACHE_MISS_GROUPS), 0, "{}", cfg.scheme);
+        assert_eq!(m.counter(metric::CACHE_STALE_GROUPS), 0, "{}", cfg.scheme);
+        assert_eq!(m.counter(metric::RESTORES), 0, "{}", cfg.scheme);
+        assert_identical(&warm, &run(&poked, cfg, None).0, "re-warmed");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

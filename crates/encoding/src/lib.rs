@@ -87,10 +87,12 @@ impl EncodingScheme {
     /// Every scheme, baseline first.
     pub const ALL: [EncodingScheme; 2] = [EncodingScheme::Baseline, EncodingScheme::NewEncoding];
 
-    /// Short, filename-safe identity tag. The campaign cache keys
-    /// memoized results on it (and uses it in store file names), so the
-    /// tag for an existing scheme must never change — add new tags for
-    /// new schemes instead.
+    /// Short, filename-safe identity tag. Benchmark result lines are
+    /// labelled with it and [`EncodingScheme::by_name`] accepts it, so
+    /// the tag for an existing scheme must never change — add new tags
+    /// for new schemes instead. The campaign cache neither keys nor names
+    /// stores by it: a store's rows are keyed by the byte each flip
+    /// plants, which is all a scheme changes.
     pub fn cache_tag(self) -> &'static str {
         match self {
             EncodingScheme::Baseline => "base",
@@ -99,7 +101,7 @@ impl EncodingScheme {
     }
 
     /// The scheme whose display label (as trace and ledger headers
-    /// record it) or cache tag (as store files record it) is `name`.
+    /// record it) or cache tag is `name`.
     pub fn by_name(name: &str) -> Option<EncodingScheme> {
         EncodingScheme::ALL
             .into_iter()

@@ -22,7 +22,6 @@ pub mod divergence;
 pub mod forensics;
 pub mod latent;
 pub mod location;
-pub mod persist;
 pub mod propagation;
 pub mod target;
 

@@ -138,12 +138,12 @@ pub struct CampaignEndEvent {
     /// parse fine, all four cache counters default to 0).
     #[serde(default)]
     pub cache_hit_groups: u64,
-    /// Groups that executed because the cache had no usable entry
-    /// (includes stale entries).
+    /// Groups that executed, whole or in part, because the cache did not
+    /// hold every row (stale entries are counted apart).
     #[serde(default)]
     pub cache_miss_groups: u64,
-    /// The subset of misses where an entry existed but its key or
-    /// footprint hash no longer matched (invalidations).
+    /// Groups whose entry existed but whose text changed over its
+    /// instruction or footprint (invalidations).
     #[serde(default)]
     pub cache_stale_groups: u64,
     /// Runs synthesized from cache hits (counted in `runs` as well).
@@ -154,10 +154,9 @@ pub struct CampaignEndEvent {
     /// Absent from older traces (they parse with 0).
     #[serde(default)]
     pub masked_runs: u64,
-    /// Runs of missed groups answered by a sibling store (another
-    /// encoding scheme planting the same byte) without executing;
-    /// counted in `runs` as well. Absent from older traces (they parse
-    /// with 0).
+    /// Rows served without executing inside groups the cache did not
+    /// hold in full, whichever encoding scheme recorded them; counted in
+    /// `runs` as well. Absent from older traces (they parse with 0).
     #[serde(default)]
     pub cache_shared_runs: u64,
     /// Executed runs that skipped whole periods of a proven hang loop

@@ -33,19 +33,20 @@ pub mod metric {
     /// Counter: guest instructions those runs retired without executing.
     pub const SKIPPED_GUEST_INSTS: &str = "skipped_guest_insts";
     /// Counter: checkpoint groups folded in from the incremental
-    /// campaign cache without executing.
+    /// campaign cache without executing: the store held every row.
     pub const CACHE_HIT_GROUPS: &str = "cache_hit_groups";
-    /// Counter: groups executed because the cache had no usable entry.
+    /// Counter: groups executed, whole or in part, because the cache did
+    /// not hold every row.
     pub const CACHE_MISS_GROUPS: &str = "cache_miss_groups";
-    /// Counter: the subset of misses where a cached entry existed but
-    /// was invalidated by a key/footprint change.
+    /// Counter: groups whose cached entry existed but was invalidated:
+    /// the text changed over its instruction or footprint.
     pub const CACHE_STALE_GROUPS: &str = "cache_stale_groups";
     /// Counter: runs synthesized from cache hits (also counted in
     /// [`RUNS`]).
     pub const CACHE_SYNTH_RUNS: &str = "cache_synth_runs";
-    /// Counter: runs of groups that missed their own store, answered by
-    /// a sibling store that planted the same byte under another
-    /// encoding scheme (also counted in [`RUNS`]).
+    /// Counter: rows served inside groups the cache did not hold in
+    /// full, whichever encoding scheme recorded them (also counted in
+    /// [`RUNS`]).
     pub const CACHE_SHARED_RUNS: &str = "cache_shared_runs";
     /// Counter: fresh group results written back to the cache store.
     pub const CACHE_STORES: &str = "cache_stores";
